@@ -1,8 +1,27 @@
-"""Theorem 4.1 routing — correctness, bound tightness, and throughput.
+"""Routing — Theorem 4.1 router bounds and throughput, and the all-pairs
+next-hop table build.
 
 Benchmarks the label-sorting router against the theoretical bound and
 measures routing throughput (routes/second) without any graph search.
+
+The table-build case holds the bit-parallel BFS kernel behind
+:class:`repro.routing.table.NextHopTable` to its gain: on HSN(3,Q4)
+(N=4096) the table and distance matrix must be bit-identical to the
+sparse-matmul oracle in ``tests/bfs_oracle.py``, and the build must be at
+least ``MIN_TABLE_SPEEDUP``x faster (best of ``TABLE_ROUNDS`` against
+one oracle run, GC parked).  Run it directly (exits non-zero on a
+mismatch or a missed budget; prints one JSON record, appended to
+``$REPRO_BENCH_TRAJECTORY`` when set)::
+
+    PYTHONPATH=src python benchmarks/bench_routing.py
 """
+
+import gc
+import json
+import os
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +29,15 @@ import pytest
 from repro import networks as nw
 from repro.core.superip import SuperGeneratorSet, build_super_ip_graph
 from repro.metrics.distances import bfs_distances
-from repro.routing import SuperIPRouter, verify_route
+from repro.routing import NextHopTable, SuperIPRouter, verify_route
 
 from conftest import print_table
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.bfs_oracle import oracle_next_hop_table  # noqa: E402
+
+MIN_TABLE_SPEEDUP = 3.0
+TABLE_ROUNDS = 3
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +121,68 @@ def test_symmetric_routing_bound(benchmark):
 
     worst = benchmark(route_all)
     assert worst <= r.max_route_length()
+
+
+def _timed(fn) -> float:
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
+
+
+def table_build_case() -> dict:
+    """Time the HSN(3,Q4) table build against the oracle; check identity."""
+    net = nw.build("hsn", l=3, n=4)
+    built = {}
+
+    def _kernel():
+        built["table"] = NextHopTable(net, with_distances=True)
+
+    def _oracle():
+        built["oracle"] = oracle_next_hop_table(net)
+
+    kernel_s = min(_timed(_kernel) for _ in range(TABLE_ROUNDS))
+    oracle_s = _timed(_oracle)
+    table, (want_table, want_dist) = built["table"], built["oracle"]
+    return {
+        "bench": "routing_table_build",
+        "network": net.name,
+        "nodes": net.num_nodes,
+        "kernel_s": round(kernel_s, 4),
+        "oracle_s": round(oracle_s, 4),
+        "speedup": round(oracle_s / kernel_s, 2),
+        "identical": bool(
+            np.array_equal(table.table, want_table)
+            and np.array_equal(table.dist, want_dist)
+        ),
+    }
+
+
+def main() -> int:
+    record = table_build_case()
+    print(json.dumps(record))
+    traj = os.environ.get("REPRO_BENCH_TRAJECTORY")
+    if traj:
+        with open(traj, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+    ok = True
+    if not record["identical"]:
+        print("FAIL: next-hop table differs from the oracle", file=sys.stderr)
+        ok = False
+    if record["speedup"] < MIN_TABLE_SPEEDUP:
+        print(
+            f"FAIL: table build speedup {record['speedup']:.1f}x < "
+            f"{MIN_TABLE_SPEEDUP:.0f}x ({record['kernel_s']:.3f}s vs "
+            f"{record['oracle_s']:.3f}s)",
+            file=sys.stderr,
+        )
+        ok = False
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

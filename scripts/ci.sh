@@ -95,6 +95,10 @@ python -m repro faults percolation --smoke > /dev/null
 echo "OK"
 
 echo
+echo "== next-hop table build (>=3x vs oracle, bit-identical, N=4096) =="
+python benchmarks/bench_routing.py
+
+echo
 echo "== route-serving budgets (>=100k qps, mmap-shared, bit-identical) =="
 python benchmarks/bench_route_service.py
 

@@ -122,15 +122,19 @@ HOT_PERIMETER: tuple[HotKernel, ...] = (
         "all-pairs next-hop table construction",
         contracts=(("nh", "int32"),),
         shape=(
-            ("starts", "(n,)"),
-            ("cand_ids", "(nnz,)"),
+            ("degree", "(n,)"),
             ("dsts", "(r,)"),
         ),
     ),
     HotKernel(
         "repro.metrics.distances.bfs_distances",
-        "chunked multi-source BFS distance kernel",
+        "validated (S, N) int32 view of the bit-parallel BFS",
         contracts=(("dist", "int32"),),
+    ),
+    HotKernel(
+        "repro.metrics.distances.multi_source_bfs",
+        "bit-parallel multi-source BFS (64 sources per uint64 word)",
+        contracts=(("frontier", "uint64"), ("visited", "uint64")),
     ),
     HotKernel(
         "repro.sim.simulator.PacketSimulator.run",

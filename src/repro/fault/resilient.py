@@ -17,12 +17,14 @@ on star-graph-class networks exploit path diversity):
 
 The router never mutates the network: fault state comes from a compiled
 :class:`~repro.fault.plan.FaultTimeline`, and survivor-graph path lookups
-are cached per fault epoch.  Both caches are bounded: entries from stale
-fault epochs are evicted when the timeline advances, and within an epoch
-the path cache is LRU-bounded (``path_cache_size``); ``cache_info()``
-reports hit/miss/eviction counters in the :func:`repro.cache.memoize_lru`
-style.  Passing an :class:`~repro.fault.orbits.OrbitDetourCache` lets
-symmetric fault configurations share survivor paths across routers.
+are cached per fault epoch, as are the survivor graph's max-flow
+structures (built once per epoch, not once per detour).  The caches are
+bounded: entries from stale fault epochs are evicted when the timeline
+advances, and within an epoch the path cache is LRU-bounded
+(``path_cache_size``); ``cache_info()`` reports hit/miss/eviction
+counters in the :func:`repro.cache.memoize_lru` style.  Passing an
+:class:`~repro.fault.orbits.OrbitDetourCache` lets symmetric fault
+configurations share survivor paths across routers.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from collections import OrderedDict
 
 from repro import obs
 from repro.core.network import Network
-from repro.routing.disjoint import node_disjoint_paths
+from repro.routing.disjoint import NodeDisjointPaths
 from repro.routing.table import NextHopTable
 
 from .plan import FaultTimeline
@@ -106,6 +108,7 @@ class ResilientRouter:
             tuple[int, int, int], tuple[int, ...] | None
         ] = OrderedDict()
         self._view_cache: dict[int, FaultyNetwork] = {}
+        self._flow_cache: dict[int, NodeDisjointPaths] = {}
         self._cache_epoch: int | None = None
         self._cache_stats = {
             "path_hits": 0,
@@ -167,8 +170,9 @@ class ResilientRouter:
         for k in stale:
             del self._path_cache[k]
         self._cache_stats["path_evictions"] += len(stale)
-        for e in [e for e in self._view_cache if e != epoch]:
-            del self._view_cache[e]
+        for cache in (self._view_cache, self._flow_cache):
+            for e in [e for e in cache if e != epoch]:
+                del cache[e]
         self._cache_epoch = epoch
 
     def _view(self, epoch: int, t: int) -> FaultyNetwork:
@@ -190,9 +194,11 @@ class ResilientRouter:
         view = self._view(epoch, t)
         if not (view.is_node_up(u) and view.is_node_up(dst)):
             return None
+        flow = self._flow_cache.get(epoch)
+        if flow is None:
+            flow = self._flow_cache[epoch] = NodeDisjointPaths(view.to_network())
         try:
-            paths = node_disjoint_paths(view.to_network(), u, dst)
-            return tuple(min(paths, key=len))
+            return tuple(min(flow(u, dst), key=len))
         except (nx.NetworkXNoPath, nx.NetworkXError, ValueError):
             return None
 
@@ -240,15 +246,18 @@ class ResilientRouter:
             "path_maxsize": self.path_cache_size,
             "path_currsize": len(self._path_cache),
             "view_currsize": len(self._view_cache),
+            "flow_currsize": len(self._flow_cache),
         }
         if self.orbit_cache is not None:
             info["orbit"] = self.orbit_cache.cache_info()
         return info
 
     def cache_clear(self) -> None:
-        """Drop every cached path and survivor view (counters kept)."""
+        """Drop every cached path, survivor view and flow structure
+        (counters kept)."""
         self._path_cache.clear()
         self._view_cache.clear()
+        self._flow_cache.clear()
         self._cache_epoch = None
 
     def __repr__(self) -> str:

@@ -5,9 +5,12 @@ CSR adjacency).  They are the measurement side of the paper's topological
 comparisons: diameter and average distance feed the DD-cost of Figure 2 and
 the latency model of Section 5.
 
-Implementation notes (per the HPC-Python guides): distances are computed
-with vectorized frontier expansion on the CSR structure arrays — no Python
-per-edge loops — and all-pairs sweeps are chunked so memory stays bounded.
+Implementation notes: every distance here comes from one kernel,
+:func:`multi_source_bfs` — bit-parallel BFS that expands 64 sources per
+machine word with CSR gathers and ``reduceat`` (no Python per-edge loops)
+— and all-pairs sweeps are chunked so memory stays bounded.  The
+all-pairs next-hop table (:class:`repro.routing.table.NextHopTable`) is
+built on the same kernel.
 """
 
 from __future__ import annotations
@@ -43,32 +46,113 @@ def as_csr(net: Network | sp.spmatrix) -> sp.csr_matrix:
     return sp.csr_matrix(net)
 
 
+def _check_sources(sources: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
+    """Validate BFS source ids; negative or too-large ids would otherwise
+    silently read another node's row via numpy wraparound indexing."""
+    src = np.asarray(sources, dtype=np.int64).reshape(-1)
+    bad = (src < 0) | (src >= n)
+    if bad.any():
+        v = int(src[np.argmax(bad)])
+        raise ValueError(
+            f"source node id {v} is out of range for a {n}-node graph "
+            f"(valid ids: 0..{n - 1})"
+        )
+    return src
+
+
+def _pull_csr(net: Network | sp.spmatrix) -> sp.csr_matrix:
+    """Adjacency whose row ``v`` lists the arc tails *into* ``v``.
+
+    A BFS level pulls each node's frontier bits from these in-neighbors.
+    Undirected networks are their own transpose; any other input is
+    transposed (and explicit zeros dropped, so only stored nonzero
+    entries count as arcs).
+    """
+    if isinstance(net, Network) and not net.directed:
+        return net.adjacency_csr()
+    pull = as_csr(net).T.tocsr()
+    pull.eliminate_zeros()
+    return pull
+
+
+def _unpack_lanes(words: np.ndarray, lanes: int) -> np.ndarray:
+    """``(N, lanes)`` uint8 0/1 matrix of the first ``lanes`` bit lanes."""
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    return bits[:, :lanes]
+
+
+def multi_source_bfs(
+    net: Network | sp.spmatrix, sources: Sequence[int] | np.ndarray
+) -> np.ndarray:
+    """Bit-parallel multi-source BFS: hop distances, node-major.
+
+    Returns an ``(N, S)`` array whose column ``j`` holds the hop distance
+    from ``sources[j]`` to every node (``-1`` where unreachable), in the
+    narrowest signed dtype that holds the largest distance (int8, int16
+    or int32).  Raises ``ValueError`` naming the first source id outside
+    ``0..N-1``.
+
+    Sources are packed 64 to a little-endian ``uint64`` word per node,
+    one bit lane each (Then et al., "The More the Merrier", PVLDB 8(4)).
+    A level is one gather of the frontier words along the pull adjacency
+    plus ``np.bitwise_or.reduceat`` over ``indptr`` — 64 BFS expansions
+    per word operation — masked by the visited words.  No level runs a
+    ``nonzero``: each level's new frontier is OR-ed into the bit planes
+    of its level number, and the planes are unpacked once at the end.
+    """
+    pull = _pull_csr(net)
+    n = pull.shape[0]
+    sources = _check_sources(sources, n)
+    s = len(sources)
+    seed = np.zeros((n, -(-s // 64) * 64), dtype=bool)
+    seed[sources, np.arange(s)] = True
+    frontier = np.packbits(seed, axis=1, bitorder="little").view("<u8")
+    visited = frontier.copy()
+    indptr, indices = pull.indptr, pull.indices
+    # reduceat reads one element for an empty segment instead of the
+    # identity, so reduce over the rows with in-arcs only; the others
+    # are never reached
+    rows = np.flatnonzero(np.diff(indptr))
+    starts = indptr[rows]
+    planes: list[np.ndarray] = []  # planes[b]: lanes whose distance has bit b
+    level = 0
+    while len(rows):
+        pulled = np.bitwise_or.reduceat(frontier.take(indices, axis=0), starts, axis=0)
+        if len(rows) == n:
+            reached = pulled
+        else:
+            reached = np.zeros_like(frontier)
+            reached[rows] = pulled
+        frontier = reached & ~visited
+        if not frontier.any():
+            break
+        level += 1
+        visited |= frontier
+        if level.bit_length() > len(planes):
+            planes.append(np.zeros_like(frontier))
+        for b in range(level.bit_length()):
+            if level >> b & 1:
+                planes[b] |= frontier
+    dtype = np.int8 if level < 1 << 7 else np.int16 if level < 1 << 15 else np.int32
+    hops = np.zeros((n, s), dtype=dtype)
+    for b, plane in enumerate(planes):
+        hops |= _unpack_lanes(plane, s).astype(dtype) << b
+    hops[_unpack_lanes(~visited, s).view(bool)] = _UNREACHED
+    return hops
+
+
 def bfs_distances(
     net: Network | sp.spmatrix, sources: Sequence[int] | np.ndarray
 ) -> np.ndarray:
     """Hop distances from each source to every node.
 
-    Returns an ``(S, N)`` int array; unreachable entries are ``-1``.
+    Returns an ``(S, N)`` int32 array; unreachable entries are ``-1``.
+    Raises ``ValueError`` naming the first source id outside ``0..N-1``.
 
-    The BFS expands all sources simultaneously level by level using boolean
-    frontier masks and CSR gathers, which is far faster in NumPy than
-    per-node queue BFS for the graph sizes used here.
+    Source-major int32 view of :func:`multi_source_bfs` (64 sources per
+    machine word, all expanded together level by level).
     """
-    csr = as_csr(net)
-    n = csr.shape[0]
-    sources = np.asarray(sources, dtype=np.int64)
-    s = len(sources)
-    dist = np.full((s, n), _UNREACHED, dtype=np.int32)
-    dist[np.arange(s), sources] = 0
-    frontier = np.zeros((s, n), dtype=bool)
-    frontier[np.arange(s), sources] = True
-    level = 0
-    while frontier.any():
-        level += 1
-        # one sparse matmul expands every source's frontier simultaneously
-        reached = (sp.csr_matrix(frontier, dtype=np.int8) @ csr).toarray() > 0
-        frontier = reached & (dist == _UNREACHED)
-        dist[frontier] = level
+    dist = np.ascontiguousarray(multi_source_bfs(net, sources).T, dtype=np.int32)
     return dist
 
 
@@ -87,13 +171,12 @@ def eccentricities(
     Raises ``ValueError`` if the graph is disconnected (an eccentricity
     would be infinite).
     """
-    csr = as_csr(net)
-    n = csr.shape[0]
+    n = as_csr(net).shape[0]
     src = np.arange(n) if sources is None else np.asarray(list(sources), dtype=np.int64)
     out = np.empty(len(src), dtype=np.int64)
     for start in range(0, len(src), chunk):
         block = src[start : start + chunk]
-        d = bfs_distances(csr, block)
+        d = bfs_distances(net, block)
         if (d == _UNREACHED).any():
             raise ValueError("graph is disconnected; eccentricity undefined")
         out[start : start + len(block)] = d.max(axis=1)
@@ -122,19 +205,18 @@ def average_distance(
     chunk: int = 64,
 ) -> float:
     """Average hop distance over ordered pairs of distinct nodes."""
-    csr = as_csr(net)
-    n = csr.shape[0]
+    n = as_csr(net).shape[0]
     if n < 2:
         return 0.0
     if assume_vertex_transitive:
-        d = bfs_distances(csr, [0])
+        d = bfs_distances(net, [0])
         if (d == _UNREACHED).any():
             raise ValueError("graph is disconnected")
         return float(d.sum()) / (n - 1)
     total = 0
     for start in range(0, n, chunk):
         block = np.arange(start, min(start + chunk, n))
-        d = bfs_distances(csr, block)
+        d = bfs_distances(net, block)
         if (d == _UNREACHED).any():
             raise ValueError("graph is disconnected")
         total += int(d.sum())
@@ -152,14 +234,13 @@ def approx_average_distance(
     ordered-pair average, and exact when ``samples >= N``.  Use for
     networks too large for the exhaustive sweep.
     """
-    csr = as_csr(net)
-    n = csr.shape[0]
+    n = as_csr(net).shape[0]
     if n < 2:
         return 0.0
     if samples >= n:
-        return average_distance(csr)
+        return average_distance(net)
     srcs = rng.choice(n, size=samples, replace=False)
-    d = bfs_distances(csr, srcs)
+    d = bfs_distances(net, srcs)
     if (d == _UNREACHED).any():
         raise ValueError("graph is disconnected")
     return float(d.sum()) / (samples * (n - 1))
@@ -174,10 +255,9 @@ def distance_histogram(net: Network | sp.spmatrix, source: int = 0) -> dict[int,
 
 def is_connected(net: Network | sp.spmatrix) -> bool:
     """True iff every node is reachable from node 0 (undirected view)."""
-    csr = as_csr(net)
-    if csr.shape[0] == 0:
+    if as_csr(net).shape[0] == 0:
         return True
-    d = single_source_distances(csr, 0)
+    d = single_source_distances(net, 0)
     return bool((d >= 0).all())
 
 
@@ -203,14 +283,13 @@ def distance_summary(
     net: Network | sp.spmatrix, assume_vertex_transitive: bool = False
 ) -> DistanceSummary:
     """Diameter, average distance and radius in one pass."""
-    csr = as_csr(net)
-    n = csr.shape[0]
+    n = as_csr(net).shape[0]
     if assume_vertex_transitive:
-        d = bfs_distances(csr, [0])
+        d = bfs_distances(net, [0])
         if (d == _UNREACHED).any():
             raise ValueError("graph is disconnected")
         ecc = int(d.max())
         return DistanceSummary(ecc, float(d.sum()) / max(n - 1, 1), ecc, n)
-    ecc = eccentricities(csr)
-    avg = average_distance(csr)
+    ecc = eccentricities(net)
+    avg = average_distance(net)
     return DistanceSummary(int(ecc.max()), avg, int(ecc.min()), n)

@@ -37,11 +37,40 @@ def edge_disjoint_paths(net: Network, s: int, t: int) -> list[list[int]]:
 
 def node_disjoint_paths(net: Network, s: int, t: int) -> list[list[int]]:
     """A maximum set of internally node-disjoint s-t paths."""
-    import networkx as nx
+    return NodeDisjointPaths(net)(s, t)
 
-    if s == t:
-        raise ValueError("s and t must differ")
-    return [list(p) for p in nx.node_disjoint_paths(_nx(net), s, t)]
+
+class NodeDisjointPaths:
+    """Node-disjoint path queries on one fixed graph, sharing the max-flow
+    structures between queries.
+
+    :func:`node_disjoint_paths` builds the networkx graph, the
+    node-connectivity auxiliary digraph and its residual network for one
+    query; an instance builds them once for many.  The flow routine resets
+    every residual flow before it runs, so each call returns exactly what
+    a fresh instance returns for the same pair.
+    """
+
+    def __init__(self, net: Network):
+        from networkx.algorithms.connectivity import (
+            build_auxiliary_node_connectivity,
+        )
+        from networkx.algorithms.flow import build_residual_network
+
+        self.graph = _nx(net)
+        self.auxiliary = build_auxiliary_node_connectivity(self.graph)
+        self.residual = build_residual_network(self.auxiliary, "capacity")
+
+    def __call__(self, s: int, t: int) -> list[list[int]]:
+        """A maximum set of internally node-disjoint s-t paths."""
+        import networkx as nx
+
+        if s == t:
+            raise ValueError("s and t must differ")
+        paths = nx.node_disjoint_paths(
+            self.graph, s, t, auxiliary=self.auxiliary, residual=self.residual
+        )
+        return [list(p) for p in paths]
 
 
 def path_diversity(

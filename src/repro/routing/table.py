@@ -15,7 +15,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.network import Network, RoutingError
-from repro.metrics.distances import bfs_distances
+from repro.metrics.distances import multi_source_bfs
 
 __all__ = ["shortest_path", "NextHopTable"]
 
@@ -54,17 +54,23 @@ def shortest_path(net: Network, src: int, dst: int) -> list[int]:
 class NextHopTable:
     """All-pairs next-hop table for shortest-path routing.
 
-    ``next_hop[dst, u]`` is the neighbor of ``u`` on a shortest path to
-    ``dst`` (or ``u`` itself when ``u == dst``).  Memory is ``O(N^2)``;
-    construction is chunked BFS.  This is what the packet simulator uses to
-    route — deterministic, minimal, and family-agnostic.
+    ``next_hop[dst, u]`` is the smallest-id neighbor of ``u`` on a
+    shortest path to ``dst`` (or ``u`` itself when ``u == dst``).  Memory
+    is ``O(N^2)``; construction runs the bit-parallel BFS of
+    :func:`repro.metrics.distances.multi_source_bfs` from each batch of
+    destinations, then one sweep over neighbor slots per batch.  This is
+    what the packet simulator uses to route — deterministic, minimal, and
+    family-agnostic.
 
     Parameters
     ----------
     net:
         The topology.
     chunk:
-        BFS batch size (memory/speed trade-off during construction).
+        Destinations per BFS batch (memory/speed trade-off during
+        construction).  Each batch packs 64 destinations per machine
+        word, so multiples of 64 leave no lane idle; the table is the
+        same for every ``chunk >= 1``.
     with_distances:
         Keep the full hop-distance matrix (``O(N^2)`` int32 extra) so
         :meth:`next_hops` / :meth:`distance` work.  Required by the
@@ -101,61 +107,54 @@ class NextHopTable:
         )
         with obs.span("routing.table.build", n=n, chunk=chunk):
             self.table = np.empty((n, n), dtype=np.int32)
-            arc_counts = np.diff(indptr)
-            isolated = arc_counts == 0
-            if n > 1 and isolated.any() and not allow_unreachable:
-                bad = int(np.nonzero(isolated)[0][0])
+            degree = np.diff(indptr)
+            if n > 1 and not allow_unreachable and (degree == 0).any():
+                bad = int(np.argmin(degree))
                 raise RoutingError(
                     f"cannot build a next-hop table on {net.name!r}: node {bad} "
                     f"is isolated (no arcs); pass allow_unreachable=True to "
                     f"route within components"
                 )
-            nnz = len(indices)
-            if nnz:
-                # loop-invariant pieces hoisted out of the chunk loop: the
-                # reduceat offsets, int32 candidate ids, and each arc's
-                # source node (so the closer-test is two gathers, not a
-                # per-row np.repeat)
-                starts = np.minimum(indptr[:-1], nnz - 1)
-                cand_ids = indices.astype(np.int32)
-                arc_src = np.repeat(np.arange(n), arc_counts)
-                sentinel = np.int32(n)
-            # keep the (rows × arcs) int32 intermediates cache-resident —
-            # past L2 the batched form loses to per-row gathers
-            rows_per = max(1, min(chunk, (1 << 15) // max(nnz, 1)))
+            # hop[u, c] is u's neighbor in slot ``width - c`` of its
+            # ascending neighbor list, so a larger code names a smaller id;
+            # code 0 (no neighbor one step closer) decodes to -1
+            width = int(degree.max()) if n else 0
+            nbrs = (csr if csr.has_sorted_indices else csr.sorted_indices()).indices
+            arc_src = np.repeat(np.arange(n), degree)
+            hop = np.full((n, width + 1), -1, dtype=np.int32)
+            hop[arc_src, width + indptr[arc_src] - np.arange(len(nbrs))] = nbrs
+            hop_row = (np.arange(n) * (width + 1))[:, None]
+            code_type = np.min_scalar_type(width)
+            # the sweep gathers empty slots from a sentinel row n whose
+            # value no node's "one step closer" distance can equal
+            slot = np.where(hop < 0, n, hop)
             for start in range(0, n, chunk):
                 dsts = np.arange(start, min(start + chunk, n))
-                dist = bfs_distances(csr, dsts)  # distances FROM dst (undirected)
-                if (dist < 0).any() and not allow_unreachable:
-                    row, u = np.argwhere(dist < 0)[0]
+                hops = multi_source_bfs(net, dsts)  # (n, r): FROM each dst
+                unreached = hops < 0
+                if not allow_unreachable and unreached.any():
+                    col = int(np.argmax(unreached.any(axis=0)))
+                    u = int(np.argmax(unreached[:, col]))
                     raise RoutingError(
-                        f"network {net.name!r} is disconnected: node {int(u)} "
-                        f"cannot reach node {int(dsts[row])} (and possibly "
+                        f"network {net.name!r} is disconnected: node {u} "
+                        f"cannot reach node {int(dsts[col])} (and possibly "
                         f"others); pass allow_unreachable=True to route "
                         f"within components"
                     )
                 if self.dist is not None:
-                    self.dist[dsts] = dist
-                if nnz == 0:
-                    nh = np.full((len(dsts), n), -1, dtype=np.int32)
-                    nh[np.arange(len(dsts)), dsts] = dsts
-                    self.table[dsts] = nh
-                    continue
-                for s in range(0, len(dsts), rows_per):
-                    bd = dsts[s : s + rows_per]
-                    d = dist[s : s + rows_per]
-                    # per-arc test, all rows at once: does this neighbor sit
-                    # one step closer to each row's dst?
-                    closer = d[:, indices] == d[:, arc_src] - 1
-                    # smallest eligible neighbor id per node (n = sentinel)
-                    candidates = np.where(closer, cand_ids[None, :], sentinel)
-                    nh = np.minimum.reduceat(candidates, starts, axis=1)
-                    # unreachable or isolated nodes keep the sentinel / read a
-                    # neighbor's slot — both become an explicit -1
-                    nh[nh == n] = -1
-                    nh[:, isolated] = -1
-                    nh[np.arange(len(bd)), bd] = bd
-                    self.table[bd] = nh
+                    self.dist[dsts] = hops.T
+                # keep the largest code whose neighbor is one step closer
+                closer = hops - 1
+                padded = np.empty((n + 1, len(dsts)), dtype=hops.dtype)
+                padded[:n] = hops
+                padded[n] = np.iinfo(hops.dtype).max
+                code = np.zeros((n, len(dsts)), dtype=code_type)
+                for c in range(1, width + 1):  # repro: noqa[RPR020] — per slot, not per element
+                    hit = padded.take(slot[:, c], axis=0) == closer
+                    np.maximum(code, hit * code_type.type(c), out=code)
+                nh = hop.take(code + hop_row)
+                nh[dsts, np.arange(len(dsts))] = dsts
+                self.table[dsts] = nh.T
         reg = obs.registry()
         reg.incr("routing.table.builds")
         reg.incr("routing.table.nodes", n)

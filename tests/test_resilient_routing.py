@@ -236,3 +236,58 @@ class TestBoundedCaches:
         )._survivor_path(0, 1, 0)
         assert len(cached) == len(direct)
         assert cached[0] == direct[0] and cached[-1] == direct[-1]
+
+
+class TestSurvivorFlowReuse:
+    """The per-epoch max-flow structures must not change any detour."""
+
+    @staticmethod
+    def _uncached(view, u, dst):
+        """The pre-cache detour: plain networkx on a fresh survivor graph."""
+        import networkx as nx
+
+        if not (view.is_node_up(u) and view.is_node_up(dst)) or u == dst:
+            return None
+        try:
+            paths = list(nx.node_disjoint_paths(view.to_network().to_networkx(), u, dst))
+        except (nx.NetworkXNoPath, nx.NetworkXError):
+            return None
+        return tuple(min(paths, key=len))
+
+    @pytest.mark.parametrize(
+        "family,params", [("hsn", {"l": 2, "n": 3}), ("hypercube", {"n": 4})]
+    )
+    @pytest.mark.parametrize("kind", ["link", "node"])
+    def test_every_survivor_path_matches_uncached(self, family, params, kind):
+        from repro.fault.view import FaultyNetwork
+
+        g = nw.build(family, **params)
+        rng = np.random.default_rng(2024)
+        model = FaultPlan.random_link_faults if kind == "link" else FaultPlan.random_node_faults
+        timeline = model(g, 5, rng, horizon=40).compile(g)
+        router = ResilientRouter(g, timeline)
+        pairs = rng.integers(0, g.num_nodes, size=(25, 2))
+        checked = 0
+        for t in (0, 10, 20, 30, 41):
+            view = FaultyNetwork.at(g, timeline, t)
+            for u, dst in pairs.tolist():
+                got = router._survivor_path(u, dst, t)
+                assert got == self._uncached(view, u, dst), (t, u, dst)
+                checked += got is not None
+            assert router.cache_info()["flow_currsize"] <= 1
+        assert checked > 0
+        router.cache_clear()
+        assert router.cache_info()["flow_currsize"] == 0
+
+    def test_solver_matches_plain_networkx(self):
+        import networkx as nx
+
+        from repro.routing.disjoint import NodeDisjointPaths
+
+        g = nw.build("hsn", l=2, n=3)
+        solver = NodeDisjointPaths(g)
+        for s, t in [(0, 63), (5, 17), (17, 5), (0, 1)]:
+            want = [list(p) for p in nx.node_disjoint_paths(g.to_networkx(), s, t)]
+            assert solver(s, t) == want
+        with pytest.raises(ValueError, match="must differ"):
+            solver(3, 3)
