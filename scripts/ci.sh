@@ -99,6 +99,10 @@ echo "== next-hop table build (>=3x vs oracle, bit-identical, N=4096) =="
 python benchmarks/bench_routing.py
 
 echo
+echo "== survivor detour kernel (>=3x vs networkx oracle, bit-identical, f16 HSN(3,Q3)) =="
+python benchmarks/bench_fault_sweep.py
+
+echo
 echo "== route-serving budgets (>=100k qps, mmap-shared, bit-identical) =="
 python benchmarks/bench_route_service.py
 

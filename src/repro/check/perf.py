@@ -10,8 +10,9 @@ is the matching *performance* tier.
 
 The **hot-path perimeter** is declared once — :data:`HOT_PERIMETER`, a
 tuple of :class:`HotKernel` records naming the closure engines, the
-``NextHopTable`` construction, the BFS distance kernel, the simulator
-event core, the percolation union-find, and the orbit signature kernels —
+``NextHopTable`` construction, the BFS distance kernel, the
+node-disjoint-paths flow kernel, the simulator event core, the
+percolation union-find, and the orbit signature kernels —
 and closed over the import-aware call graph
 (:mod:`repro.check.callgraph`), exactly like the determinism perimeters
 of :mod:`repro.check.determinism`.  Every function reachable from a hot
@@ -137,12 +138,21 @@ HOT_PERIMETER: tuple[HotKernel, ...] = (
         contracts=(("frontier", "uint64"), ("visited", "uint64")),
     ),
     HotKernel(
+        "repro.routing.disjoint.NodeDisjointPaths._build",
+        "node-split flow network built from the arc list (once per router)",
+        contracts=(("head", "int64"), ("rev", "int64")),
+    ),
+    HotKernel(
+        "repro.routing.disjoint.NodeDisjointPaths.__call__",
+        "unit-capacity Edmonds–Karp survivor-path query (per deroute)",
+    ),
+    HotKernel(
         "repro.sim.simulator.PacketSimulator.run",
         "batched event-driven simulator core",
     ),
     HotKernel(
         "repro.sim.policies.ChannelIndex.lookup",
-        "per-hop channel arbitration (called per event)",
+        "per-hop channel arbitration (called per event by the reference engine)",
     ),
     HotKernel(
         "repro.sim.policies.ChannelIndex.lookup_many",

@@ -17,10 +17,12 @@ on star-graph-class networks exploit path diversity):
 
 The router never mutates the network: fault state comes from a compiled
 :class:`~repro.fault.plan.FaultTimeline`, and survivor-graph path lookups
-are cached per fault epoch, as are the survivor graph's max-flow
-structures (built once per epoch, not once per detour).  The caches are
-bounded: entries from stale fault epochs are evicted when the timeline
-advances, and within an epoch the path cache is LRU-bounded
+are cached per fault epoch.  The max-flow structure behind the detours
+(:class:`~repro.routing.disjoint.NodeDisjointPaths`) is built once per
+router, on its first deroute; a fault epoch only masks it, and that mask
+is cached per epoch as well.  The caches are bounded: entries from stale
+fault epochs are evicted when the timeline advances, and within an
+epoch the path cache is LRU-bounded
 (``path_cache_size``); ``cache_info()`` reports hit/miss/eviction
 counters in the :func:`repro.cache.memoize_lru` style.  Passing an
 :class:`~repro.fault.orbits.OrbitDetourCache` lets symmetric fault
@@ -33,7 +35,7 @@ from collections import OrderedDict
 
 from repro import obs
 from repro.core.network import Network
-from repro.routing.disjoint import NodeDisjointPaths
+from repro.routing.disjoint import NodeDisjointPaths, SurvivorMask
 from repro.routing.table import NextHopTable
 
 from .plan import FaultTimeline
@@ -96,6 +98,7 @@ class ResilientRouter:
                 f"path_cache_size must be >= 1, got {path_cache_size}"
             )
         self.net = net
+        self._n = net.num_nodes
         self.timeline = timeline
         self.table = table
         self.use_disjoint = use_disjoint
@@ -108,7 +111,8 @@ class ResilientRouter:
             tuple[int, int, int], tuple[int, ...] | None
         ] = OrderedDict()
         self._view_cache: dict[int, FaultyNetwork] = {}
-        self._flow_cache: dict[int, NodeDisjointPaths] = {}
+        self._flow: NodeDisjointPaths | None = None  # built on first deroute
+        self._flow_cache: dict[int, SurvivorMask] = {}
         self._cache_epoch: int | None = None
         self._cache_stats = {
             "path_hits": 0,
@@ -133,8 +137,17 @@ class ResilientRouter:
         For deroutes, ``rest`` is the remainder of the pinned survivor path
         *after* ``next_node`` (callers should follow it rather than re-query
         every hop, or the detour oscillates).  ``next_node`` is ``-1`` when
-        unreachable.
+        unreachable.  Raises :class:`ValueError` for a node id outside
+        ``0..N-1`` and for ``u == dst`` (a packet at its destination is
+        delivered, not routed).
         """
+        n = self._n
+        if not 0 <= u < n:
+            raise ValueError(f"route_next: node id u={u} is outside 0..{n - 1}")
+        if not 0 <= dst < n:
+            raise ValueError(f"route_next: node id dst={dst} is outside 0..{n - 1}")
+        if u == dst:
+            raise ValueError(f"route_next: u == dst == {u}; nothing to route")
         tl = self.timeline
         if not tl.node_up_at(dst, t):
             self.unreachable += 1
@@ -189,18 +202,23 @@ class ResilientRouter:
     def _compute_survivor_path(
         self, epoch: int, u: int, dst: int, t: int
     ) -> tuple[int, ...] | None:
-        import networkx as nx
-
         view = self._view(epoch, t)
-        if not (view.is_node_up(u) and view.is_node_up(dst)):
-            return None
-        flow = self._flow_cache.get(epoch)
-        if flow is None:
-            flow = self._flow_cache[epoch] = NodeDisjointPaths(view.to_network())
-        try:
-            return tuple(min(flow(u, dst), key=len))
-        except (nx.NetworkXNoPath, nx.NetworkXError, ValueError):
-            return None
+        if u == dst or not (view.is_node_up(u) and view.is_node_up(dst)):
+            return None  # no detour to take
+        if self._flow is None:
+            # the intact survivor arc order: masking it per epoch gives
+            # each epoch's survivor graph in its own networkx order
+            src, dst_arcs = FaultyNetwork(self.net).survivor_arcs()
+            self._flow = NodeDisjointPaths.from_arcs(
+                self._n, src, dst_arcs, self.net.directed
+            )
+        mask = self._flow_cache.get(epoch)
+        if mask is None:
+            mask = self._flow_cache[epoch] = self._flow.mask(
+                view.dead_nodes, view.dead_links
+            )
+        paths = self._flow(u, dst, mask)
+        return tuple(min(paths, key=len)) if paths else None
 
     def _survivor_path(self, u: int, dst: int, t: int) -> tuple[int, ...] | None:
         """Shortest live ``u -> dst`` path among the node-disjoint set on the
@@ -246,6 +264,7 @@ class ResilientRouter:
             "path_maxsize": self.path_cache_size,
             "path_currsize": len(self._path_cache),
             "view_currsize": len(self._view_cache),
+            # cached per-epoch survivor masks over the one flow structure
             "flow_currsize": len(self._flow_cache),
         }
         if self.orbit_cache is not None:
@@ -253,8 +272,8 @@ class ResilientRouter:
         return info
 
     def cache_clear(self) -> None:
-        """Drop every cached path, survivor view and flow structure
-        (counters kept)."""
+        """Drop every cached path, survivor view and survivor mask
+        (counters kept; the intact flow structure stays built)."""
         self._path_cache.clear()
         self._view_cache.clear()
         self._flow_cache.clear()

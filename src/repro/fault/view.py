@@ -116,18 +116,26 @@ class FaultyNetwork:
             ).tocsr()
         return self._csr
 
+    def survivor_arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, dst)`` of the survivor graph in CSR (row-major) order:
+        each link once as ``u < v``, or every arc of a directed base.
+        This order fixes the networkx adjacency order of
+        :meth:`to_network`'s export, which the disjoint-path kernel
+        reproduces (see :class:`repro.routing.disjoint.NodeDisjointPaths`)."""
+        coo = self.adjacency_csr().tocoo()
+        mask = coo.row < coo.col if not self.base.directed else slice(None)
+        return coo.row[mask], coo.col[mask]
+
     def to_network(self) -> Network:
         """Materialize the survivor graph as a real :class:`Network` with the
-        *same node ids* (dead nodes become isolated) — what the disjoint-path
-        and connectivity machinery consume."""
+        *same node ids* (dead nodes become isolated) — what the connectivity
+        machinery consumes."""
         if self._survivor is None:
-            csr = self.adjacency_csr()
-            coo = csr.tocoo()
-            mask = coo.row < coo.col if not self.base.directed else slice(None)
+            src, dst = self.survivor_arcs()
             self._survivor = Network(
                 self.base.labels,
-                coo.row[mask],
-                coo.col[mask],
+                src,
+                dst,
                 name=f"{self.base.name}/degraded",
                 directed=self.base.directed,
             )

@@ -499,8 +499,8 @@ class PacketSimulator:
         router = self._router
         arc_src = self._arc_sources
         arc_dst = self._indices
-        channel = self.channels.lookup
-        has_table = self._table is not None
+        amap = self.channels.arc_map()
+        n = self.net.num_nodes
         guard = 4 * self.net.num_nodes + 64
         horizon = 0
         events_processed = 0
@@ -606,7 +606,11 @@ class PacketSimulator:
                         ):
                             _drop(pid, tcur)
                             continue
-                c = channel(node, nxt)
+                c = (
+                    amap.get(node * n + nxt) if 0 <= nxt < n else None
+                )  # range check first: a negative id would alias a key
+                if c is None:
+                    raise self.channels._missing(node, nxt)
                 tx = max(tcur, int(busy_until[c]))
                 finish = tx + int(delays[c])
                 busy_until[c] = finish

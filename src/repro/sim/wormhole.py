@@ -119,6 +119,8 @@ class WormholeSimulator:
             seq += 1
         heapq.heapify(events)
 
+        amap = self.channels.arc_map()
+        n = self.net.num_nodes
         busy_until = np.zeros(len(self._indices), dtype=np.int64)
         busy_time = np.zeros(len(self._indices), dtype=np.int64)
         horizon = 0
@@ -138,7 +140,11 @@ class WormholeSimulator:
                     f"message {m.mid} exceeded the hop guard — routing loop?"
                 )
             nxt = self.next_hop(node, m.dst)
-            c = self.channels.lookup(node, nxt)
+            c = (
+                amap.get(node * n + nxt) if 0 <= nxt < n else None
+            )  # range check first: a negative id would alias a key
+            if c is None:
+                raise self.channels._missing(node, nxt)
             d = int(self.delays[c])
             # header may enter the channel when both the channel is free
             # and the header has arrived

@@ -88,6 +88,21 @@ class TestResilientRouter:
         assert rest == ()
         assert r.reroutes == r.deroutes == r.unreachable == 0
 
+    def test_route_next_rejects_bad_ids(self):
+        g = nw.build("hsn", l=2, n=3)  # 64 nodes
+        r = self._router(g, FaultPlan().fail_link(0, 0, 1))
+        cases = [
+            ((-1, 3), r"^route_next: node id u=-1 is outside 0\.\.63$"),
+            ((64, 3), r"^route_next: node id u=64 is outside 0\.\.63$"),
+            ((63, -64), r"^route_next: node id dst=-64 is outside 0\.\.63$"),
+            ((0, 64), r"^route_next: node id dst=64 is outside 0\.\.63$"),
+            ((5, 5), r"^route_next: u == dst == 5; nothing to route$"),
+        ]
+        for (u, dst), msg in cases:
+            with pytest.raises(ValueError, match=msg):
+                r.route_next(u, dst, 10)
+        assert r.reroutes == r.deroutes == r.unreachable == 0
+
     def test_alternate_minimal_hop(self):
         g = nw.hypercube(3)
         # 0 -> 7 has minimal hops {1, 2, 4}; kill the preferred one (1)

@@ -142,8 +142,55 @@ class TestChannelAndValidation:
         with pytest.raises(RoutingError, match="non-neighbor next hop"):
             sim.run([(0, 0, 2)])
 
+    @pytest.mark.parametrize("hop", [lambda u, dst: (u + 2) % 4, lambda u, dst: -1])
+    def test_non_neighbor_hop_raises_under_fault_plan(self, hop):
+        # the degraded (per-event) loop resolves channels through the same
+        # arc map as the batched loop and must keep the same error
+        r4 = nw.ring(4)
+        bad = hop(0, 2)
+        sim = PacketSimulator(
+            r4, next_hop=hop, faults=FaultPlan().fail_link(50, 1, 2)
+        )
+        with pytest.raises(
+            RoutingError,
+            match=rf"^no channel 0->{bad} in 'ring\(4\)': the router "
+            r"returned a non-neighbor next hop$",
+        ):
+            sim.run([(0, 0, 2)])
+
+    def test_wormhole_non_neighbor_hop_raises(self):
+        from repro.sim.wormhole import WormholeSimulator
+
+        sim = WormholeSimulator(nw.ring(4), next_hop=lambda u, dst: (u + 2) % 4)
+        with pytest.raises(
+            RoutingError,
+            match=r"^no channel 0->2 in 'ring\(4\)': the router "
+            r"returned a non-neighbor next hop$",
+        ):
+            sim.run([(0, 0, 2)], length=2)
+
     def test_routing_error_is_a_value_error(self):
         assert issubclass(RoutingError, ValueError)
+
+    def test_simulators_never_route_a_delivered_packet(self, monkeypatch):
+        from repro.fault import ResilientRouter
+        from repro.sim.reference import ReferencePacketSimulator
+
+        calls = []
+        route_next = ResilientRouter.route_next
+
+        def spy(self, u, dst, t):
+            calls.append((u, dst))
+            return route_next(self, u, dst, t)
+
+        monkeypatch.setattr(ResilientRouter, "route_next", spy)
+        g = nw.build("hsn", l=2, n=3)
+        plan = FaultPlan.random_link_faults(g, 10, np.random.default_rng(4), horizon=20)
+        inj = uniform_random(g, 0.2, 30, np.random.default_rng(5))
+        for cls in (PacketSimulator, ReferencePacketSimulator):
+            calls.clear()
+            cls(g, faults=plan).run(inj)
+            assert calls and all(u != dst for u, dst in calls), cls.__name__
 
 
 class TestResilienceSweep:
