@@ -18,12 +18,12 @@ a mismatch or a missed budget; prints one JSON record, appended to
 
 import gc
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
 from repro import networks as nw
+from repro import obs
 from repro.fault import ResilientRouter, fault_sweep
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -97,11 +97,7 @@ def fault_sweep_case() -> dict:
 
 def main() -> int:
     record = fault_sweep_case()
-    print(json.dumps(record))
-    traj = os.environ.get("REPRO_BENCH_TRAJECTORY")
-    if traj:
-        with open(traj, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record) + "\n")
+    obs.emit_record(record)
     ok = True
     if not (record["identical_rows"] and record["identical_paths"]):
         print("FAIL: kernel detours differ from the networkx oracle", file=sys.stderr)

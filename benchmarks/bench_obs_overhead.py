@@ -1,6 +1,6 @@
 """Disabled-path overhead of the observability layer (<2% budget).
 
-Compares the instrumented :func:`repro.core.fastclosure.build_ip_graph_fast`
+Compares the instrumented :func:`repro.core.ipgraph.build_ip_graph`
 (with :mod:`repro.obs` disabled, the default) against a verbatim copy of the
 pre-instrumentation closure kept below as the baseline.  Asserts the
 median of paired instrumented/baseline ratios stays under 2% — the
@@ -20,8 +20,7 @@ import time
 
 import numpy as np
 
-from repro.core.fastclosure import _encode_seed, _void_view, build_ip_graph_fast
-from repro.core.ipgraph import Generator, IPGraph
+from repro.core.ipgraph import Generator, IPGraph, _encode_seed, _void_view, build_ip_graph
 from repro.core.permutation import transposition
 
 THRESHOLD = 0.02
@@ -30,7 +29,7 @@ STAR_K = 8  # 8! = 40320 nodes — big enough that one build takes ~0.1 s
 
 
 def _baseline_build(seed, generators):
-    """The fast closure exactly as it was before instrumentation, graph
+    """The batched closure exactly as it was before instrumentation, graph
     assembly included, so both sides of the comparison do identical work."""
     gens = [g if isinstance(g, Generator) else Generator(g) for g in generators]
     k = gens[0].perm.size
@@ -142,7 +141,7 @@ def measure(rounds: int = ROUNDS) -> dict:
     gens = [transposition(STAR_K, 0, i) for i in range(1, STAR_K)]
 
     # sanity: both paths build the same graph
-    g = build_ip_graph_fast(seed, gens)
+    g = build_ip_graph(seed, gens)
     b = _baseline_build(seed, gens)
     nodes = b.num_nodes
     assert g.num_nodes == nodes
@@ -152,10 +151,10 @@ def measure(rounds: int = ROUNDS) -> dict:
 
     # warm-up both paths, then measure in pairs
     _baseline_build(seed, gens)
-    build_ip_graph_fast(seed, gens)
+    build_ip_graph(seed, gens)
     ratio, base, inst = _paired_overhead(
         lambda: _baseline_build(seed, gens),
-        lambda: build_ip_graph_fast(seed, gens),
+        lambda: build_ip_graph(seed, gens),
         rounds,
     )
     overhead = ratio - 1.0
@@ -173,7 +172,7 @@ def main() -> int:
     for attempt in range(1, 4):
         r = measure()
         print(
-            f"fast closure, star S{STAR_K} ({r['nodes']} nodes), "
+            f"batched closure, star S{STAR_K} ({r['nodes']} nodes), "
             f"median of {ROUNDS} paired ratios (attempt {attempt}):\n"
             f"  pre-instrumentation baseline  {r['baseline_s'] * 1e3:8.2f} ms (best)\n"
             f"  instrumented (obs disabled)   {r['instrumented_s'] * 1e3:8.2f} ms (best)\n"

@@ -24,12 +24,11 @@ Run directly (exits non-zero on regression)::
 from __future__ import annotations
 
 import gc
-import json
-import os
 import sys
 import time
 
 from repro import networks as nw
+from repro import obs
 from repro.fault import (
     brute_force_fault_sweep,
     estimate_threshold,
@@ -117,11 +116,7 @@ def main() -> int:
         "sweep_s": round(dt_sweep, 4),
         "threshold": round(threshold, 4),
     }
-    print(json.dumps(record))
-    traj = os.environ.get("REPRO_BENCH_TRAJECTORY")
-    if traj:
-        with open(traj, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record) + "\n")
+    obs.emit_record(record)
 
     ok = True
     if collapse < MIN_COLLAPSE:

@@ -29,14 +29,12 @@ Run directly (exits non-zero on regression)::
 from __future__ import annotations
 
 import gc
-import json
-import os
 import sys
 import tempfile
 
 import numpy as np
 
-from repro import cache, networks
+from repro import cache, networks, obs
 from repro.cache import cached_next_hop_table
 from repro.serve import (
     RouteService,
@@ -152,11 +150,7 @@ def _run() -> int:
         "jobs": JOBS,
         "mmap": bool(svc.mmap_backed) and all(p["mmap"] for p in backends),
     }
-    print(json.dumps(record))
-    traj = os.environ.get("REPRO_BENCH_TRAJECTORY")
-    if traj:
-        with open(traj, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record) + "\n")
+    obs.emit_record(record)
 
     if report["qps"] < MIN_QPS:
         print(

@@ -17,8 +17,6 @@ mismatch or a missed budget; prints one JSON record, appended to
 """
 
 import gc
-import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -27,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro import networks as nw
+from repro import obs
 from repro.core.superip import SuperGeneratorSet, build_super_ip_graph
 from repro.metrics.distances import bfs_distances
 from repro.routing import NextHopTable, SuperIPRouter, verify_route
@@ -164,11 +163,7 @@ def table_build_case() -> dict:
 
 def main() -> int:
     record = table_build_case()
-    print(json.dumps(record))
-    traj = os.environ.get("REPRO_BENCH_TRAJECTORY")
-    if traj:
-        with open(traj, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record) + "\n")
+    obs.emit_record(record)
     ok = True
     if not record["identical"]:
         print("FAIL: next-hop table differs from the oracle", file=sys.stderr)

@@ -1,11 +1,12 @@
-"""Simulator throughput: the batched event core vs the reference oracle.
+"""Simulator throughput: the batched event core vs the per-event oracle.
 
 The event-driven rewrite of :class:`repro.sim.PacketSimulator` exists to
 make million-packet load sweeps routine; this bench holds it to that:
 
 * **speedup** — on a >= 100k-packet uniform-load run the event core must
-  deliver >= 10x the reference engine's packets/sec, while producing the
-  exact same ``SimStats`` (the equality is asserted, not assumed);
+  deliver >= 10x the packets/sec of the oracle in ``tests/sim_oracle.py``,
+  while producing the exact same ``SimStats`` (the equality is asserted,
+  not assumed);
 * **scale** — a 1,000,000-packet run must finish in under 60 s.
 
 Methodology mirrors ``bench_obs_overhead.py``: GC parked during timing,
@@ -22,19 +23,18 @@ Run directly (exits non-zero on regression)::
 from __future__ import annotations
 
 import gc
-import json
-import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro import networks as nw
-from repro.sim import (
-    PacketSimulator,
-    ReferencePacketSimulator,
-    uniform_random_array,
-)
+from repro import obs
+from repro.sim import PacketSimulator, uniform_random_array
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.sim_oracle import ReferencePacketSimulator  # noqa: E402
 
 MIN_SPEEDUP = 10.0  # event core vs reference, packets/sec
 MILLION_BUDGET_S = 60.0  # wall-clock budget for the 1M-packet run
@@ -117,11 +117,7 @@ def main() -> int:
         "million_pps": round(len(big) / dt_big),
         "million_delivered": big_stats.delivered,
     }
-    print(json.dumps(record))
-    traj = os.environ.get("REPRO_BENCH_TRAJECTORY")
-    if traj:
-        with open(traj, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record) + "\n")
+    obs.emit_record(record)
 
     ok = True
     if speedup < MIN_SPEEDUP:

@@ -54,10 +54,6 @@ echo "== observability disabled-path overhead budget (<2%) =="
 python benchmarks/bench_obs_overhead.py
 
 echo
-echo "== degraded-mode simulator no-fault overhead budget (<5%) =="
-python benchmarks/bench_fault_overhead.py
-
-echo
 echo "== simulator throughput budgets (>=10x vs reference, 1M pkts <60s) =="
 python benchmarks/bench_sim_throughput.py
 
@@ -67,11 +63,8 @@ python - <<'PYEOF'
 import numpy as np
 from repro import networks
 from repro.check.sanitize import artifact_fingerprint
-from repro.sim import (
-    PacketSimulator,
-    ReferencePacketSimulator,
-    uniform_random_array,
-)
+from repro.sim import PacketSimulator, uniform_random_array
+from tests.sim_oracle import ReferencePacketSimulator
 
 net = networks.build("hsn", l=2, n=3)  # 64 nodes
 w = uniform_random_array(net, 0.3, 80, np.random.default_rng(7))

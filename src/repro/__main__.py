@@ -34,7 +34,6 @@ see :mod:`repro.cache`).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 
@@ -117,7 +116,6 @@ def _faults_sweep_mode(args) -> int:
         cycles=args.cycles,
         seed=args.seed,
         jobs=args.jobs,
-        engine=args.engine,
     )
     if args.network is not None:
         g = build(args.network, **_parse_params(args.param))
@@ -173,7 +171,6 @@ def _faults_percolation_mode(args) -> int:
         kind=args.kind,
         seed=args.seed,
         jobs=args.jobs,
-        engine=args.engine,
         traffic=traffic,
         rate=args.rate,
         cycles=args.cycles,
@@ -255,8 +252,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    import json
-
+    from repro import obs
     from repro.cache import cached_next_hop_table
     from repro.networks import build
     from repro.serve import RouteService, run_load_test
@@ -302,11 +298,7 @@ def cmd_serve(args) -> int:
         jobs=args.jobs,
         verify_sample=args.verify_sample,
     )
-    print(json.dumps(report))
-    traj = os.environ.get("REPRO_BENCH_TRAJECTORY")
-    if traj:  # same commit-over-commit JSONL the benchmarks append to
-        with open(traj, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(report) + "\n")
+    obs.emit_record(report)
     if report["mismatches"]:
         print(
             f"FAIL: {report['mismatches']} answers diverged from the scalar "
@@ -442,13 +434,6 @@ def main(argv: list[str] | None = None) -> int:
     p_flt.add_argument("--rate", type=float, default=0.05)
     p_flt.add_argument("--cycles", type=int, default=60)
     p_flt.add_argument("--seed", type=int, default=0)
-    p_flt.add_argument(
-        "--engine",
-        choices=["event", "reference"],
-        default="event",
-        help="simulator core: the batched event core (default) or the "
-        "retained per-event oracle (slow; for cross-checking)",
-    )
     p_flt.add_argument(
         "--probs",
         default=None,

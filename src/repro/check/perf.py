@@ -9,7 +9,7 @@ tiers (lint/contracts/dataflow) cannot see that regression; this module
 is the matching *performance* tier.
 
 The **hot-path perimeter** is declared once — :data:`HOT_PERIMETER`, a
-tuple of :class:`HotKernel` records naming the closure engines, the
+tuple of :class:`HotKernel` records naming the closure engine, the
 ``NextHopTable`` construction, the BFS distance kernel, the
 node-disjoint-paths flow kernel, the simulator event core, the
 percolation union-find, and the orbit signature kernels —
@@ -49,8 +49,8 @@ Findings carry ``file:line`` anchors and an origin tag (``[hot via
 repro.routing.table.NextHopTable.__init__]``).  Suppression uses the
 shared ``# repro: noqa[CODE]`` comment — on the finding's own line, or
 on the enclosing ``def`` line to cover a whole deliberately-scalar
-function (e.g. the reference closure oracle).  The runtime half of this
-tier (cProfile attribution, SAN004–SAN005) lives in
+function (e.g. the simulator's per-event degraded path).  The runtime
+half of this tier (cProfile attribution, SAN004–SAN005) lives in
 :mod:`repro.check.perfsanitize`.
 """
 
@@ -110,11 +110,6 @@ class HotKernel:
 HOT_PERIMETER: tuple[HotKernel, ...] = (
     HotKernel(
         "repro.core.ipgraph.build_ip_graph",
-        "reference BFS closure engine",
-        contracts=(("srcs", "int64"), ("dsts", "int64"), ("gids", "int64")),
-    ),
-    HotKernel(
-        "repro.core.fastclosure.build_ip_graph_fast",
         "batched BFS closure engine",
         contracts=(("known_ids", "int64"), ("frontier_ids", "int64"), ("dst", "int64")),
     ),
@@ -152,7 +147,7 @@ HOT_PERIMETER: tuple[HotKernel, ...] = (
     ),
     HotKernel(
         "repro.sim.policies.ChannelIndex.lookup",
-        "per-hop channel arbitration (called per event by the reference engine)",
+        "scalar channel arbitration (one hop per call; the per-event test oracle's path)",
     ),
     HotKernel(
         "repro.sim.policies.ChannelIndex.lookup_many",

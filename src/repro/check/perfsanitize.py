@@ -90,7 +90,7 @@ class Workload:
 
 
 def _wl_closure(smoke: bool) -> Callable[[], int]:
-    from repro.core.fastclosure import build_ip_graph_fast
+    from repro.core.ipgraph import build_ip_graph
     from repro.core.permutation import from_cycles
 
     k = 6 if smoke else 7
@@ -98,7 +98,7 @@ def _wl_closure(smoke: bool) -> Callable[[], int]:
     gens = [from_cycles(k, [(0, i)]) for i in range(1, k)]
 
     def run() -> int:
-        return build_ip_graph_fast(seed, gens, name="perfsan-star").num_nodes
+        return build_ip_graph(seed, gens, name="perfsan-star").num_nodes
 
     return run
 
@@ -193,7 +193,7 @@ def _wl_orbits(smoke: bool) -> Callable[[], int]:
 WORKLOADS: tuple[Workload, ...] = (
     Workload(
         "closure_fast",
-        "repro.core.fastclosure.build_ip_graph_fast",
+        "repro.core.ipgraph.build_ip_graph",
         "node",
         _wl_closure,
     ),

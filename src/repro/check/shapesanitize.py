@@ -69,13 +69,13 @@ class ShapeProbe:
 
 
 def _probe_closure(smoke: bool) -> dict:
-    from repro.core.fastclosure import build_ip_graph_fast
+    from repro.core.ipgraph import build_ip_graph
     from repro.core.permutation import from_cycles
 
     k = 6 if smoke else 7
     seed = tuple(range(k))
     gens = [from_cycles(k, [(0, i)]) for i in range(1, k)]
-    net = build_ip_graph_fast(seed, gens, name="shapesan-star")
+    net = build_ip_graph(seed, gens, name="shapesan-star")
     csr = net.adjacency_csr()
     return {"indptr": csr.indptr, "indices": csr.indices, "data": csr.data}
 
@@ -154,9 +154,7 @@ def _probe_orbits(smoke: bool) -> dict:
 
 
 SHAPE_PROBES: tuple[ShapeProbe, ...] = (
-    ShapeProbe(
-        "closure_fast", "repro.core.fastclosure.build_ip_graph_fast", _probe_closure
-    ),
+    ShapeProbe("closure_fast", "repro.core.ipgraph.build_ip_graph", _probe_closure),
     ShapeProbe(
         "routing_table", "repro.routing.table.NextHopTable.__init__", _probe_routing
     ),

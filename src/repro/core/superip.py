@@ -240,7 +240,6 @@ def build_super_ip_graph(
     name: str | None = None,
     max_nodes: int = 2_000_000,
     directed: bool = False,
-    engine: str = "fast",
 ) -> IPGraph:
     """Materialize a super-IP graph (or its symmetric variant).
 
@@ -258,9 +257,6 @@ def build_super_ip_graph(
         the super-generators).
     directed:
         Treat arcs as directed (directed cyclic-shift networks).
-    engine:
-        ``"fast"`` (vectorized closure, default) or ``"reference"`` (the
-        plain label-by-label engine); both produce identical graphs.
 
     Returns
     -------
@@ -285,8 +281,6 @@ def build_super_ip_graph(
     if name is None:
         prefix = "sym-" if symmetric else ""
         name = f"{prefix}{sgs.name}(l={l},{nucleus.name})"
-    if engine not in ("fast", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
 
     # the closure is a pure function of (seed, generator set, flags): consult
     # the artifact cache when one is configured (repro.cache.configure)
@@ -301,7 +295,6 @@ def build_super_ip_graph(
             generators=[(g.name, g.kind, list(g.perm.img)) for g in gens],
             name=name,
             directed=directed,
-            engine=engine,
             max_nodes=max_nodes,
         )
         hit = cache.load_network(key)
@@ -309,16 +302,7 @@ def build_super_ip_graph(
             hit.cache_key = key
             return hit
 
-    if engine == "fast":
-        from .fastclosure import build_ip_graph_fast
-
-        graph = build_ip_graph_fast(
-            seed, gens, name=name, max_nodes=max_nodes, directed=directed
-        )
-    else:
-        graph = build_ip_graph(
-            seed, gens, name=name, max_nodes=max_nodes, directed=directed
-        )
+    graph = build_ip_graph(seed, gens, name=name, max_nodes=max_nodes, directed=directed)
     if cache is not None and key is not None:
         cache.store_network(key, graph)
         graph.cache_key = key

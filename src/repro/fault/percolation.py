@@ -41,7 +41,7 @@ import numpy as np
 from repro import obs
 from repro.core.network import Network
 from repro.parallel import run_tasks
-from repro.sim.sweeps import _engine_class
+from repro.sim.simulator import PacketSimulator
 from repro.sim.workloads import uniform_random
 
 from .plan import FaultPlan, _undirected_edges
@@ -339,8 +339,7 @@ def _traffic_point(ctx: dict, p: float) -> dict:
             plan.fail_link(0, *edges[e])
     workload_rng = np.random.default_rng([ctx["seed"], 104_729])
     injections = uniform_random(net, ctx["rate"], cycles, workload_rng)
-    cls = _engine_class(ctx.get("engine", "event"))
-    sim = cls(net, faults=plan)
+    sim = PacketSimulator(net, faults=plan)
     stats = sim.run(injections, max_cycles=cycles * ctx["max_cycles_factor"])
     return {
         "network": net.name,
@@ -365,7 +364,6 @@ def threshold_traffic_runs(
     seed: int = 0,
     max_cycles_factor: int = 50,
     jobs: int = 1,
-    engine: str = "event",
 ) -> list[dict]:
     """Seeded degraded-traffic runs at and around a percolation threshold.
 
@@ -373,9 +371,9 @@ def threshold_traffic_runs(
     and ``threshold + delta`` (clipped to ``[0, 1]``, deduplicated):
     the fault pattern at each probe fails every entity whose trial-0
     coupling draw falls above the probe, and the batched event simulator
-    (or the reference oracle, via ``engine``) drives uniform traffic
-    through the survivors.  Delivery ratio is non-increasing as ``p``
-    drops for a fixed seed, because the fault sets are nested.
+    drives uniform traffic through the survivors.  Delivery ratio is
+    non-increasing as ``p`` drops for a fixed seed, because the fault sets
+    are nested.
 
     ``jobs`` fans the probe points out (bit-identical to serial).  Raises
     ``ValueError`` for a non-finite or out-of-range ``threshold``.
@@ -386,7 +384,6 @@ def threshold_traffic_runs(
         )
     if kind not in ("node", "link"):
         raise ValueError(f"percolation kind must be 'node' or 'link', got {kind!r}")
-    _engine_class(engine)  # fail fast, before any pool spin-up
     probes = sorted(
         {round(min(1.0, max(0.0, threshold + d)), 6) for d in (-delta, 0.0, delta)}
     )
@@ -397,7 +394,6 @@ def threshold_traffic_runs(
         "cycles": cycles,
         "seed": seed,
         "max_cycles_factor": max_cycles_factor,
-        "engine": engine,
     }
     return run_tasks(_traffic_point, ctx, probes, jobs=jobs)
 
@@ -410,7 +406,6 @@ def percolation_comparison(
     kind: str = "node",
     seed: int = 0,
     jobs: int = 1,
-    engine: str = "event",
     traffic: bool = True,
     rate: float = 0.05,
     cycles: int = 60,
@@ -457,7 +452,6 @@ def percolation_comparison(
                 cycles=cycles,
                 seed=seed,
                 jobs=jobs,
-                engine=engine,
             )
             by_p = {r["p"]: r for r in probe}
             below, at, above = min(by_p), sorted(by_p)[len(by_p) // 2], max(by_p)

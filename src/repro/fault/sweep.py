@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.network import Network
 from repro.parallel import run_tasks
-from repro.sim.sweeps import _engine_class
+from repro.sim.simulator import PacketSimulator
 from repro.sim.workloads import uniform_random
 
 from .plan import FaultPlan
@@ -62,8 +62,7 @@ def _fault_trial(ctx: dict, task: tuple[int, int]) -> dict | None:
     if faults:
         fault_rng = np.random.default_rng([seed, faults, trial])
         plan = _sample_plan(net, ctx["kind"], faults, cycles, fault_rng)
-    cls = _engine_class(ctx.get("engine", "event"))
-    sim = cls(
+    sim = PacketSimulator(
         net,
         delays=ctx["delays"],
         faults=plan,
@@ -94,7 +93,6 @@ def fault_sweep(
     retransmit_timeout: int = 16,
     max_retries: int = 4,
     jobs: int = 1,
-    engine: str = "event",
 ) -> list[dict]:
     """Delivery-ratio / latency-dilation curve for one network.
 
@@ -107,9 +105,7 @@ def fault_sweep(
     baseline exists in the sweep or nothing was delivered).
 
     ``jobs`` fans the ``(fault count, trial)`` grid out over a process pool
-    (``0`` = all cores); results are bit-identical to ``jobs=1``.  ``engine``
-    selects the simulator core (``"event"`` or ``"reference"``, see
-    :data:`repro.sim.sweeps.ENGINES`); both give bit-identical rows.
+    (``0`` = all cores); results are bit-identical to ``jobs=1``.
     """
     if kind not in ("link", "node"):
         raise ValueError(f"fault kind must be 'link' or 'node', got {kind!r}")
@@ -124,7 +120,6 @@ def fault_sweep(
     counts = sorted(set(int(f) for f in fault_counts))
     if counts[0] < 0:
         raise ValueError(f"fault counts must be >= 0, got {counts[0]}")
-    _engine_class(engine)  # fail fast, before any pool spin-up
     ctx = {
         "net": net,
         "kind": kind,
@@ -135,7 +130,6 @@ def fault_sweep(
         "max_cycles_factor": max_cycles_factor,
         "retransmit_timeout": retransmit_timeout,
         "max_retries": max_retries,
-        "engine": engine,
     }
     tasks = [(faults, trial) for faults in counts for trial in range(trials)]
     results = run_tasks(_fault_trial, ctx, tasks, jobs=jobs)

@@ -12,7 +12,9 @@ The package exposes one process-wide switchboard:
 * :func:`trace_instant` — point events inside a span (per-BFS-level
   frontier sizes, batch marks);
 * :func:`report` — JSON-serializable snapshot; :func:`format_report` — the
-  plain-text table the CLI prints under ``--profile``.
+  plain-text table the CLI prints under ``--profile``;
+* :func:`emit_record` — print one benchmark record as a JSON line and
+  append it to the ``$REPRO_BENCH_TRAJECTORY`` file.
 
 **Disabled is the default and costs nothing.**  ``registry()`` and
 ``span()`` return shared singletons whose methods do nothing, and
@@ -26,7 +28,7 @@ Example::
 
     obs.enable(trace="run.jsonl")
     with obs.span("experiment", network="hsn"):
-        g = build_ip_graph_fast(seed, gens)
+        g = build_ip_graph(seed, gens)
     print(obs.format_report())
     obs.disable()
 """
@@ -34,6 +36,8 @@ Example::
 from __future__ import annotations
 
 import functools
+import json
+import os
 import time
 from typing import IO
 
@@ -58,6 +62,7 @@ __all__ = [
     "trace_sink",
     "report",
     "format_report",
+    "emit_record",
     "reset",
     "artifact",
     "artifact_sink",
@@ -279,6 +284,19 @@ def report() -> dict:
     out["enabled"] = _enabled
     out["trace_events"] = _trace.events_written if _trace is not None else 0
     return out
+
+
+def emit_record(record: dict) -> None:
+    """Print ``record`` as one JSON line; when ``$REPRO_BENCH_TRAJECTORY``
+    names a file, also append that line to it (the commit-over-commit
+    JSONL trajectory the ``benchmarks/`` scripts and ``repro serve bench``
+    share)."""
+    line = json.dumps(record)
+    print(line)
+    traj = os.environ.get("REPRO_BENCH_TRAJECTORY")
+    if traj:
+        with open(traj, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
 
 
 def _fmt(v, unit: float = 1.0, digits: int = 3) -> str:

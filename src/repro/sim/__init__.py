@@ -8,11 +8,10 @@ from .policies import (
     unit_node_capacity,
     unit_offmodule_capacity,
 )
-from .reference import ReferencePacketSimulator
-from .simulator import Packet, PacketSimulator
+from .simulator import PacketSimulator
 from .wormhole import Message, WormholeSimulator
 from .stats import LatencyHistogram, SimStats, StreamingStats
-from .sweeps import ENGINES, offered_load_sweep, saturation_rate
+from .sweeps import offered_load_sweep, saturation_rate
 from .workloads import (
     bit_reversal_pairs,
     complement_pairs,
@@ -29,17 +28,14 @@ __all__ = [
     "bit_reversal_pairs",
     "ChannelIndex",
     "complement_pairs",
-    "ENGINES",
     "hotspot",
     "LatencyHistogram",
     "Message",
     "offered_load_sweep",
     "on_off_module_delay",
-    "Packet",
     "PacketSimulator",
     "permutation_traffic",
     "random_permutation_traffic",
-    "ReferencePacketSimulator",
     "saturation_rate",
     "SimStats",
     "StreamingStats",

@@ -7,8 +7,8 @@ Section 5 of the paper argues that, under light traffic,
 * latency with slow off-module links is ∝ **II-cost**.
 
 This simulator makes those claims measurable at realistic offered loads.
-Model (identical to :mod:`repro.sim.reference`, which this core must match
-bit for bit):
+Model (identical to the per-event oracle in ``tests/sim_oracle.py``, which
+this core must match bit for bit):
 
 * one directed *channel* per simple arc; a channel serves one packet at a
   time with a per-channel integer service delay (``delay[c]`` cycles), so
@@ -38,8 +38,8 @@ rather than merely statistically equivalent.
 
 **Degraded mode.**  Passing a :class:`~repro.fault.FaultPlan` lets links
 and nodes fail (and repair) mid-run; drops, exponential-backoff source
-retransmission and fault-aware rerouting follow the reference semantics
-(see :mod:`repro.sim.reference`).  Fault timelines force per-event
+retransmission and fault-aware rerouting follow the oracle's semantics
+(see ``tests/sim_oracle.py``).  Fault timelines force per-event
 decisions, so the degraded path walks bucket events individually — still
 on the calendar queue, still bit-identical.  With no plan — or an empty
 one — the fully batched path runs.
@@ -61,10 +61,9 @@ if False:  # import for type checkers only — repro.fault imports repro.sim
     from repro.fault.plan import FaultPlan, FaultTimeline  # noqa: F401
 
 from .policies import ChannelIndex
-from .reference import Packet
 from .stats import SimStats, StreamingStats
 
-__all__ = ["PacketSimulator", "Packet"]
+__all__ = ["PacketSimulator"]
 
 
 class PacketSimulator:

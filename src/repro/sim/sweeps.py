@@ -19,25 +19,10 @@ import numpy as np
 from repro.core.network import Network
 from repro.parallel import run_tasks
 
-from .reference import ReferencePacketSimulator
 from .simulator import PacketSimulator
 from .workloads import uniform_random
 
-__all__ = ["offered_load_sweep", "saturation_rate", "ENGINES"]
-
-#: engine name → simulator class; "event" is the batched production core,
-#: "reference" the retained per-event oracle (bit-identical, slow)
-ENGINES = {"event": PacketSimulator, "reference": ReferencePacketSimulator}
-
-
-def _engine_class(name: str):
-    try:
-        return ENGINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown simulator engine {name!r}; expected one of "
-            f"{sorted(ENGINES)}"
-        ) from None
+__all__ = ["offered_load_sweep", "saturation_rate"]
 
 
 def _validated_rates(rates) -> list[float]:
@@ -66,8 +51,7 @@ def _rate_point(ctx: dict, rate: float) -> dict:
     net = ctx["net"]
     cycles = ctx["cycles"]
     rng = np.random.default_rng(ctx["seed"])
-    cls = _engine_class(ctx.get("engine", "event"))
-    sim = cls(net, delays=ctx["delays"], module_of=ctx["module_of"])
+    sim = PacketSimulator(net, delays=ctx["delays"], module_of=ctx["module_of"])
     stats = sim.run(
         uniform_random(net, rate, cycles, rng),
         max_cycles=cycles * ctx["max_cycles_factor"],
@@ -91,7 +75,6 @@ def offered_load_sweep(
     module_of=None,
     max_cycles_factor: int = 50,
     jobs: int = 1,
-    engine: str = "event",
 ) -> list[dict]:
     """Mean latency and delivered throughput at each injection rate.
 
@@ -103,12 +86,9 @@ def offered_load_sweep(
     otherwise).  ``jobs`` fans the rate points out over a process pool
     (``0`` = all cores) with results bit-identical to the serial sweep;
     with ``jobs != 1`` any ``module_of`` must be picklable (an array or a
-    module-level function, not a lambda).  ``engine`` selects the simulator
-    core (``"event"`` by default, ``"reference"`` for the retained oracle);
-    both produce bit-identical rows.
+    module-level function, not a lambda).
     """
     checked = _validated_rates(rates)
-    _engine_class(engine)  # fail fast, before any pool spin-up
     ctx = {
         "net": net,
         "delays": delays,
@@ -116,7 +96,6 @@ def offered_load_sweep(
         "seed": seed,
         "module_of": module_of,
         "max_cycles_factor": max_cycles_factor,
-        "engine": engine,
     }
     return run_tasks(_rate_point, ctx, checked, jobs=jobs)
 

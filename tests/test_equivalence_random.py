@@ -1,20 +1,27 @@
-"""Randomized equivalence: the vectorized closure must be bit-identical to
-the reference engine on arbitrary (seed, generator) inputs.
+"""Randomized equivalence: the batched closure must be bit-identical to
+the per-label oracle (``tests/closure_oracle.py``) on arbitrary
+(seed, generator) inputs.
 
-``build_ip_graph_fast``'s docstring promises identical node numbering and
+``build_ip_graph``'s docstring promises identical node numbering and
 arc lists; ``tests/test_fastclosure.py`` pins a handful of fixed cases.
 Here we fuzz ~50 seeded-random instances — mixed generator kinds
 (nucleus/super/generic), repeated symbols, non-integer symbols, directed
-closures — and compare every observable of the built graphs.
+closures — and compare every observable of the built graphs.  The
+production constructors that call the closure directly (every nucleus,
+the ``ip_variants`` families, the cited IP networks and the
+ball-arrangement game) are compared against the oracle too.
 """
 
 import random
 
 import pytest
 
-from repro.core.fastclosure import build_ip_graph_fast
+from repro.core.ballgame import BallArrangementGame
 from repro.core.ipgraph import GENERIC, NUCLEUS, SUPER, Generator, build_ip_graph
-from repro.core.permutation import Permutation
+from repro.core.permutation import Permutation, cyclic_shift_left, transposition
+from repro.networks import cited, ip_variants, nuclei
+
+from .closure_oracle import oracle_build_ip_graph
 
 N_CASES = 50
 KINDS = (NUCLEUS, SUPER, GENERIC)
@@ -22,7 +29,7 @@ KINDS = (NUCLEUS, SUPER, GENERIC)
 
 def _random_case(rng: random.Random):
     """One random (seed, generators, directed) instance, kept small enough
-    that the pure-python reference engine stays fast (k <= 7)."""
+    that the pure-python oracle stays fast (k <= 7)."""
     k = rng.randint(3, 7)
     # repeated symbols with probability 2/3: alphabet smaller than k
     if rng.random() < 2 / 3:
@@ -61,10 +68,8 @@ def _case_params():
     return cases
 
 
-@pytest.mark.parametrize("seed,gens,directed", _case_params())
-def test_fast_closure_matches_reference(seed, gens, directed):
-    ref = build_ip_graph(seed, gens, directed=directed)
-    fast = build_ip_graph_fast(seed, gens, directed=directed)
+def _assert_matches_oracle(fast):
+    ref = oracle_build_ip_graph(fast.seed, fast.generators, directed=fast.directed)
     assert ref.labels == fast.labels  # identical node order
     assert (ref.edges_src == fast.edges_src).all()
     assert (ref.edges_dst == fast.edges_dst).all()
@@ -79,22 +84,73 @@ def test_fast_closure_matches_reference(seed, gens, directed):
     assert (a.indices == b.indices).all()
 
 
+@pytest.mark.parametrize("seed,gens,directed", _case_params())
+def test_fast_closure_matches_reference(seed, gens, directed):
+    fast = build_ip_graph(seed, gens, directed=directed)
+    assert fast.seed == tuple(seed)
+    _assert_matches_oracle(fast)
+
+
+#: small instances of every nucleus in ``repro.networks.nuclei``
+NUCLEI = {
+    "hypercube": lambda: nuclei.hypercube_nucleus(3),
+    "folded_hypercube": lambda: nuclei.folded_hypercube_nucleus(3),
+    "generalized_hypercube": lambda: nuclei.generalized_hypercube_nucleus((2, 3)),
+    "complete": lambda: nuclei.complete_nucleus(4),
+    "star": lambda: nuclei.star_nucleus(4),
+    "pancake": lambda: nuclei.pancake_nucleus(4),
+    "ring": lambda: nuclei.ring_nucleus(5),
+    "shuffle_exchange": lambda: nuclei.shuffle_exchange_nucleus(3),
+    "debruijn": lambda: nuclei.debruijn_nucleus(3),
+}
+
+#: the other production constructors that call the closure directly
+CALLERS = {
+    "hypercube_ip": lambda: ip_variants.hypercube_ip(3),
+    "star_ip": lambda: ip_variants.star_ip(5),
+    "pancake_ip": lambda: ip_variants.pancake_ip(4),
+    "shuffle_exchange_ip": lambda: ip_variants.shuffle_exchange_ip(3),
+    "debruijn_ip": lambda: ip_variants.debruijn_ip(3),
+    "paper_example_36": lambda: ip_variants.paper_example_36(),
+    "rotator_graph": lambda: cited.rotator_graph(4),
+    "macro_star": lambda: cited.macro_star(2, 2),
+    "ball_game_repeated": lambda: BallArrangementGame(
+        (0, 0, 1, 1, 2), [transposition(5, 0, i) for i in range(1, 5)]
+    ).state_graph(),
+    "ball_game_symbols": lambda: BallArrangementGame(
+        ("r", "g", "r", "b"), [transposition(4, 0, 1), cyclic_shift_left(4, 1)]
+    ).state_graph(),
+}
+
+
+def test_nucleus_catalog_is_covered():
+    assert {f"{name}_nucleus" for name in NUCLEI} == set(nuclei.__all__)
+
+
+@pytest.mark.parametrize("name", sorted(NUCLEI))
+def test_nucleus_build_matches_oracle(name):
+    _assert_matches_oracle(NUCLEI[name]().build())
+
+
+@pytest.mark.parametrize("name", sorted(CALLERS))
+def test_direct_caller_matches_oracle(name):
+    _assert_matches_oracle(CALLERS[name]())
+
+
 def test_equivalence_holds_under_profiling(tmp_path):
-    """Instrumentation must not perturb either engine's output."""
+    """Instrumentation must not perturb the closure's output."""
     from repro import obs
 
     rng = random.Random(7)
     seed, gens, directed = _random_case(rng)
-    ref = build_ip_graph(seed, gens, directed=directed)
+    ref = oracle_build_ip_graph(seed, gens, directed=directed)
     obs.enable(trace=str(tmp_path / "t.jsonl"))
     try:
-        ref_p = build_ip_graph(seed, gens, directed=directed)
-        fast_p = build_ip_graph_fast(seed, gens, directed=directed)
+        fast_p = build_ip_graph(seed, gens, directed=directed)
     finally:
         obs.disable()
         obs.reset()
-    assert ref.labels == ref_p.labels == fast_p.labels
-    assert (ref.edges_src == ref_p.edges_src).all()
+    assert ref.labels == fast_p.labels
     assert (ref.edges_src == fast_p.edges_src).all()
     assert (ref.edges_dst == fast_p.edges_dst).all()
     assert (ref.edges_gen == fast_p.edges_gen).all()

@@ -1,12 +1,10 @@
-"""Tests for the vectorized IP-graph closure (must be bit-identical to the
-reference engine)."""
+"""Tests for the batched IP-graph closure (must be bit-identical to the
+per-label oracle in ``tests/closure_oracle.py``)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fastclosure import build_ip_graph_fast
 from repro.core.ipgraph import build_ip_graph
 from repro.core.permutation import (
     Permutation,
@@ -15,16 +13,22 @@ from repro.core.permutation import (
     transposition,
 )
 from repro.core.superip import SuperGeneratorSet, build_super_ip_graph
-from repro.networks.nuclei import hypercube_nucleus, star_nucleus
+from repro.networks.nuclei import hypercube_nucleus
+
+from .closure_oracle import oracle_build_ip_graph
 
 
-def assert_identical(seed, gens, **kw):
-    a = build_ip_graph(seed, gens, **kw)
-    b = build_ip_graph_fast(seed, gens, **kw)
+def assert_same_graph(a, b):
     assert a.labels == b.labels
     assert (a.edges_src == b.edges_src).all()
     assert (a.edges_dst == b.edges_dst).all()
     assert (a.edges_gen == b.edges_gen).all()
+
+
+def assert_identical(seed, gens, **kw):
+    a = oracle_build_ip_graph(seed, gens, **kw)
+    b = build_ip_graph(seed, gens, **kw)
+    assert_same_graph(a, b)
     return a, b
 
 
@@ -55,25 +59,13 @@ class TestIdentical:
         assert b.directed
 
     def test_hsn(self):
-        nuc = hypercube_nucleus(2)
-        sgs = SuperGeneratorSet.transpositions(3)
-        a = build_super_ip_graph(nuc, sgs, engine="reference")
-        b = build_super_ip_graph(nuc, sgs, engine="fast")
-        assert a.labels == b.labels
-        assert (a.edges_src == b.edges_src).all()
+        b = build_super_ip_graph(hypercube_nucleus(2), SuperGeneratorSet.transpositions(3))
+        assert_same_graph(oracle_build_ip_graph(b.seed, b.generators), b)
 
     def test_symmetric_hsn(self):
         nuc = hypercube_nucleus(2)
-        sgs = SuperGeneratorSet.transpositions(2)
-        a = build_super_ip_graph(nuc, sgs, symmetric=True, engine="reference")
-        b = build_super_ip_graph(nuc, sgs, symmetric=True, engine="fast")
-        assert a.labels == b.labels
-
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            build_super_ip_graph(
-                hypercube_nucleus(1), SuperGeneratorSet.ring(2), engine="bogus"
-            )
+        b = build_super_ip_graph(nuc, SuperGeneratorSet.transpositions(2), symmetric=True)
+        assert_same_graph(oracle_build_ip_graph(b.seed, b.generators), b)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -95,7 +87,7 @@ class TestIdentical:
 class TestGuards:
     def test_max_nodes(self):
         with pytest.raises(ValueError, match="max_nodes"):
-            build_ip_graph_fast(
+            build_ip_graph(
                 tuple(range(7)),
                 [transposition(7, 0, i) for i in range(1, 7)],
                 max_nodes=100,
@@ -103,12 +95,20 @@ class TestGuards:
 
     def test_no_generators(self):
         with pytest.raises(ValueError):
-            build_ip_graph_fast((0, 1), [])
+            build_ip_graph((0, 1), [])
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            build_ip_graph_fast((0, 1, 2), [transposition(2, 0, 1)])
+            build_ip_graph((0, 1, 2), [transposition(2, 0, 1)])
         with pytest.raises(ValueError):
-            build_ip_graph_fast(
+            build_ip_graph(
                 (0, 1), [transposition(2, 0, 1), transposition(3, 0, 1)]
             )
+
+    @pytest.mark.parametrize("bad", [0, -5])
+    def test_non_positive_max_nodes(self, bad):
+        # a fixed-point generator: the closure never leaves the seed, so
+        # only the bound check can reject the request
+        with pytest.raises(ValueError) as exc:
+            build_ip_graph((7, 7, 7), [from_cycles(3, [(0, 1)])], max_nodes=bad)
+        assert str(exc.value) == f"max_nodes must be >= 1, got {bad}"

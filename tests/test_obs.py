@@ -257,39 +257,47 @@ class TestTraceSink:
         ev = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(ev) == 1 and ev[0]["name"] == "a"
 
+    def test_emit_record_prints_and_appends_trajectory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "traj.jsonl"
+        monkeypatch.delenv("REPRO_BENCH_TRAJECTORY", raising=False)
+        obs.emit_record({"bench": "x", "n": 1})
+        assert not path.exists()
+        monkeypatch.setenv("REPRO_BENCH_TRAJECTORY", str(path))
+        obs.emit_record({"bench": "x", "n": 2})
+        obs.emit_record({"bench": "y", "v": 0.5})
+        want = '{"bench": "x", "n": 2}\n{"bench": "y", "v": 0.5}\n'
+        assert path.read_text(encoding="utf-8") == want
+        assert capsys.readouterr().out == '{"bench": "x", "n": 1}\n' + want
+
 
 class TestInstrumentedKernels:
     def test_closure_metrics_recorded(self):
-        from repro.core.fastclosure import build_ip_graph_fast
         from repro.core.ipgraph import build_ip_graph
         from repro.core.permutation import transposition
 
         gens = [transposition(4, 0, i) for i in range(1, 4)]
         obs.enable()
         build_ip_graph(tuple(range(4)), gens)
-        build_ip_graph_fast(tuple(range(4)), gens)
         obs.disable()
         rep = obs.report()
-        for prefix in ("reference", "fast"):
-            assert rep["counters"][f"closure.{prefix}.nodes"] == 24
-            assert rep["counters"][f"closure.{prefix}.arcs"] == 72
-            # every non-discovery arc is a dedup hit
-            assert rep["counters"][f"closure.{prefix}.dedup_hits"] == 72 - 23
-        assert rep["timers"]["closure.build.reference"]["count"] == 1
+        assert rep["counters"]["closure.fast.nodes"] == 24
+        assert rep["counters"]["closure.fast.arcs"] == 72
+        # every non-discovery arc is a dedup hit
+        assert rep["counters"]["closure.fast.dedup_hits"] == 72 - 23
         assert rep["timers"]["closure.build.fast"]["count"] == 1
-        # both engines must report identical level structure (star graph S4)
-        ref = rep["values"]["closure.reference.level_frontier"]
-        fast = rep["values"]["closure.fast.level_frontier"]
-        assert ref["count"] == fast["count"]
-        assert ref["max"] == fast["max"]
+        # the star graph S4 has BFS levels of sizes 1, 3, 6, 9, 5
+        frontier = rep["values"]["closure.fast.level_frontier"]
+        assert frontier["count"] == 5 and frontier["max"] == 9
 
     def test_closure_trace_covers_build(self, tmp_path):
-        from repro.core.fastclosure import build_ip_graph_fast
+        from repro.core.ipgraph import build_ip_graph
         from repro.core.permutation import transposition
 
         path = tmp_path / "t.jsonl"
         obs.enable(trace=str(path))
-        build_ip_graph_fast(tuple(range(4)), [transposition(4, 0, i) for i in (1, 2, 3)])
+        build_ip_graph(tuple(range(4)), [transposition(4, 0, i) for i in (1, 2, 3)])
         obs.disable()
         ev = [json.loads(line) for line in path.read_text().splitlines()]
         spans = [e for e in ev if e["type"] == "span"]

@@ -12,6 +12,7 @@ import pytest
 
 from repro import networks as nw
 from repro import obs
+from repro.fault import percolation
 from repro.fault.percolation import (
     default_probability_grid,
     estimate_threshold,
@@ -20,6 +21,8 @@ from repro.fault.percolation import (
     percolation_sweep,
     threshold_traffic_runs,
 )
+
+from .sim_oracle import ReferencePacketSimulator
 
 
 class TestMaskedComponents:
@@ -160,22 +163,24 @@ class TestDegradedTraffic:
         assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
 
     @pytest.mark.parametrize("engine", ["event", "reference"])
-    def test_engines_agree(self, engine):
+    def test_engines_agree(self, engine, monkeypatch):
+        if engine == "reference":
+            monkeypatch.setattr(percolation, "PacketSimulator", ReferencePacketSimulator)
         g = nw.hypercube(3)
         rows = threshold_traffic_runs(
-            g, 0.6, kind="link", delta=0.2, rate=0.05, cycles=30,
-            seed=5, engine=engine,
+            g, 0.6, kind="link", delta=0.2, rate=0.05, cycles=30, seed=5, jobs=1
         )
         # the probe grid and per-point draws are engine-independent
         assert [r["p"] for r in rows] == [0.4, 0.6, 0.8]
         for r in rows:
             assert 0.0 <= r["delivery_ratio"] <= 1.0
 
-    def test_engines_bit_identical(self):
+    def test_engines_bit_identical(self, monkeypatch):
         g = nw.hypercube(3)
-        kw = dict(kind="node", delta=0.25, rate=0.05, cycles=30, seed=9)
-        ev = threshold_traffic_runs(g, 0.5, engine="event", **kw)
-        ref = threshold_traffic_runs(g, 0.5, engine="reference", **kw)
+        kw = dict(kind="node", delta=0.25, rate=0.05, cycles=30, seed=9, jobs=1)
+        ev = threshold_traffic_runs(g, 0.5, **kw)
+        monkeypatch.setattr(percolation, "PacketSimulator", ReferencePacketSimulator)
+        ref = threshold_traffic_runs(g, 0.5, **kw)
         assert json.dumps(ev) == json.dumps(ref)
 
 

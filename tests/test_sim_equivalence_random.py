@@ -1,5 +1,5 @@
 """Randomized equivalence: the batched event core must be bit-identical to
-the retained per-event reference oracle on arbitrary seeded runs.
+the per-event oracle (``tests/sim_oracle.py``) on arbitrary seeded runs.
 
 ``PacketSimulator`` (the event core) promises to reproduce
 ``ReferencePacketSimulator``'s ``SimStats`` exactly — not statistically,
@@ -21,12 +21,13 @@ from repro.fault import FaultPlan
 from repro.routing.table import NextHopTable
 from repro.sim import (
     PacketSimulator,
-    ReferencePacketSimulator,
     hotspot,
     random_permutation_traffic,
     uniform_random,
     unit_node_capacity,
 )
+
+from .sim_oracle import ReferencePacketSimulator
 
 N_CASES = 50
 

@@ -14,15 +14,18 @@ import pytest
 from repro import networks as nw
 from repro.core.network import RoutingError
 from repro.fault import FaultPlan, fault_sweep
+from repro.fault import sweep as fault_sweep_module
 from repro.sim import (
     ChannelIndex,
     LatencyHistogram,
     PacketSimulator,
-    ReferencePacketSimulator,
     offered_load_sweep,
     uniform_random,
     uniform_random_array,
 )
+from repro.sim import sweeps
+
+from .sim_oracle import Packet, ReferencePacketSimulator
 
 
 class TestFifoTieBreak:
@@ -89,25 +92,22 @@ class TestSameSeedDeterminism:
             offered_load_sweep(net, 1, jobs=2, **kw)
         )
 
-    def test_sweep_rows_identical_across_engines(self):
+    def test_sweep_rows_identical_across_engines(self, monkeypatch):
         net = nw.hypercube(3)
-        kw = dict(rates=[0.05, 0.3], cycles=30, seed=5)
-        assert offered_load_sweep(net, 1, engine="event", **kw) == (
-            offered_load_sweep(net, 1, engine="reference", **kw)
-        )
+        kw = dict(rates=[0.05, 0.3], cycles=30, seed=5, jobs=1)
+        event = offered_load_sweep(net, 1, **kw)
+        monkeypatch.setattr(sweeps, "PacketSimulator", ReferencePacketSimulator)
+        assert event == offered_load_sweep(net, 1, **kw)
 
-    def test_fault_sweep_identical_across_jobs_and_engines(self):
+    def test_fault_sweep_identical_across_jobs_and_engines(self, monkeypatch):
         net = nw.hypercube(3)
         kw = dict(fault_counts=[0, 2], trials=2, cycles=30, seed=3)
         serial = fault_sweep(net, **kw)
         assert serial == fault_sweep(net, jobs=2, **kw)
-        assert serial == fault_sweep(net, engine="reference", **kw)
-
-    def test_unknown_engine_rejected_before_running(self):
-        with pytest.raises(ValueError, match="unknown simulator engine"):
-            offered_load_sweep(nw.ring(6), 1, rates=[0.1], engine="warp")
-        with pytest.raises(ValueError, match="unknown simulator engine"):
-            fault_sweep(nw.ring(6), [0], engine="warp")
+        monkeypatch.setattr(
+            fault_sweep_module, "PacketSimulator", ReferencePacketSimulator
+        )
+        assert serial == fault_sweep(net, jobs=1, **kw)
 
 
 class TestWarmupInvariance:
@@ -159,8 +159,6 @@ class TestStreamingStats:
         validated = sim._validated(inj)
         # re-run while peeking at retained packets through from_run's input
         import heapq
-
-        from repro.sim.reference import Packet
 
         packets = []
         events = []

@@ -11,6 +11,8 @@ from repro.routing.table import NextHopTable
 from repro.sim.simulator import PacketSimulator
 from repro.sim.workloads import uniform_random
 
+from .sim_oracle import ReferencePacketSimulator
+
 
 class TestNoFaultEquivalence:
     """ISSUE acceptance: an empty FaultPlan is bit-identical to faults=None."""
@@ -174,7 +176,6 @@ class TestChannelAndValidation:
 
     def test_simulators_never_route_a_delivered_packet(self, monkeypatch):
         from repro.fault import ResilientRouter
-        from repro.sim.reference import ReferencePacketSimulator
 
         calls = []
         route_next = ResilientRouter.route_next
