@@ -7,7 +7,13 @@ make million-packet load sweeps routine; this bench holds it to that:
   deliver >= 10x the packets/sec of the oracle in ``tests/sim_oracle.py``,
   while producing the exact same ``SimStats`` (the equality is asserted,
   not assumed);
-* **scale** — a 1,000,000-packet run must finish in under 60 s.
+* **scale** — a 1,000,000-packet run must finish in under 60 s;
+* **degraded** — one 16-link-fault ``fault_sweep`` trial on HSN(3,Q3)
+  (N=512) must match the oracle's ``SimStats`` and resilient-router
+  counters exactly, and the event core must spend >= 3x less time than
+  the oracle outside the survivor-path kernel both engines share
+  (``ResilientRouter._compute_survivor_path``, budgeted on its own by
+  ``bench_fault_sweep.py``).  The whole-run ratio is reported too.
 
 Methodology mirrors ``bench_obs_overhead.py``: GC parked during timing,
 best-of-``ROUNDS`` for the fast engine (the slow oracle runs once — it
@@ -31,7 +37,8 @@ import numpy as np
 
 from repro import networks as nw
 from repro import obs
-from repro.sim import PacketSimulator, uniform_random_array
+from repro.fault import FaultPlan, ResilientRouter
+from repro.sim import PacketSimulator, uniform_random, uniform_random_array
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.sim_oracle import ReferencePacketSimulator  # noqa: E402
@@ -50,6 +57,13 @@ SEED = 0
 BIG_RATE = 1.0
 BIG_CYCLES = 3907
 
+# degraded workload: trial 0 of fault_sweep(HSN(3,Q3), [16], seed=1)
+MIN_DEGRADED_SPEEDUP = 3.0  # oracle vs event core, survivor-path kernel excluded
+DEG_FAULTS = 16
+DEG_SEED = 1
+DEG_RATE = 0.05
+DEG_CYCLES = 60
+
 
 def _timed(fn) -> float:
     gc.collect()
@@ -60,6 +74,57 @@ def _timed(fn) -> float:
         return time.perf_counter() - t0
     finally:
         gc.enable()
+
+
+def degraded_case() -> dict:
+    """Both engines on one faulted trial: equality, run time and the time
+    spent outside the shared survivor-path kernel (best of ``ROUNDS``)."""
+    net = nw.build("hsn", l=3, n=3)
+    w = uniform_random(
+        net, DEG_RATE, DEG_CYCLES, np.random.default_rng([DEG_SEED, 1_000_003, 0])
+    )
+    plan = FaultPlan.random_link_faults(
+        net, DEG_FAULTS, np.random.default_rng([DEG_SEED, DEG_FAULTS, 0]),
+        horizon=DEG_CYCLES,
+    )
+    kernel = ResilientRouter._compute_survivor_path
+    spent = [0.0]
+
+    def timed_kernel(*args):
+        t0 = time.perf_counter()
+        try:
+            return kernel(*args)
+        finally:
+            spent[0] += time.perf_counter() - t0
+
+    def rounds(cls):
+        best_run = best_engine = float("inf")
+        stats = []
+        for _ in range(ROUNDS):
+            sim = cls(net, faults=plan)  # fresh router: no cached detours
+            spent[0] = 0.0
+            dt = _timed(lambda: stats.append(sim.run(w, max_cycles=DEG_CYCLES * 50)))
+            best_run = min(best_run, dt)
+            best_engine = min(best_engine, dt - spent[0])
+        r = sim._router
+        return stats[-1], (r.reroutes, r.deroutes, r.unreachable), best_run, best_engine
+
+    ResilientRouter._compute_survivor_path = timed_kernel
+    try:
+        ev_stats, ev_counts, ev_run, ev_engine = rounds(PacketSimulator)
+        ref_stats, ref_counts, ref_run, ref_engine = rounds(ReferencePacketSimulator)
+    finally:
+        ResilientRouter._compute_survivor_path = kernel
+    return {
+        "degraded_network": net.name,
+        "degraded_faults": DEG_FAULTS,
+        "degraded_packets": len(w),
+        "degraded_identical": ev_stats == ref_stats and ev_counts == ref_counts,
+        "degraded_event_s": round(ev_run, 4),
+        "degraded_reference_s": round(ref_run, 4),
+        "degraded_speedup": round(ref_run / ev_run, 2),
+        "degraded_engine_speedup": round(ref_engine / ev_engine, 2),
+    }
 
 
 def main() -> int:
@@ -116,6 +181,7 @@ def main() -> int:
         "million_s": round(dt_big, 2),
         "million_pps": round(len(big) / dt_big),
         "million_delivered": big_stats.delivered,
+        **degraded_case(),
     }
     obs.emit_record(record)
 
@@ -134,11 +200,24 @@ def main() -> int:
             file=sys.stderr,
         )
         ok = False
+    if not record["degraded_identical"]:
+        print("FAIL: engines disagree on the degraded trial", file=sys.stderr)
+        ok = False
+    if record["degraded_engine_speedup"] < MIN_DEGRADED_SPEEDUP:
+        print(
+            f"FAIL: degraded event core speedup "
+            f"{record['degraded_engine_speedup']:.1f}x < "
+            f"{MIN_DEGRADED_SPEEDUP:.0f}x outside the survivor-path kernel",
+            file=sys.stderr,
+        )
+        ok = False
     if ok:
         print(
             f"OK: {speedup:.1f}x over reference at {npkt:,} packets; "
             f"{len(big):,} packets in {dt_big:.1f}s "
-            f"({len(big) / dt_big:,.0f} packets/sec)"
+            f"({len(big) / dt_big:,.0f} packets/sec); degraded f{DEG_FAULTS} "
+            f"trial {record['degraded_engine_speedup']:.1f}x outside the "
+            f"survivor-path kernel ({record['degraded_speedup']:.1f}x whole run)"
         )
     return 0 if ok else 1
 

@@ -54,7 +54,7 @@ echo "== observability disabled-path overhead budget (<2%) =="
 python benchmarks/bench_obs_overhead.py
 
 echo
-echo "== simulator throughput budgets (>=10x vs reference, 1M pkts <60s) =="
+echo "== simulator throughput budgets (>=10x vs reference, 1M pkts <60s, degraded f16 >=3x) =="
 python benchmarks/bench_sim_throughput.py
 
 echo

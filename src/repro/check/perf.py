@@ -11,8 +11,8 @@ is the matching *performance* tier.
 The **hot-path perimeter** is declared once — :data:`HOT_PERIMETER`, a
 tuple of :class:`HotKernel` records naming the closure engine, the
 ``NextHopTable`` construction, the BFS distance kernel, the
-node-disjoint-paths flow kernel, the simulator event core, the
-percolation union-find, and the orbit signature kernels —
+node-disjoint-paths flow kernel, the simulator event core and its
+fault decision stage, the percolation union-find, and the orbit signature kernels —
 and closed over the import-aware call graph
 (:mod:`repro.check.callgraph`), exactly like the determinism perimeters
 of :mod:`repro.check.determinism`.  Every function reachable from a hot
@@ -49,7 +49,8 @@ Findings carry ``file:line`` anchors and an origin tag (``[hot via
 repro.routing.table.NextHopTable.__init__]``).  Suppression uses the
 shared ``# repro: noqa[CODE]`` comment — on the finding's own line, or
 on the enclosing ``def`` line to cover a whole deliberately-scalar
-function (e.g. the simulator's per-event degraded path).  The runtime
+function (e.g. ``NodeDisjointPaths._paths``, which replays networkx's
+Edmonds–Karp step for step).  The runtime
 half of this tier (cProfile attribution, SAN004–SAN005) lives in
 :mod:`repro.check.perfsanitize`.
 """
@@ -144,6 +145,10 @@ HOT_PERIMETER: tuple[HotKernel, ...] = (
     HotKernel(
         "repro.sim.simulator.PacketSimulator.run",
         "batched event-driven simulator core",
+    ),
+    HotKernel(
+        "repro.sim.simulator._Degraded.decide",
+        "per-bucket fault decisions over the compiled timeline intervals",
     ),
     HotKernel(
         "repro.sim.policies.ChannelIndex.lookup",

@@ -72,7 +72,7 @@ def _topology_key_parts(net: Network) -> dict:
     """
     if net.cache_key is not None:
         return {"graph": net.cache_key}
-    edges = np.asarray(_undirected_edges(net), dtype=np.int64).reshape(-1, 2)
+    edges = _undirected_edges(net)
     digest = hashlib.sha256(edges.tobytes()).hexdigest()
     return {"n": net.num_nodes, "edges_sha": digest}
 
@@ -122,7 +122,7 @@ def _pattern_array(net: Network, k: int, kind: str) -> tuple[np.ndarray, np.ndar
     if kind == "node":
         elements = np.arange(n, dtype=np.int64)
     else:
-        edges = np.asarray(_undirected_edges(net), dtype=np.int64).reshape(-1, 2)
+        edges = _undirected_edges(net)
         elements = edges[:, 0] * n + edges[:, 1]
     count = len(elements)
     if k > count:
@@ -147,7 +147,7 @@ def _element_images(net: Network, group: np.ndarray, kind: str) -> np.ndarray:
     if kind == "node":
         return group
     n = net.num_nodes
-    edges = np.asarray(_undirected_edges(net), dtype=np.int64).reshape(-1, 2)
+    edges = _undirected_edges(net)
     img_u = group[:, edges[:, 0]]
     img_v = group[:, edges[:, 1]]
     return np.minimum(img_u, img_v) * n + np.maximum(img_u, img_v)
@@ -257,7 +257,7 @@ def _pattern_verdict(ctx: dict, pattern) -> dict:
     """
     net = ctx["net"]
     n = net.num_nodes
-    edges = np.asarray(_undirected_edges(net), dtype=np.int64).reshape(-1, 2)
+    edges = _undirected_edges(net)
     node_alive = np.ones(n, dtype=bool)
     edge_alive = np.ones(len(edges), dtype=bool)
     if ctx["kind"] == "node":

@@ -125,7 +125,7 @@ def masked_components(
     live nodes carry the smallest live node id of their component.
     """
     n = net.num_nodes
-    edges = np.asarray(_undirected_edges(net), dtype=np.int64).reshape(-1, 2)
+    edges = _undirected_edges(net)
     src, dst = edges[:, 0], edges[:, 1]
     if node_alive is None:
         node_alive = np.ones(n, dtype=bool)
@@ -216,7 +216,7 @@ def _percolation_trial(ctx: dict, trial: int) -> list[dict]:
     """
     net = ctx["net"]
     probs = np.asarray(ctx["probs"], dtype=np.float64)
-    num_edges = len(_undirected_edges(net))
+    num_edges = net.adjacency_csr(directed=False).nnz // 2  # loop-free, symmetric
     rng = np.random.default_rng([ctx["seed"], 7_919, trial])
     node_alive, edge_alive, _ = _survival_masks(
         net, num_edges, probs, ctx["kind"], rng
@@ -336,7 +336,7 @@ def _traffic_point(ctx: dict, p: float) -> dict:
             plan.fail_node(0, v)
     else:
         for e in sorted(np.nonzero(u >= p)[0].tolist()):
-            plan.fail_link(0, *edges[e])
+            plan.fail_link(0, *edges[e].tolist())
     workload_rng = np.random.default_rng([ctx["seed"], 104_729])
     injections = uniform_random(net, ctx["rate"], cycles, workload_rng)
     sim = PacketSimulator(net, faults=plan)

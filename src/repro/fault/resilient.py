@@ -125,7 +125,9 @@ class ResilientRouter:
     # ------------------------------------------------------------------
     def hop_alive(self, u: int, v: int, t: int) -> bool:
         """Can a packet at ``u`` traverse ``(u, v)`` at cycle ``t`` —
-        link up and far endpoint up?"""
+        link up and far endpoint up?  (Scalar probes of the timeline's
+        compiled intervals, like the destination check in
+        :meth:`route_next`.)"""
         tl = self.timeline
         return tl.link_up_at(u, v, t) and tl.node_up_at(v, t)
 

@@ -34,8 +34,6 @@ __all__ = ["fault_sweep", "fault_comparison", "default_resilience_cases"]
 def _sample_plan(
     net: Network, kind: str, count: int, cycles: int, rng: np.random.Generator
 ) -> FaultPlan:
-    if count < 0:
-        raise ValueError(f"fault count must be >= 0, got {count}")
     if kind == "link":
         return FaultPlan.random_link_faults(net, count, rng, horizon=cycles)
     if kind == "node":
@@ -115,6 +113,10 @@ def fault_sweep(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
+    if max_cycles_factor < 1:
+        raise ValueError(
+            f"max_cycles_factor must be >= 1, got {max_cycles_factor}"
+        )
     if len(fault_counts) == 0:
         raise ValueError("fault_counts must be non-empty")
     counts = sorted(set(int(f) for f in fault_counts))

@@ -86,8 +86,8 @@ class ChannelIndex:
         """``{u·n + v: channel}`` dict for O(1) scalar lookups.
 
         Built lazily on first use: per-call it beats the ``searchsorted``
-        scalar path ~10×, which matters in the simulators' per-event loops
-        (small buckets, degraded mode); batch callers never need it.
+        scalar path ~10×, which matters in the simulator's ≤48-event
+        bucket path (healthy or faulted); batch callers never need it.
         """
         if self._map is None:
             self._map = {int(k): i for i, k in enumerate(self._keys.tolist())}

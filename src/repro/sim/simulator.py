@@ -39,16 +39,24 @@ rather than merely statistically equivalent.
 **Degraded mode.**  Passing a :class:`~repro.fault.FaultPlan` lets links
 and nodes fail (and repair) mid-run; drops, exponential-backoff source
 retransmission and fault-aware rerouting follow the oracle's semantics
-(see ``tests/sim_oracle.py``).  Fault timelines force per-event
-decisions, so the degraded path walks bucket events individually — still
-on the calendar queue, still bit-identical.  With no plan — or an empty
-one — the fully batched path runs.
+(see ``tests/sim_oracle.py``).  The same bucket loop runs: a decision
+stage checks the whole bucket against the compiled fault timeline's
+interval arrays (in-flight link deaths, dead nodes, delivery, the hop
+guard, dead destinations, the table's primary hop) and only the residue —
+pinned survivor detours, dead primary hops that need the resilient
+router, custom-router hops — is decided one packet at a time, in creation
+order.  Every decision depends only on the packet, the timeline and the
+cycle, never on the channels, so deciding first and contending after
+reproduces the per-event order.  Drops and retransmissions are scheduled
+in bulk, merged with the forwarded packets in creation order.  With no
+plan — or an empty one — the decision stage is skipped.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+from collections import deque
 from collections.abc import Callable, Iterable
 
 import numpy as np
@@ -124,6 +132,12 @@ class PacketSimulator:
             raise ValueError("retransmit_timeout must be >= 1 cycle")
         if max_retries < 0 or max_deroutes < 0:
             raise ValueError("max_retries and max_deroutes must be >= 0")
+        if retransmit_timeout << max(max_retries - 1, 0) >= 1 << 62:
+            raise ValueError(
+                f"retransmit backoff overflows int64 cycles: "
+                f"retransmit_timeout={retransmit_timeout} doubled over "
+                f"max_retries={max_retries}"
+            )
         self.retransmit_timeout = int(retransmit_timeout)
         self.max_retries = int(max_retries)
         self.max_deroutes = int(max_deroutes)
@@ -229,23 +243,22 @@ class PacketSimulator:
             (need not be sorted).  Validated up front: times >= 0, node ids
             in range, ``src != dst``.
         max_cycles:
-            Optional hard stop; packets still in flight are reported as
-            undelivered.
+            Optional hard stop (>= 0); packets still in flight are reported
+            as undelivered.
 
         Returns
         -------
         SimStats
         """
+        if max_cycles is not None and max_cycles < 0:
+            raise ValueError(f"max_cycles must be >= 0, got {max_cycles}")
         _profiling = obs.enabled()
         with obs.span(
             "sim.run", network=self.net.name, nodes=self.net.num_nodes
         ) as _sp:
             _t0 = time.perf_counter() if _profiling else 0.0
             t_inject, src, dst = self._validated_arrays(injections)
-            if self._timeline is None:
-                run = self._run_batched(t_inject, src, dst, max_cycles)
-            else:
-                run = self._run_degraded(t_inject, src, dst, max_cycles)
+            run = self._run(t_inject, src, dst, max_cycles)
             (acc, t_deliver, hops, offh, horizon, busy_time,
              events_processed, buckets_processed, max_depth,
              dropped, retransmitted, rerouted) = run
@@ -289,8 +302,8 @@ class PacketSimulator:
             heapq.heapify(times)
         return buckets, times
 
-    def _run_batched(self, t_inject, src, dst, max_cycles):
-        """Fault-free path: retire a whole calendar bucket per step."""
+    def _run(self, t_inject, src, dst, max_cycles):
+        """Retire a whole calendar bucket per step, healthy or degraded."""
         npkt = len(t_inject)
         pos = src.copy()
         hops = np.zeros(npkt, dtype=np.int64)
@@ -308,6 +321,10 @@ class PacketSimulator:
         nh = self.next_hop
         n = self.net.num_nodes
         guard = 4 * self.net.num_nodes + 64
+        faults = (
+            None if self._timeline is None
+            else _Degraded(self, t_inject, src, dst, pos, hops, offh)
+        )
         horizon = 0
         events_processed = 0
         buckets_processed = 0
@@ -327,7 +344,6 @@ class PacketSimulator:
             events_processed += pids.size
             buckets_processed += 1
             pending -= pids.size
-
             if pids.size <= 48:
                 # tiny buckets (drain tails, light loads): the vectorized
                 # pipeline's fixed per-bucket cost dominates, so walk the
@@ -335,36 +351,50 @@ class PacketSimulator:
                 for pid in pids.tolist():  # repro: noqa[RPR020] — intentional ≤48-event scalar fast path
                     node = int(pos[pid])
                     dstv = int(dst[pid])
-                    if node == dstv:
+                    lost = faults is not None and faults.lost(tcur, pid, node)
+                    if not lost and node == dstv:
                         t_deliver[pid] = tcur
                         if tcur > horizon:
                             horizon = tcur
                         continue
-                    if hops[pid] > guard:
-                        raise RuntimeError(
-                            f"packet {pid} exceeded the hop guard — "
-                            f"routing loop?"
-                        )
-                    nxt = int(table[dstv, node]) if table is not None else (
-                        int(nh(node, dstv))
-                    )
-                    c = (
-                        amap.get(node * n + nxt) if 0 <= nxt < n else None
-                    )  # range check first: a negative id would alias a key
-                    if c is None:
-                        raise self.channels._missing(node, nxt)
-                    bu = int(busy_until[c])
-                    base = tcur if tcur > bu else bu
-                    dl = int(delays[c])
-                    fin = base + dl
-                    busy_until[c] = fin
-                    busy_time[c] += dl
-                    hops[pid] += 1
-                    if mod is not None and mod[node] != mod[nxt]:
-                        offh[pid] += 1
-                    pos[pid] = nxt
-                    if fin > horizon:
-                        horizon = fin
+                    if lost or hops[pid] > guard:
+                        if faults is None:
+                            raise RuntimeError(
+                                f"packet {pid} exceeded the hop guard — "
+                                f"routing loop?"
+                            )
+                        nxt = None  # lost on arrival, or livelocked: a drop
+                    elif faults is not None:
+                        nxt = faults.route_one(tcur, pid, node, dstv)
+                    elif table is not None:
+                        nxt = int(table[dstv, node])
+                    else:
+                        nxt = int(nh(node, dstv))
+                    if nxt is None:
+                        fin = faults.drop_one(tcur, pid)
+                        if fin < 0:
+                            continue
+                    else:
+                        c = (
+                            amap.get(node * n + nxt) if 0 <= nxt < n else None
+                        )  # range check first: a negative id would alias a key
+                        if c is None:
+                            raise self.channels._missing(node, nxt)
+                        bu = int(busy_until[c])
+                        base = tcur if tcur > bu else bu
+                        dl = int(delays[c])
+                        fin = base + dl
+                        busy_until[c] = fin
+                        busy_time[c] += dl
+                        hops[pid] += 1
+                        if mod is not None and mod[node] != mod[nxt]:
+                            offh[pid] += 1
+                        pos[pid] = nxt
+                        if fin > horizon:
+                            horizon = fin
+                        if faults is not None:
+                            faults.chan_in[pid] = c
+                            faults.tx_start[pid] = base
                     lst = buckets.get(fin)
                     if lst is None:
                         buckets[fin] = [np.array([pid], dtype=np.int64)]
@@ -376,72 +406,63 @@ class PacketSimulator:
                     max_depth = pending
                 continue
 
-            nodes = pos[pids]
-            at_dst = nodes == dst[pids]
+            if faults is None:
+                nodes = pos[pids]
+                at_dst = nodes == dst[pids]
+                act = pids[~at_dst]
+                nodes = nodes[~at_dst]
+                over = hops[act] > guard
+                if over.any():
+                    bad = int(act[np.flatnonzero(over)[0]])
+                    raise RuntimeError(
+                        f"packet {bad} exceeded the hop guard — routing loop?"
+                    )
+                dsts = dst[act]
+                if table is not None:
+                    nxt = table[dsts, nodes].astype(np.int64)
+                else:
+                    nxt = np.fromiter(
+                        (nh(int(u), int(d)) for u, d in zip(nodes, dsts)),
+                        dtype=np.int64,
+                        count=act.size,
+                    )
+            else:
+                fwd, nxt, at_dst, drop = faults.decide(tcur, pids)
+                act = pids[fwd]
+                nodes = pos[act]
             if at_dst.any():
                 t_deliver[pids[at_dst]] = tcur
                 if tcur > horizon:
                     horizon = tcur
-                act = pids[~at_dst]
-                nodes = nodes[~at_dst]
-            else:
-                act = pids
-            if act.size == 0:
+            finish = np.empty(0, dtype=np.int64)
+            if act.size:
+                c = lookup_many(nodes, nxt)
+                finish = self._contend(tcur, c, busy_until, busy_time)
+                hops[act] += 1
+                if mod is not None:
+                    offh[act] += mod[nodes] != mod[nxt]
+                pos[act] = nxt
+                hmax = int(finish.max())
+                if hmax > horizon:
+                    horizon = hmax
+            fp, ft = act, finish
+            if faults is not None:
+                if act.size:
+                    faults.sent(act, c, finish)
+                resent = faults.drop(tcur, pids, drop)
+                if resent is not None:
+                    # retransmissions join the forwarded packets in bucket
+                    # (creation) order: one push time per bucket slot
+                    at = np.full(pids.size, -1, dtype=np.int64)
+                    at[fwd] = finish
+                    at[resent[0]] = resent[1]
+                    keep = np.flatnonzero(at >= 0)
+                    fp, ft = pids[keep], at[keep]
+            if fp.size == 0:
                 continue
-            over = hops[act] > guard
-            if over.any():
-                bad = int(act[np.flatnonzero(over)[0]])
-                raise RuntimeError(
-                    f"packet {bad} exceeded the hop guard — routing loop?"
-                )
-            dsts = dst[act]
-            if table is not None:
-                nxt = table[dsts, nodes].astype(np.int64)
-            else:
-                nh = self.next_hop
-                nxt = np.fromiter(
-                    (nh(int(u), int(d)) for u, d in zip(nodes, dsts)),
-                    dtype=np.int64,
-                    count=act.size,
-                )
-            c = lookup_many(nodes, nxt)
-
-            # contention: group events by channel, preserving creation
-            # (seq) order, and stack each group behind the channel's
-            # current busy horizon — slot k departs at base + (k+1)·delay
-            corder = np.argsort(c, kind="stable")
-            cs = c[corder]
-            neq = np.empty(cs.size, dtype=bool)
-            neq[0] = True
-            np.not_equal(cs[1:], cs[:-1], out=neq[1:])
-            cuts = np.flatnonzero(neq)
-            uchan = cs[cuts]
-            ends = np.empty(cuts.size, dtype=np.int64)
-            ends[:-1] = cuts[1:]
-            ends[-1] = cs.size
-            counts = ends - cuts
-            d = delays[uchan]
-            base = np.maximum(tcur, busy_until[uchan])
-            slot = np.arange(cs.size, dtype=np.int64) - np.repeat(cuts, counts)
-            finish_sorted = np.repeat(base, counts) + (slot + 1) * np.repeat(
-                d, counts
-            )
-            busy_until[uchan] = base + counts * d
-            busy_time[uchan] += counts * d
-            finish = np.empty_like(finish_sorted)
-            finish[corder] = finish_sorted
-
-            hops[act] += 1
-            if mod is not None:
-                offh[act] += mod[nodes] != mod[nxt]
-            pos[act] = nxt
-            hmax = int(finish_sorted.max())
-            if hmax > horizon:
-                horizon = hmax
-
-            forder = np.argsort(finish, kind="stable")
-            fp = act[forder]
-            ft = finish[forder]
+            forder = np.argsort(ft, kind="stable")
+            fp = fp[forder]
+            ft = ft[forder]
             neq = np.empty(ft.size, dtype=bool)
             neq[0] = True
             np.not_equal(ft[1:], ft[:-1], out=neq[1:])
@@ -454,7 +475,7 @@ class PacketSimulator:
                     heapq.heappush(times, tt)
                 else:
                     lst.append(fp[s:e])
-            pending += act.size
+            pending += fp.size
             if pending > max_depth:
                 max_depth = pending
 
@@ -464,177 +485,44 @@ class PacketSimulator:
             acc.observe_array(
                 t_deliver[done] - t_inject[done], hops[done], offh[done]
             )
-        return (acc, t_deliver, hops, offh, horizon, busy_time,
-                events_processed, buckets_processed, max_depth, 0, 0, 0)
-
-    # ------------------------------------------------------------------
-    def _run_degraded(self, t_inject, src, dst, max_cycles):  # repro: noqa[RPR020,RPR021,RPR022] — per-event by design: mirrors the reference engine's fault semantics verbatim
-        """Degraded-mode path: calendar queue, per-event fault decisions.
-
-        Fault timelines and the three-stage resilient router are consulted
-        per packet, so this path walks each bucket's events individually —
-        in the same creation order as the batched path — and mirrors the
-        reference engine's drop/retransmit/deroute semantics exactly.
-        """
-        from collections import deque
-
-        npkt = len(t_inject)
-        pos = src.copy()
-        hops = np.zeros(npkt, dtype=np.int64)
-        offh = np.zeros(npkt, dtype=np.int64)
-        t_deliver = np.full(npkt, -1, dtype=np.int64)
-        retries = np.zeros(npkt, dtype=np.int64)
-        deroutes = np.zeros(npkt, dtype=np.int64)
-        chan_in = np.full(npkt, -1, dtype=np.int64)  # channel arrived on
-        tx_start = t_inject.copy()  # transmit start of the arrival channel
-        routes: dict[int, deque] = {}  # pinned survivor detours
-
-        buckets, times = self._inject(t_inject)
-        busy_until = np.zeros(len(self.channels), dtype=np.int64)
-        busy_time = np.zeros(len(self.channels), dtype=np.int64)
-        delays = self.delays
-        mod = self.module_of
-        timeline = self._timeline
-        router = self._router
-        arc_src = self._arc_sources
-        arc_dst = self._indices
-        amap = self.channels.arc_map()
-        n = self.net.num_nodes
-        guard = 4 * self.net.num_nodes + 64
-        horizon = 0
-        events_processed = 0
-        buckets_processed = 0
-        pending = npkt
-        max_depth = npkt
         dropped = retransmitted = rerouted = 0
-
-        def _push(pid: int, at: int) -> None:
-            nonlocal pending
-            lst = buckets.get(at)
-            if lst is None:
-                buckets[at] = [np.array([pid], dtype=np.int64)]
-                heapq.heappush(times, at)
-            else:
-                lst.append(np.array([pid], dtype=np.int64))
-            pending += 1
-
-        def _drop(pid: int, now: int) -> None:
-            """Drop the current attempt; retransmit from source with
-            exponential backoff, or abandon past max_retries."""
-            nonlocal dropped, retransmitted
-            dropped += 1
-            routes.pop(pid, None)
-            if retries[pid] >= self.max_retries:
-                return
-            retries[pid] += 1
-            hops[pid] = 0
-            offh[pid] = 0
-            deroutes[pid] = 0
-            at = now + self.retransmit_timeout * (1 << (int(retries[pid]) - 1))
-            pos[pid] = src[pid]
-            chan_in[pid] = -1
-            tx_start[pid] = at
-            _push(pid, at)
-            retransmitted += 1
-
-        stop = False
-        while times and not stop:
-            tcur = heapq.heappop(times)
-            if max_cycles is not None and tcur > max_cycles:
-                events_processed += 1
-                break
-            chunks = buckets.pop(tcur)
-            # concatenation is already in creation (FIFO) order — see the
-            # batched path
-            pids = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            buckets_processed += 1
-            for pid in pids.tolist():
-                events_processed += 1
-                pending -= 1
-                node = int(pos[pid])
-                chan = int(chan_in[pid])
-                # the link died while the packet occupied it, or the
-                # packet landed on a node that is (now) down
-                if chan >= 0 and timeline.link_down_during(
-                    int(arc_src[chan]), int(arc_dst[chan]),
-                    int(tx_start[pid]), tcur,
-                ):
-                    _drop(pid, tcur)
-                    continue
-                if not timeline.node_up_at(node, tcur):
-                    _drop(pid, tcur)
-                    continue
-                dstv = int(dst[pid])
-                if node == dstv:
-                    t_deliver[pid] = tcur
-                    if tcur > horizon:
-                        horizon = tcur
-                    continue
-                if hops[pid] > guard:  # treat livelock as a loss, not a crash
-                    _drop(pid, tcur)
-                    continue
-                nxt = -1
-                rt = routes.get(pid)
-                if rt:
-                    cand = rt[0]
-                    if router is not None and router.hop_alive(node, cand, tcur):
-                        nxt = rt.popleft()
-                    else:
-                        routes.pop(pid, None)  # detour went stale — replan
-                if nxt < 0:
-                    if router is not None:
-                        nxt, verdict, rest = router.route_next(node, dstv, tcur)
-                        if nxt < 0:
-                            _drop(pid, tcur)
-                            continue
-                        if verdict == "deroute":
-                            deroutes[pid] += 1
-                            if deroutes[pid] > self.max_deroutes:
-                                _drop(pid, tcur)
-                                continue
-                            routes[pid] = deque(rest)
-                            rerouted += 1
-                        elif verdict == "reroute":
-                            rerouted += 1
-                    else:
-                        # custom router: use its hop, drop if it is dead
-                        nxt = self.next_hop(node, dstv)
-                        if not (
-                            timeline.link_up_at(node, nxt, tcur)
-                            and timeline.node_up_at(nxt, tcur)
-                        ):
-                            _drop(pid, tcur)
-                            continue
-                c = (
-                    amap.get(node * n + nxt) if 0 <= nxt < n else None
-                )  # range check first: a negative id would alias a key
-                if c is None:
-                    raise self.channels._missing(node, nxt)
-                tx = max(tcur, int(busy_until[c]))
-                finish = tx + int(delays[c])
-                busy_until[c] = finish
-                busy_time[c] += int(delays[c])
-                hops[pid] += 1
-                if mod is not None and mod[node] != mod[nxt]:
-                    offh[pid] += 1
-                pos[pid] = nxt
-                chan_in[pid] = c
-                tx_start[pid] = tx
-                _push(pid, finish)
-                if finish > horizon:
-                    horizon = finish
-            if pending > max_depth:
-                max_depth = pending
-
-        acc = StreamingStats()
-        done = t_deliver >= 0
-        if done.any():
-            acc.observe_array(
-                t_deliver[done] - t_inject[done], hops[done], offh[done]
-            )
+        if faults is not None:
+            dropped = faults.dropped
+            retransmitted = faults.retransmitted
+            rerouted = faults.rerouted
         return (acc, t_deliver, hops, offh, horizon, busy_time,
                 events_processed, buckets_processed, max_depth,
                 dropped, retransmitted, rerouted)
+
+    def _contend(self, tcur, c, busy_until, busy_time) -> np.ndarray:
+        """Finish cycle of each hop onto channel ``c[i]`` (bucket order).
+
+        Groups the hops by channel, preserving creation (seq) order, and
+        stacks each group behind the channel's current busy horizon — slot
+        k departs at ``base + (k+1)·delay``.
+        """
+        corder = np.argsort(c, kind="stable")
+        cs = c[corder]
+        neq = np.empty(cs.size, dtype=bool)
+        neq[0] = True
+        np.not_equal(cs[1:], cs[:-1], out=neq[1:])
+        cuts = np.flatnonzero(neq)
+        uchan = cs[cuts]
+        ends = np.empty(cuts.size, dtype=np.int64)
+        ends[:-1] = cuts[1:]
+        ends[-1] = cs.size
+        counts = ends - cuts
+        d = self.delays[uchan]
+        base = np.maximum(tcur, busy_until[uchan])
+        slot = np.arange(cs.size, dtype=np.int64) - np.repeat(cuts, counts)
+        finish_sorted = np.repeat(base, counts) + (slot + 1) * np.repeat(
+            d, counts
+        )
+        busy_until[uchan] = base + counts * d
+        busy_time[uchan] += counts * d
+        finish = np.empty_like(finish_sorted)
+        finish[corder] = finish_sorted
+        return finish
 
     # ------------------------------------------------------------------
     def _report_obs(
@@ -676,3 +564,184 @@ class PacketSimulator:
             max_queue_depth=max_depth,
             horizon=int(max(horizon, 1)),
         )
+
+
+class _Degraded:
+    """Degraded-mode state of one run, and its drop / route decisions.
+
+    Shares the run's packet arrays (``pos``/``hops``/``offh``) and adds
+    what faults need: the channel a packet arrived on and when its
+    transmission started (to drop it if that link died in flight), retry
+    and detour counts, and pinned survivor detours.  Every query goes to
+    the compiled timeline's interval arrays.
+    """
+
+    def __init__(self, sim, t_inject, src, dst, pos, hops, offh):
+        npkt = len(t_inject)
+        self.tl = sim._timeline
+        self.router = sim._router
+        self.table = sim._table.table if sim._router is not None else None
+        self.next_hop = sim.next_hop
+        self.delays = sim.delays
+        self.arc_src = sim._arc_sources
+        self.arc_dst = sim._indices
+        self.guard = 4 * sim.net.num_nodes + 64
+        self.max_retries = sim.max_retries
+        self.max_deroutes = sim.max_deroutes
+        self.rto = sim.retransmit_timeout
+        self.src, self.dst = src, dst
+        self.pos, self.hops, self.offh = pos, hops, offh
+        self.retries = np.zeros(npkt, dtype=np.int64)
+        self.deroutes = np.zeros(npkt, dtype=np.int64)
+        self.chan_in = np.full(npkt, -1, dtype=np.int64)  # channel arrived on
+        self.tx_start = t_inject.copy()  # transmit start on that channel
+        self.pinned = np.zeros(npkt, dtype=bool)  # routes[pid] is live
+        self.routes: dict[int, deque] = {}  # pinned survivor detours
+        # channel -> column of its undirected link in the timeline (-1:
+        # never fails), plus a trailing -1 for "arrived on no channel"
+        self.chan_col = np.concatenate(
+            [self.tl.link_columns(self.arc_src, self.arc_dst), [-1]]
+        )
+        self.dropped = self.retransmitted = self.rerouted = 0
+
+    def decide(self, t, pids):
+        """Drop, deliver or route every packet of a bucket at cycle ``t``.
+
+        Returns masks over ``pids`` — packets that move on (``fwd``), that
+        are delivered, that are dropped — and the next hops of the ``fwd``
+        packets.  Only the residue (pinned detours, dead primary hops,
+        custom-router hops) is decided per packet.
+        """
+        tl = self.tl
+        nodes = self.pos[pids]
+        dsts = self.dst[pids]
+        # the link died while the packet occupied it, or the packet landed
+        # on a node that is (now) down
+        drop = tl.links_down_during(
+            self.chan_col[self.chan_in[pids]], self.tx_start[pids], t
+        )
+        if tl.node_down:
+            drop |= ~tl.nodes_up_at(nodes, t)
+        at_dst = nodes == dsts
+        at_dst &= ~drop
+        go = ~(drop | at_dst)
+        over = self.hops[pids] > self.guard
+        if over.any():  # livelock is a loss
+            over &= go
+            drop |= over
+            go &= ~over
+        fwd = np.zeros(pids.size, dtype=bool)
+        nxt = np.full(pids.size, -1, dtype=np.int64)
+        if self.router is not None:
+            free = go & ~self.pinned[pids]
+            if tl.node_down:
+                dead_dst = free & ~tl.nodes_up_at(dsts, t)
+                if dead_dst.any():  # route_next's verdict for these, in bulk
+                    self.router.unreachable += int(dead_dst.sum())
+                    drop |= dead_dst
+                    go &= ~dead_dst
+                    free &= ~dead_dst
+            fi = np.flatnonzero(free)
+            prim = self.table[dsts[fi], nodes[fi]]
+            # the primary hop, where it exists (-1: unreachable) and is alive
+            alive = (prim >= 0) & tl.hops_alive(nodes[fi], prim, t)
+            ok = fi[alive]
+            nxt[ok] = prim[alive]
+            fwd[ok] = True
+        for i in np.flatnonzero(go & ~fwd).tolist():  # repro: noqa[RPR020] — scalar residue: detours, dead primaries and custom-router hops, ~1% of a faulted run's events
+            v = self.route_one(t, int(pids[i]), int(nodes[i]), int(dsts[i]))
+            if v is None:
+                drop[i] = True
+            else:
+                nxt[i] = v
+                fwd[i] = True
+        return fwd, nxt[fwd], at_dst, drop
+
+    def lost(self, t: int, pid: int, node: int) -> bool:
+        """Scalar arrival check: did the packet's link die while it was on
+        it, or is the node it landed on down?"""
+        tl = self.tl
+        c = int(self.chan_in[pid])
+        if self.chan_col[c] >= 0 and tl.link_down_during(
+            int(self.arc_src[c]), int(self.arc_dst[c]), int(self.tx_start[pid]), t
+        ):
+            return True
+        return not tl.node_up_at(node, t)
+
+    def route_one(self, t: int, pid: int, u: int, d: int) -> int | None:
+        """Next hop of one packet at ``u`` toward ``d``, or ``None`` to drop
+        it: follow its pinned detour while alive, else ask the resilient
+        router (reroute / deroute / unreachable); a custom router's hop is
+        taken as is and dropped if dead."""
+        router = self.router
+        if router is None:
+            v = int(self.next_hop(u, d))
+            if self.tl.link_up_at(u, v, t) and self.tl.node_up_at(v, t):
+                return v
+            return None
+        if self.pinned[pid]:
+            rt = self.routes[pid]
+            if router.hop_alive(u, rt[0], t):
+                self.pinned[pid] = len(rt) > 1
+                return rt.popleft()
+            self.pinned[pid] = False  # detour went stale — replan
+        v, verdict, rest = router.route_next(u, d, t)
+        if verdict == "deroute":
+            self.deroutes[pid] += 1
+            if self.deroutes[pid] > self.max_deroutes:
+                return None
+            if rest:
+                self.routes[pid] = deque(rest)
+                self.pinned[pid] = True
+        if v < 0:
+            return None
+        if verdict != "primary":
+            self.rerouted += 1
+        return v
+
+    def drop_one(self, t: int, pid: int) -> int:
+        """Scalar :meth:`drop` of one packet: its retransmission cycle, or
+        ``-1`` if it is abandoned."""
+        self.dropped += 1
+        self.pinned[pid] = False
+        if self.retries[pid] >= self.max_retries:
+            return -1
+        self.retries[pid] += 1
+        self.hops[pid] = self.offh[pid] = self.deroutes[pid] = 0
+        at = t + (self.rto << (int(self.retries[pid]) - 1))
+        self.pos[pid] = self.src[pid]
+        self.chan_in[pid] = -1
+        self.tx_start[pid] = at
+        self.retransmitted += 1
+        return at
+
+    def drop(self, t, pids, mask):
+        """Drop the masked attempts; reschedule each from its source with
+        exponential backoff, or abandon it past ``max_retries``.  Returns
+        ``(slots, at)`` of the retransmissions, or ``None``."""
+        slots = np.flatnonzero(mask)
+        if slots.size == 0:
+            return None
+        dp = pids[slots]
+        self.dropped += dp.size
+        self.pinned[dp] = False
+        retry = self.retries[dp] < self.max_retries
+        slots, rp = slots[retry], dp[retry]
+        if rp.size == 0:
+            return None
+        self.retries[rp] += 1
+        self.hops[rp] = 0
+        self.offh[rp] = 0
+        self.deroutes[rp] = 0
+        at = t + (self.rto << (self.retries[rp] - 1))
+        self.pos[rp] = self.src[rp]
+        self.chan_in[rp] = -1
+        self.tx_start[rp] = at
+        self.retransmitted += rp.size
+        return slots, at
+
+    def sent(self, act, chans, finish) -> None:
+        """Record the channel each forwarded packet took and when its
+        transmission started."""
+        self.chan_in[act] = chans
+        self.tx_start[act] = finish - self.delays[chans]

@@ -171,6 +171,8 @@ class ReferencePacketSimulator:
     ) -> SimStats:
         """Run to completion (or ``max_cycles``); see the event core's
         :meth:`~repro.sim.simulator.PacketSimulator.run`."""
+        if max_cycles is not None and max_cycles < 0:
+            raise ValueError(f"max_cycles must be >= 0, got {max_cycles}")
         if isinstance(injections, np.ndarray):
             injections = [tuple(row) for row in injections.tolist()]
         packets: list[Packet] = []

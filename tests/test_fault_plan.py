@@ -7,6 +7,9 @@ import pytest
 
 from repro import networks as nw
 from repro.fault import FaultEvent, FaultPlan, FaultyNetwork
+from repro.fault.plan import _undirected_edges
+
+from .test_sim_equivalence_random import FAMILIES
 
 
 class TestFaultPlanBuilders:
@@ -173,6 +176,161 @@ class TestRandomModels:
         assert len({module_of[v] for v in downs}) == 1
         with pytest.raises(ValueError, match="every module"):
             FaultPlan.module_failures(g, module_of, 4, np.random.default_rng(0))
+
+
+class TestModelValidation:
+    """Bad random-model parameters fail fast, naming the value."""
+
+    @pytest.mark.parametrize("model", ["random_link_faults", "random_node_faults"])
+    def test_negative_count(self, model):
+        with pytest.raises(ValueError, match=r"^fault count must be >= 0, got -1$"):
+            getattr(FaultPlan, model)(nw.ring(8), -1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("model", ["random_link_faults", "random_node_faults"])
+    def test_negative_horizon(self, model):
+        with pytest.raises(ValueError, match=r"^fault horizon must be >= 0, got -5$"):
+            getattr(FaultPlan, model)(
+                nw.ring(8), 2, np.random.default_rng(0), horizon=-5
+            )
+
+    @pytest.mark.parametrize("mttr", [0, -3])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda g, rng, mttr: FaultPlan.random_link_faults(g, 2, rng, mttr=mttr),
+            lambda g, rng, mttr: FaultPlan.random_node_faults(g, 2, rng, mttr=mttr),
+            lambda g, rng, mttr: FaultPlan.link_mtbf(g, 10.0, 50, rng, mttr=mttr),
+            lambda g, rng, mttr: FaultPlan.module_failures(
+                g, np.arange(8) // 4, 1, rng, mttr=mttr
+            ),
+        ],
+        ids=["random_link_faults", "random_node_faults", "link_mtbf", "module_failures"],
+    )
+    def test_non_positive_mttr(self, build, mttr):
+        with pytest.raises(
+            ValueError, match=rf"^mttr must be > 0 cycles, got {mttr}$"
+        ):
+            build(nw.ring(8), np.random.default_rng(0), mttr)
+
+    def test_link_mtbf_negative_horizon(self):
+        with pytest.raises(ValueError, match=r"^fault horizon must be >= 0, got -1$"):
+            FaultPlan.link_mtbf(nw.ring(8), 10.0, -1, np.random.default_rng(0))
+
+    def test_timeline_keys_that_overflow_int64_fail_fast(self):
+        g = nw.ring(8)
+        plan = FaultPlan().fail_link(2**62, 0, 1).fail_link(0, 1, 2)
+        with pytest.raises(ValueError, match=r"^fault timeline does not fit int64"):
+            plan.compile(g)
+        plan = FaultPlan().fail_link(0, 0, 1).repair_link(2**64, 0, 1)
+        with pytest.raises(ValueError, match=rf"repair at cycle {2**64} does not fit"):
+            plan.compile(g)
+
+
+class TestUndirectedEdges:
+    """The array-native edge list keeps the order of the sorted pair list."""
+
+    @staticmethod
+    def _sorted_pairs(net):
+        coo = net.adjacency_csr(directed=False).tocoo()
+        mask = coo.row < coo.col
+        return sorted(zip(coo.row[mask].tolist(), coo.col[mask].tolist()))
+
+    @pytest.mark.parametrize(
+        "build",
+        [*FAMILIES.values(), lambda: nw.rotator_graph(4), lambda: nw.build("hsn", l=4, n=4)],
+        ids=[*FAMILIES, "rotator(4)-directed", "hsn(4,Q4)"],
+    )
+    def test_matches_sorted_pairs(self, build):
+        net = build()
+        edges = _undirected_edges(net)
+        assert edges.dtype == np.int64 and edges.shape == (len(edges), 2)
+        assert edges.tolist() == [list(p) for p in self._sorted_pairs(net)]
+
+    def test_unsorted_csr_indices_are_sorted(self, monkeypatch):
+        net = nw.hypercube(3)
+        csr = net.adjacency_csr(directed=False).copy()
+        for u in range(net.num_nodes):  # reverse every row's column order
+            a, b = csr.indptr[u], csr.indptr[u + 1]
+            csr.indices[a:b] = csr.indices[a:b][::-1].copy()
+        csr.has_sorted_indices = False
+        want = self._sorted_pairs(net)
+        monkeypatch.setattr(net, "adjacency_csr", lambda directed=None: csr)
+        assert _undirected_edges(net).tolist() == [list(p) for p in want]
+
+
+class TestArrayQueries:
+    """The batch queries over the flattened intervals answer exactly what
+    the scalar queries answer, for every cycle and window."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_match_scalar_queries(self, seed):
+        net = nw.hypercube(4)
+        rng = np.random.default_rng(seed)
+        horizon = int(rng.integers(0, 40))
+        mttr = None if seed % 3 == 0 else int(rng.integers(1, 12))
+        plan = FaultPlan.random_link_faults(
+            net, int(rng.integers(1, 8)), rng, horizon=horizon, mttr=mttr
+        )
+        plan.events += FaultPlan.random_node_faults(
+            net, int(rng.integers(0, 5)), rng, horizon=horizon, mttr=mttr
+        ).events
+        if seed % 2:  # renewal faults: several merged intervals per link
+            plan.events += FaultPlan.link_mtbf(
+                net, 15.0, horizon, rng, mttr=mttr or 4
+            ).events
+        tl = plan.compile(net)
+        assert set(range(16)) - set(tl.node_down)  # never-faulted nodes
+        edges = _undirected_edges(net)
+        assert len(edges) > len(tl.link_down)  # never-faulted links
+        u, v = edges[:, 0], edges[:, 1]
+        cols = tl.link_columns(u, v)
+        assert np.array_equal(cols, tl.link_columns(v, u))
+        assert ((cols >= 0) == [(a, b) in tl.link_down for a, b in edges.tolist()]).all()
+        nodes = np.arange(net.num_nodes)
+        for t in range(horizon + 3):
+            assert tl.nodes_up_at(nodes, t).tolist() == [
+                tl.node_up_at(x, t) for x in range(net.num_nodes)
+            ]
+            assert tl.hops_alive(u, v, t).tolist() == [
+                tl.link_up_at(a, b, t) and tl.node_up_at(b, t)
+                for a, b in edges.tolist()
+            ]
+            t0 = rng.integers(0, t + 1, size=len(edges))
+            assert tl.links_down_during(cols, t0, t).tolist() == [
+                tl.link_down_during(a, b, s, t)
+                for (a, b), s in zip(edges.tolist(), t0.tolist())
+            ]
+
+    def test_scalar_queries_match_interval_definition(self):
+        net = nw.hypercube(4)
+        rng = np.random.default_rng(7)
+        plan = FaultPlan.link_mtbf(net, 10.0, 60, rng, mttr=5)
+        plan.events += FaultPlan.random_node_faults(
+            net, 4, rng, horizon=60, mttr=6
+        ).events
+        tl = plan.compile(net)
+        for t in range(63):
+            for x in range(net.num_nodes):
+                ivs = tl.node_down.get(x, [])
+                assert tl.node_up_at(x, t) == (not any(a <= t < b for a, b in ivs))
+            for (a, b), ivs in tl.link_down.items():
+                assert tl.link_up_at(b, a, t) == (not any(s <= t < e for s, e in ivs))
+                for t0 in range(max(0, t - 6), t + 1):
+                    assert tl.link_down_during(a, b, t0, t) == any(
+                        s < t and e > t0 for s, e in ivs
+                    )
+
+    def test_queries_without_faulted_entities(self):
+        tl = FaultPlan().fail_node(3, 2).compile(nw.ring(8))
+        assert tl.link_columns([0, 1], [1, 2]).tolist() == [-1, -1]
+        assert tl.hops_alive([1, 0], [2, 1], 5).tolist() == [False, True]
+        assert tl.links_down_during([-1], [0], 9).tolist() == [False]
+        # (0, 13) packs to 1·8 + 5, the key of faulted link (1, 5): ids
+        # outside the network must not alias it
+        tl = FaultPlan().fail_link(0, 1, 5).compile(nw.hypercube(3))
+        assert tl.link_columns([1, 0, -1], [5, 13, 5]).tolist() == [0, -1, -1]
+        assert not tl.link_up_at(5, 1, 4)
+        assert tl.link_up_at(0, 13, 4) and tl.node_up_at(-1, 4)
 
 
 class TestFaultyNetwork:

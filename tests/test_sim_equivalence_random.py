@@ -133,6 +133,99 @@ def test_event_core_matches_reference(case):
     assert a == b
 
 
+#: seeded degraded runs on HSN(3,Q3) (N=512): ~25 injections per cycle at
+#: rate 0.05, so most buckets hold well over 48 events and take the
+#: vectorized fault decision stage, not the scalar fast path
+BIG_CASES = {
+    "link4": dict(kind="link", count=4),
+    "link4_mttr": dict(kind="link", count=4, mttr=15),
+    "link16": dict(kind="link", count=16),
+    "link16_mttr": dict(kind="link", count=16, mttr=10, delays="degree"),
+    "node4": dict(kind="node", count=4),
+    "node6_mttr": dict(kind="node", count=6, mttr=20, retransmit_timeout=2),
+    "link16_custom_router": dict(kind="link", count=16, mttr=25, custom=True),
+    "link16_truncated": dict(kind="link", count=16, max_cycles=45, max_retries=1),
+}
+
+
+@pytest.fixture(scope="module")
+def hsn512():
+    net = nw.build("hsn", l=3, n=3)
+    return net, NextHopTable(net)
+
+
+def _run_big(cls, net, table, case, seed):
+    rng = np.random.default_rng([seed, 0xFA])
+    model = (
+        FaultPlan.random_link_faults if case["kind"] == "link"
+        else FaultPlan.random_node_faults
+    )
+    plan = model(net, case["count"], rng, horizon=60, mttr=case.get("mttr"))
+    delays = unit_node_capacity(net) if case.get("delays") == "degree" else 1
+    sim = cls(
+        net,
+        delays=delays,
+        next_hop=table.next_hop if case.get("custom") else None,
+        module_of=np.arange(net.num_nodes) // 64,
+        faults=plan,
+        retransmit_timeout=case.get("retransmit_timeout", 16),
+        max_retries=case.get("max_retries", 4),
+    )
+    w = uniform_random(net, 0.05, 60, np.random.default_rng(seed))
+    return sim, sim.run(w, max_cycles=case.get("max_cycles"))
+
+
+@pytest.mark.parametrize("name", sorted(BIG_CASES))
+def test_batched_fault_stage_matches_reference_at_scale(name, hsn512, monkeypatch):
+    from repro.sim.simulator import _Degraded
+
+    net, table = hsn512
+    case = BIG_CASES[name]
+    sizes = []
+    decide = _Degraded.decide
+
+    def spy(self, t, pids):
+        sizes.append(pids.size)
+        return decide(self, t, pids)
+
+    monkeypatch.setattr(_Degraded, "decide", spy)
+    for seed in (3, 4):
+        sizes.clear()
+        ev, a = _run_big(PacketSimulator, net, table, case, seed)
+        ref, b = _run_big(ReferencePacketSimulator, net, table, case, seed)
+        assert sizes and min(sizes) > 48  # the batched stage did the work
+        assert a.as_dict() == pytest.approx(b.as_dict(), abs=0, rel=0, nan_ok=True)
+        assert a == b
+        assert (a.dropped, a.retransmitted, a.rerouted) == (
+            b.dropped, b.retransmitted, b.rerouted
+        )
+        if ref._router is not None:
+            assert (
+                ev._router.reroutes, ev._router.deroutes, ev._router.unreachable
+            ) == (
+                ref._router.reroutes, ref._router.deroutes, ref._router.unreachable
+            )
+
+
+def test_big_cases_exercise_the_fault_paths(hsn512):
+    """The N=512 cases drop, retransmit, abandon, reroute, deroute and find
+    dead destinations — not just the primary hop."""
+    net, table = hsn512
+    runs = {
+        name: _run_big(PacketSimulator, net, table, case, 3)
+        for name, case in BIG_CASES.items()
+    }
+    stats = [s for _, s in runs.values()]
+    assert sum(s.dropped for s in stats) > 0
+    assert sum(s.retransmitted for s in stats) > 0
+    assert any(s.dropped > s.retransmitted for s in stats)  # abandoned
+    assert sum(s.rerouted for s in stats) > 0
+    routers = [sim._router for sim, _ in runs.values() if sim._router is not None]
+    assert sum(r.deroutes for r in routers) > 0
+    assert sum(r.unreachable for r in routers) > 0
+    assert runs["link16_truncated"][1].delivered < runs["link16_truncated"][1].injected
+
+
 def test_equivalence_holds_under_profiling(tmp_path):
     """Instrumentation must not perturb either engine's output."""
     from repro import obs

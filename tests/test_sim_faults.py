@@ -101,6 +101,19 @@ class TestDegradedMode:
         assert s.retransmitted == 2
         assert s.undelivered == 1
 
+    def test_bucket_of_only_retransmissions_matches_oracle(self):
+        # 60 packets (> 48: the batched decision stage) all head for a node
+        # that is down: nothing forwards, every packet is rescheduled
+        g = nw.hypercube(6)
+        inj = [(0, s, 63) for s in range(60)]
+        runs = []
+        for cls in (PacketSimulator, ReferencePacketSimulator):
+            sim = cls(g, faults=FaultPlan().fail_node(0, 63), max_retries=2)
+            runs.append((sim.run(inj), sim._router.unreachable))
+        (a, unreachable), (b, want) = runs
+        assert a == b and unreachable == want == 180
+        assert (a.dropped, a.retransmitted, a.delivered) == (180, 120, 0)
+
     def test_custom_router_cannot_avoid_faults(self):
         r4 = nw.ring(4)
         table = NextHopTable(r4)
@@ -171,6 +184,25 @@ class TestChannelAndValidation:
         ):
             sim.run([(0, 0, 2)], length=2)
 
+    @pytest.mark.parametrize("cls", [PacketSimulator, ReferencePacketSimulator])
+    def test_negative_max_cycles_rejected(self, cls):
+        # fails fast on both engines, instead of silently delivering nothing
+        with pytest.raises(ValueError, match=r"^max_cycles must be >= 0, got -1$"):
+            cls(nw.ring(4)).run([(0, 0, 1)], max_cycles=-1)
+
+    def test_zero_max_cycles_still_runs(self):
+        s = PacketSimulator(nw.ring(4)).run([(0, 0, 1)], max_cycles=0)
+        assert s.injected == 1 and s.delivered == 0
+
+    def test_retransmit_backoff_overflow_rejected(self):
+        with pytest.raises(
+            ValueError,
+            match=r"^retransmit backoff overflows int64 cycles: "
+            r"retransmit_timeout=16 doubled over max_retries=60$",
+        ):
+            PacketSimulator(nw.ring(4), max_retries=60)
+        PacketSimulator(nw.ring(4), max_retries=57)  # 16·2^56 < 2^62 fits
+
     def test_routing_error_is_a_value_error(self):
         assert issubclass(RoutingError, ValueError)
 
@@ -219,6 +251,13 @@ class TestResilienceSweep:
             r_hsn = fault_sweep(hsn, [faults], **kw)[0]
             r_ring = fault_sweep(ring, [faults], **kw)[0]
             assert r_hsn["delivery_ratio"] >= r_ring["delivery_ratio"]
+
+    @pytest.mark.parametrize("factor", [0, -2])
+    def test_max_cycles_factor_below_one_rejected(self, factor):
+        with pytest.raises(
+            ValueError, match=rf"^max_cycles_factor must be >= 1, got {factor}$"
+        ):
+            fault_sweep(nw.hypercube(3), [0, 1], trials=1, max_cycles_factor=factor)
 
     def test_node_fault_sweep(self):
         g = nw.hypercube(4)
