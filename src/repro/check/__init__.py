@@ -16,15 +16,21 @@ model:
 * :mod:`repro.check.perf` — kernel-perf analyzer (RPR020–RPR024) over
   the declared hot-path perimeter: vectorization lint, array dtype
   contracts, loop-invariant hoisting; with its runtime cross-check
-  :mod:`repro.check.perfsanitize` (SAN004–SAN005) profiling seeded
-  micro-workloads against recorded per-unit budgets;
+  :mod:`repro.check.perfsanitize` (SAN004–SAN005) profiling the seeded
+  workload catalog (``WORKLOADS``) against recorded per-unit budgets;
 * :mod:`repro.check.shapes` — shape & broadcast analyzer (RPR030–
-  RPR034) evaluating the same perimeter under the symbolic shape
-  interpreter of :mod:`repro.check.shapeinfer` (broadcast blow-ups,
-  bad axes, reshape mismatches, aliasing/read-only writes, declared
-  shape-contract drift); with its runtime cross-check
-  :mod:`repro.check.shapesanitize` (SAN006) recording concrete workload
-  shapes/dtypes against committed contracts.
+  RPR034) evaluating the same perimeter (broadcast blow-ups, bad axes,
+  reshape mismatches, aliasing/read-only writes, declared shape-contract
+  drift); with its runtime cross-check :mod:`repro.check.shapesanitize`
+  (SAN006) recording the same catalog's concrete shapes/dtypes against
+  committed contracts.
+
+The kernel tiers share one analysis core: one array-fact interpreter
+(:class:`repro.check.shapeinfer.ShapeInterp` — kinds, dtypes, shapes),
+and with the dataflow tier one scan loop
+(:func:`repro.check.callgraph.scan_tier`) over the one call-graph
+closure (``CallGraph.close``); every source tier emits through the one
+noqa-aware :class:`repro.check.findings.Emitter`.
 
 Run from the command line::
 

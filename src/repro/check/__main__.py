@@ -7,12 +7,13 @@ Usage::
     python -m repro.check dataflow [PATH ...]    # default: src
     python -m repro.check sanitize [--smoke]
     python -m repro.check perf [PATH ...]        # static hot-path lint
-    python -m repro.check perf --measure [--smoke] [--update-budgets]
+    python -m repro.check perf --measure [--smoke] [--update-budgets] [--budgets PATH]
     python -m repro.check shapes [PATH ...]      # static shape/broadcast lint
-    python -m repro.check shapes --measure [--smoke] [--update-contracts]
+    python -m repro.check shapes --measure [--smoke] [--update-contracts] [--contracts PATH]
 
 Exit status is 0 when clean, 1 when any finding is reported — suitable
-for CI gates (see ``scripts/ci.sh``).  Every subcommand accepts
+for CI gates (see ``scripts/ci.sh``) — and 2 on a usage error, including
+a ``--measure`` run whose budget or contract file does not exist.  Every subcommand accepts
 ``--profile`` to print the obs counter/timer table afterwards.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,82 +131,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_san.add_argument("--profile", action="store_true", help="print obs counters after")
 
-    p_perf = sub.add_parser(
-        "perf",
-        help=(
+    measured = (
+        (
+            "perf",
             "kernel-perf analyzer: hot-path vectorization/contract lint "
-            "(static), or --measure for the profile-guided perf sanitizer"
+            "(static), or --measure for the profile-guided perf sanitizer",
+            "run the seeded micro-workloads instead of the static pass "
+            "(SAN004 perimeter escapes + SAN005 budget regressions)",
+            "budget",
+            "benchmarks/perf_budgets.json",
+            " (measured cost x margin)",
         ),
-    )
-    p_perf.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files/directories to analyze (default: src)",
-    )
-    p_perf.add_argument(
-        "--measure",
-        action="store_true",
-        help="run the seeded micro-workloads instead of the static pass "
-        "(SAN004 perimeter escapes + SAN005 budget regressions)",
-    )
-    p_perf.add_argument(
-        "--smoke",
-        action="store_true",
-        help="with --measure: smallest workload sizes and the 'smoke' budget profile",
-    )
-    p_perf.add_argument(
-        "--update-budgets",
-        action="store_true",
-        help="with --measure: rewrite the budget profile from this run "
-        "(measured cost x margin) instead of comparing",
-    )
-    p_perf.add_argument(
-        "--budgets",
-        default=None,
-        metavar="PATH",
-        help="budget file (default: benchmarks/perf_budgets.json)",
-    )
-    p_perf.add_argument("--profile", action="store_true", help="print obs counters after")
-
-    p_shapes = sub.add_parser(
-        "shapes",
-        help=(
+        (
+            "shapes",
             "shape & broadcast analyzer: symbolic shape lint over the "
             "hot-path perimeter (static), or --measure for the recorded "
-            "shape-contract sanitizer"
+            "shape-contract sanitizer",
+            "run the seeded workload shape recorder instead of the static "
+            "pass (SAN006 contract drift)",
+            "contract",
+            "benchmarks/shape_contracts.json",
+            "'s recorded shapes",
         ),
     )
-    p_shapes.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files/directories to analyze (default: src)",
-    )
-    p_shapes.add_argument(
-        "--measure",
-        action="store_true",
-        help="run the seeded workload shape recorder instead of the static "
-        "pass (SAN006 contract drift)",
-    )
-    p_shapes.add_argument(
-        "--smoke",
-        action="store_true",
-        help="with --measure: smallest workload sizes and the 'smoke' contract profile",
-    )
-    p_shapes.add_argument(
-        "--update-contracts",
-        action="store_true",
-        help="with --measure: rewrite the contract profile from this run's "
-        "recorded shapes instead of comparing",
-    )
-    p_shapes.add_argument(
-        "--contracts",
-        default=None,
-        metavar="PATH",
-        help="contract file (default: benchmarks/shape_contracts.json)",
-    )
-    p_shapes.add_argument("--profile", action="store_true", help="print obs counters after")
+    for cmd, help_text, measure_help, kind, default_file, update_how in measured:
+        p = sub.add_parser(cmd, help=help_text)
+        p.add_argument(
+            "paths",
+            nargs="*",
+            default=["src"],
+            help="files/directories to analyze (default: src)",
+        )
+        p.add_argument("--measure", action="store_true", help=measure_help)
+        p.add_argument(
+            "--smoke",
+            action="store_true",
+            help=f"with --measure: smallest workload sizes and the 'smoke' {kind} profile",
+        )
+        p.add_argument(
+            f"--update-{kind}s",
+            action="store_true",
+            help=f"with --measure: rewrite the {kind} profile from this run"
+            f"{update_how} instead of comparing",
+        )
+        p.add_argument(
+            f"--{kind}s",
+            default=None,
+            metavar="PATH",
+            help=f"{kind} file (default: {default_file})",
+        )
+        p.add_argument("--profile", action="store_true", help="print obs counters after")
     return parser
 
 
@@ -228,10 +204,13 @@ def run(args: argparse.Namespace) -> int:
             if args.measure or args.update_budgets:
                 from .perfsanitize import DEFAULT_BUDGETS_PATH, perf_sanitize
 
+                budgets = args.budgets or DEFAULT_BUDGETS_PATH
+                if not args.update_budgets and _missing("budget", budgets):
+                    return 2
                 report = perf_sanitize(
                     paths=args.paths,
                     smoke=args.smoke,
-                    budgets_path=args.budgets or DEFAULT_BUDGETS_PATH,
+                    budgets_path=budgets,
                     update=args.update_budgets,
                 )
             else:
@@ -242,9 +221,12 @@ def run(args: argparse.Namespace) -> int:
             if args.measure or args.update_contracts:
                 from .shapesanitize import DEFAULT_CONTRACTS_PATH, shape_sanitize
 
+                contracts = args.contracts or DEFAULT_CONTRACTS_PATH
+                if not args.update_contracts and _missing("contract", contracts):
+                    return 2
                 report = shape_sanitize(
                     smoke=args.smoke,
-                    contracts_path=args.contracts or DEFAULT_CONTRACTS_PATH,
+                    contracts_path=contracts,
                     update=args.update_contracts,
                 )
             else:
@@ -288,9 +270,31 @@ def run(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _missing(kind: str, path: str) -> bool:
+    """A measured run against an absent file would compare nothing and
+    pass vacuously; report it (naming the path) instead."""
+    if Path(path).exists():
+        return False
+    print(
+        f"repro.check: {kind} file {path} not found (run from the repo root, "
+        f"pass its path, or record it with --update-{kind}s)",
+        file=sys.stderr,
+    )
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro.check``."""
-    return run(build_parser().parse_args(argv))
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.cmd in ("perf", "shapes"):
+        # measure-only flags must not be silently ignored by a static run
+        file_flag = "budgets" if args.cmd == "perf" else "contracts"
+        measured = args.measure or getattr(args, f"update_{file_flag}")
+        stray = [f"--{name}" for name in ("smoke", file_flag) if getattr(args, name)]
+        if stray and not measured:
+            parser.error(f"{args.cmd}: {' and '.join(stray)} require(s) --measure")
+    return run(args)
 
 
 if __name__ == "__main__":

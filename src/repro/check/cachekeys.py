@@ -142,10 +142,7 @@ def _check_one(
             covered |= _names_in(kw.value)
     covered = _close_covered(covered, flows)
 
-    read_names: set[str] = set()
-    for node in ast.walk(fn.node):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read_names.add(node.id)
+    read_names = _names_in(fn.node)
 
     anchor = key_calls[0]
     checks = 0
@@ -164,10 +161,9 @@ def _check_one(
     # closed-over *mutable* module state (names rebound via `global`
     # elsewhere): the only module values that can change between runs
     scope = resolver.scope
-    local = set(fn.params)
-    for node in ast.walk(fn.node):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            local.add(node.id)
+    local = set(fn.params) | {
+        n.id for n in ast.walk(fn.node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    }
     for name in sorted(scope.rebound_globals & read_names - local):
         checks += 1
         if name not in covered:
@@ -181,26 +177,23 @@ def _check_one(
     return checks
 
 
-def check_cache_keys(cg: CallGraph, report, emitter) -> None:
-    """Run RPR012 over every ``cache_key``-computing function in ``cg``.
-
-    ``emitter(path, source)`` returns the noqa-aware ``emit`` callback the
-    orchestrator (:func:`repro.check.determinism.dataflow_paths`) uses for
-    all dataflow rules.
-    """
+def check_cache_keys(cg: CallGraph, emitter) -> int:
+    """Run RPR012 over every ``cache_key``-computing function in ``cg``
+    through the dataflow tier's :class:`~repro.check.findings.Emitter`;
+    returns the number of checks run."""
+    checks = 0
     for qual in sorted(cg.functions):
         fn = cg.functions[qual]
         if fn.name == "cache_key":  # the constructor itself is not a builder
             continue
-        scope = cg.modules[fn.module]
-        resolver = FunctionResolver(cg, scope, fn)
+        resolver = cg.resolver(fn)
         key_calls = []
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Call):
                 dotted = resolver.resolve_expr(node.func)
                 if dotted is not None and cg.canonical(dotted) in _CACHE_KEY_TARGETS:
                     key_calls.append(node)
-        if not key_calls:
-            continue
-        emit = emitter(fn.path, scope.source)
-        report.checked += _check_one(cg, fn, resolver, key_calls, emit)
+        if key_calls:
+            emit = emitter.bind(fn.path, resolver.scope.source)
+            checks += _check_one(cg, fn, resolver, key_calls, emit)
+    return checks

@@ -38,15 +38,16 @@ from __future__ import annotations
 
 import ast
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import obs
 
-from .lint import _iter_py_files, _module_name
+from .findings import Emitter, Report
+from .lint import _iter_py_files, _module_name, _top_level, _TopLevel
 
-__all__ = ["FunctionNode", "ModuleScope", "CallGraph", "build_callgraph"]
+__all__ = ["FunctionNode", "ModuleScope", "CallGraph", "build_callgraph", "scan_tier"]
 
 
 @dataclass
@@ -81,15 +82,6 @@ class ModuleScope:
     classes: dict[str, dict[str, str]] = field(default_factory=dict)
 
 
-def _resolve_relative(module: str, level: int, target: str | None, is_init: bool) -> str | None:
-    """Absolute dotted module for a ``from ...x import y`` (None if broken)."""
-    base = module.split(".") if is_init else module.split(".")[:-1]
-    base = base[: len(base) - (level - 1)]
-    if target:
-        base.append(target)
-    return ".".join(base) if base else None
-
-
 class CallGraph:
     """Functions, modules, and (call ∪ reference) edges over a scanned tree."""
 
@@ -106,6 +98,7 @@ class CallGraph:
         self.method_index: dict[str, list[str]] = {}
         #: dotted alias (via ``__init__`` re-export) -> defining dotted name
         self.aliases: dict[str, str] = {}
+        self._resolvers: dict[str, FunctionResolver] = {}
 
     # -- resolution -----------------------------------------------------
     def canonical(self, dotted: str) -> str:
@@ -134,18 +127,43 @@ class CallGraph:
                 return self.functions.get(init)
         return None
 
-    def reachable(self, roots: Iterable[str]) -> set[str]:
-        """Every function qualname reachable from ``roots`` (inclusive)."""
-        seen: set[str] = set()
-        queue = deque(q for q in roots if q in self.functions)
-        seen.update(queue)
+    def resolver(self, fn: FunctionNode) -> "FunctionResolver":
+        """The resolver of one scanned function (built once, then shared by
+        edge extraction and every rule pass)."""
+        got = self._resolvers.get(fn.qualname)
+        if got is None:
+            got = FunctionResolver(self, self.modules[fn.module], fn)
+            self._resolvers[fn.qualname] = got
+        return got
+
+    def close(self, roots: Iterable[str], typed: bool = False) -> dict[str, str]:
+        """The one call-graph closure: BFS from ``roots``, mapping every
+        reachable function qualname to the root it was first reached from.
+
+        ``typed=True`` skips the :attr:`fallback_edges` (the hot-path
+        perimeter's precision-first closure).  Roots absent from the
+        scanned tree are skipped.
+        """
+        reached: dict[str, str] = {}
+        queue: deque[str] = deque()
+        for root in roots:
+            if root in self.functions and root not in reached:
+                reached[root] = root
+                queue.append(root)
         while queue:
             cur = queue.popleft()
-            for nxt in self.edges.get(cur, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
+            nxt_all = self.edges.get(cur, set())
+            if typed:
+                nxt_all = nxt_all - self.fallback_edges.get(cur, set())
+            for nxt in nxt_all:
+                if nxt not in reached:
+                    reached[nxt] = reached[cur]
                     queue.append(nxt)
-        return seen
+        return reached
+
+    def reachable(self, roots: Iterable[str]) -> set[str]:
+        """Every function qualname reachable from ``roots`` (inclusive)."""
+        return set(self.close(roots))
 
 
 # ----------------------------------------------------------------------
@@ -160,45 +178,42 @@ class FunctionResolver:
     :mod:`repro.check.determinism` / :mod:`repro.check.cachekeys`.
     """
 
-    def __init__(self, cg: CallGraph, scope: ModuleScope, fn: FunctionNode):
+    def __init__(
+        self,
+        cg: CallGraph,
+        scope: ModuleScope,
+        fn: FunctionNode,
+        refs: list[ast.expr] | None = None,
+    ):
+        """``refs``, when given, collects the body's Call/Name/Attribute
+        nodes in walk order (the edge extractor reads them instead of
+        walking the body a second time)."""
         self.cg = cg
         self.scope = scope
         self.fn = fn
         self.imports = dict(scope.imports)
-        self._collect_local_imports(fn.node)
         #: local variable -> dotted class name (from ``v = ClassName(...)``)
         self.var_types: dict[str, str] = {}
-        self._collect_var_types(fn.node)
-
-    def _collect_local_imports(self, node: ast.AST) -> None:
-        is_init = self.scope.path.endswith("__init__.py")
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Import):
-                for alias in sub.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    self.imports[local] = alias.name if alias.asname else alias.name.split(".")[0]
-            elif isinstance(sub, ast.ImportFrom):
-                if sub.level:
-                    src = _resolve_relative(self.scope.modname, sub.level, sub.module, is_init)
-                else:
-                    src = sub.module
-                if src is None:
-                    continue
-                for alias in sub.names:
-                    if alias.name != "*":
-                        self.imports[alias.asname or alias.name] = f"{src}.{alias.name}"
-
-    def _collect_var_types(self, node: ast.AST) -> None:
-        for sub in ast.walk(node):
-            if not (isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call)):
-                continue
+        is_init = scope.path.endswith("__init__.py")
+        local_imports = _TopLevel(imports=self.imports)
+        ctor_assigns: list[ast.Assign] = []
+        for sub in ast.walk(fn.node):
+            if isinstance(sub, (ast.Import, ast.ImportFrom)):
+                _top_level([sub], scope.modname, is_init, local_imports)
+            elif isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call):
+                ctor_assigns.append(sub)
+            elif refs is not None and isinstance(sub, (ast.Call, ast.Name, ast.Attribute)):
+                refs.append(sub)
+        # typed locals resolve through the function's imports, all of them
+        # collected first (the codebase imports lazily, anywhere in a body)
+        for sub in ctor_assigns:
             dotted = self.resolve_expr(sub.value.func)
             if dotted is None:
                 continue
-            dotted = self.cg.canonical(dotted)
+            dotted = cg.canonical(dotted)
             mod, _, last = dotted.rpartition(".")
-            scope = self.cg.modules.get(mod)
-            if scope is not None and last in scope.classes:
+            target = cg.modules.get(mod)
+            if target is not None and last in target.classes:
                 for t in sub.targets:
                     if isinstance(t, ast.Name):
                         self.var_types[t.id] = dotted
@@ -254,50 +269,13 @@ def _scan_module(path: Path) -> ModuleScope | None:
     modname = _module_name(path)
     scope = ModuleScope(modname=modname, path=str(path), tree=tree, source=source)
     is_init = path.name == "__init__.py"
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Global):
-            scope.rebound_globals.update(node.names)
-    for node in tree.body:
-        _scan_top_level(node, scope, is_init)
+    if "global" in source:  # cheap pre-filter for the full-tree walk
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                scope.rebound_globals.update(node.names)
+    top = _top_level(tree.body, modname, is_init)
+    scope.globals, scope.imports = top.bound, top.imports
     return scope
-
-
-def _scan_top_level(node: ast.stmt, scope: ModuleScope, is_init: bool) -> None:
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        scope.globals.add(node.name)
-    elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        for t in targets:
-            for n in ast.walk(t):
-                if isinstance(n, ast.Name):
-                    scope.globals.add(n.id)
-    elif isinstance(node, ast.Import):
-        for alias in node.names:
-            local = alias.asname or alias.name.split(".")[0]
-            scope.globals.add(local)
-            scope.imports[local] = alias.name if alias.asname else alias.name.split(".")[0]
-    elif isinstance(node, ast.ImportFrom):
-        if node.level:
-            src = _resolve_relative(scope.modname, node.level, node.module, is_init)
-        else:
-            src = node.module
-        for alias in node.names:
-            if alias.name == "*":
-                continue
-            local = alias.asname or alias.name
-            scope.globals.add(local)
-            if src is not None:
-                scope.imports[local] = f"{src}.{alias.name}"
-    elif isinstance(node, (ast.If, ast.Try)):
-        for sub in node.body:
-            _scan_top_level(sub, scope, is_init)
-        for handler in getattr(node, "handlers", []):
-            for sub in handler.body:
-                _scan_top_level(sub, scope, is_init)
-        for sub in node.orelse:
-            _scan_top_level(sub, scope, is_init)
-        for sub in getattr(node, "finalbody", []):
-            _scan_top_level(sub, scope, is_init)
 
 
 def _param_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
@@ -348,10 +326,12 @@ def _register_aliases(cg: CallGraph, scope: ModuleScope) -> None:
         cg.aliases[f"{scope.modname}.{local}"] = target
 
 
-def _extract_edges(cg: CallGraph, scope: ModuleScope, fn: FunctionNode) -> None:
-    resolver = FunctionResolver(cg, scope, fn)
+def _extract_edges(cg: CallGraph, fn: FunctionNode) -> None:
+    refs: list[ast.expr] = []
+    resolver = FunctionResolver(cg, cg.modules[fn.module], fn, refs)
+    cg._resolvers[fn.qualname] = resolver
     out = cg.edges.setdefault(fn.qualname, set())
-    for node in ast.walk(fn.node):
+    for node in refs:
         if isinstance(node, ast.Call):
             target = resolver.resolve_function(node.func)
             if target is not None:
@@ -389,11 +369,47 @@ def build_callgraph(paths: Iterable[str | Path]) -> CallGraph:
             _register_functions(cg, scope)
         for scope in scopes:
             _register_aliases(cg, scope)
-        for scope in scopes:
-            for fn in list(cg.functions.values()):
-                if fn.module == scope.modname:
-                    _extract_edges(cg, scope, fn)
+        for fn in cg.functions.values():
+            _extract_edges(cg, fn)
         reg = obs.registry()
         reg.incr("check.dataflow.modules", len(cg.modules))
         reg.incr("check.dataflow.functions", len(cg.functions))
     return cg
+
+
+def scan_tier(
+    tier: str,
+    paths: Iterable[str | Path],
+    reached_of: Callable[[CallGraph], dict[str, str]],
+    visit: Callable[[FunctionNode, FunctionResolver, Callable], int],
+    def_line: bool = False,
+    after: Callable[[CallGraph, Emitter], int] | None = None,
+) -> Report:
+    """The one scan loop of the call-graph tiers (dataflow, perf, shapes).
+
+    Builds the call graph of ``paths``, closes the tier's perimeter with
+    ``reached_of``, and calls ``visit(fn, resolver, emit)`` on every
+    reached function in qualname order; ``visit`` returns how many checks
+    it ran.  ``after(cg, emitter)`` runs whole-graph passes.  Findings go
+    through one :class:`~repro.check.findings.Emitter` (``def_line=True``
+    adds def-line suppression and per-line dedupe), and the
+    ``check.<tier>.{reachable,findings,suppressed}`` counters are
+    recorded.
+    """
+    report = Report()
+    emitter = Emitter(report, def_line=def_line)
+    with obs.span(f"check.{tier}"):
+        cg = build_callgraph(paths)
+        reached = reached_of(cg)
+        for qual in sorted(reached):
+            fn = cg.functions[qual]
+            scope = cg.modules[fn.module]
+            emit = emitter.bind(fn.path, scope.source, fn.lineno)
+            report.checked += visit(fn, cg.resolver(fn), emit)
+        if after is not None:
+            report.checked += after(cg, emitter)
+        reg = obs.registry()
+        reg.incr(f"check.{tier}.reachable", len(reached))
+        reg.incr(f"check.{tier}.findings", len(report.findings))
+        reg.incr(f"check.{tier}.suppressed", emitter.suppressed)
+    return report

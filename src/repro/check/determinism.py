@@ -52,11 +52,10 @@ import ast
 from collections.abc import Iterable
 from pathlib import Path
 
-from repro import obs
-
-from .callgraph import CallGraph, FunctionNode, FunctionResolver, build_callgraph
-from .findings import Finding, Report
-from .lint import _NP_RANDOM_OK, _RANDOM_OK, _noqa_map
+from .cachekeys import _CACHE_KEY_TARGETS, check_cache_keys
+from .callgraph import CallGraph, FunctionNode, FunctionResolver, scan_tier
+from .findings import Report
+from .lint import _NP_RANDOM_OK, _RANDOM_OK
 
 __all__ = [
     "DATAFLOW_RULES",
@@ -74,8 +73,6 @@ DATAFLOW_RULES: dict[str, str] = {
 
 #: resolved dotted names that mark the parallel perimeter
 _RUN_TASKS_TARGETS = ("repro.parallel.run_tasks",)
-#: resolved dotted names that mark the cache perimeter
-_CACHE_KEY_TARGETS = ("repro.cache.cache_key", "repro.cache.artifacts.cache_key")
 
 #: wall-clock / environment reads that must never feed an artifact
 _WALLCLOCK_CALLS = {
@@ -145,22 +142,9 @@ class Perimeter:
         self.roots: dict[str, str] = {}
         self.reached: dict[str, str] = {}
 
-    def close(self, cg: CallGraph) -> None:
-        """Fill ``reached`` from ``roots`` via BFS over the call graph."""
-        from collections import deque
-
-        queue = deque()
-        for root in self.roots:
-            if root in cg.functions and root not in self.reached:
-                self.reached[root] = root
-                queue.append(root)
-        while queue:
-            cur = queue.popleft()
-            origin = self.reached[cur]
-            for nxt in cg.edges.get(cur, ()):
-                if nxt not in self.reached:
-                    self.reached[nxt] = origin
-                    queue.append(nxt)
+    def close(self, cg: CallGraph, typed: bool = False) -> None:
+        """Fill ``reached`` from ``roots`` (:meth:`CallGraph.close`)."""
+        self.reached = cg.close(self.roots, typed)
 
 
 def _is_seeded_entry(fn: FunctionNode) -> bool:
@@ -181,8 +165,7 @@ def find_perimeters(cg: CallGraph) -> dict[str, Perimeter]:
     cache = Perimeter("cache")
     seeded = Perimeter("seeded")
     for fn in cg.functions.values():
-        scope = cg.modules[fn.module]
-        resolver = FunctionResolver(cg, scope, fn)
+        resolver = cg.resolver(fn)
         for node in ast.walk(fn.node):
             if not isinstance(node, ast.Call):
                 continue
@@ -294,18 +277,10 @@ def _consumer_name(call: ast.Call) -> str | None:
 class _NondeterminismScan:
     """RPR010 checks over one reachable function body."""
 
-    def __init__(
-        self,
-        fn: FunctionNode,
-        resolver: FunctionResolver,
-        tag: str,
-        report: Report,
-        emit,
-    ):
+    def __init__(self, fn: FunctionNode, resolver: FunctionResolver, tag: str, emit):
         self.fn = fn
         self.resolver = resolver
         self.tag = tag
-        self.report = report
         self.emit = emit
         self.set_vars = _set_valued_names(fn.node)
         self.parents = _parent_map(fn.node)
@@ -532,52 +507,21 @@ def dataflow_paths(paths: Iterable[str | Path]) -> Report:
     completeness pass (RPR012, :mod:`repro.check.cachekeys`).  Findings
     honour ``# repro: noqa[CODE]`` line suppressions.
     """
-    from .cachekeys import check_cache_keys
+    perimeters: dict[str, Perimeter] = {}
 
-    report = Report()
-    with obs.span("check.dataflow"):
-        cg = build_callgraph(paths)
-        perimeters = find_perimeters(cg)
-        noqa_cache: dict[str, dict[int, frozenset[str] | None]] = {}
-        suppressed = 0
-
-        def emitter(path: str, source: str):
-            noqa = noqa_cache.setdefault(path, _noqa_map(source))
-
-            def emit(node: ast.AST, code: str, message: str) -> None:
-                nonlocal suppressed
-                lineno = getattr(node, "lineno", 0)
-                mask = noqa.get(lineno, frozenset())
-                if mask is None or code in mask:
-                    suppressed += 1
-                    return
-                report.add(Finding(path, lineno, code, message))
-
-            return emit
-
-        reachable_all: set[str] = set()
+    def reached_of(cg: CallGraph) -> dict[str, str]:
+        perimeters.update(find_perimeters(cg))
+        reached: dict[str, str] = {}
         for p in perimeters.values():
-            reachable_all.update(p.reached)
-        parallel_reached = perimeters["parallel"].reached
+            reached.update(p.reached)
+        return reached
 
-        for qual in sorted(reachable_all):
-            fn = cg.functions[qual]
-            scope = cg.modules[fn.module]
-            resolver = FunctionResolver(cg, scope, fn)
-            tag = _origin_tag(qual, perimeters)
-            emit = emitter(fn.path, scope.source)
-            _NondeterminismScan(fn, resolver, tag, report, emit).run()
-            report.checked += 1
-            if qual in parallel_reached:
-                _MutationScan(
-                    fn, resolver, f"parallel via {parallel_reached[qual]}", emit
-                ).run()
-                report.checked += 1
+    def visit(fn: FunctionNode, resolver: FunctionResolver, emit) -> int:
+        _NondeterminismScan(fn, resolver, _origin_tag(fn.qualname, perimeters), emit).run()
+        origin = perimeters["parallel"].reached.get(fn.qualname)
+        if origin is None:
+            return 1
+        _MutationScan(fn, resolver, f"parallel via {origin}", emit).run()
+        return 2
 
-        check_cache_keys(cg, report, emitter)
-
-        reg = obs.registry()
-        reg.incr("check.dataflow.reachable", len(reachable_all))
-        reg.incr("check.dataflow.findings", len(report.findings))
-        reg.incr("check.dataflow.suppressed", suppressed)
-    return report
+    return scan_tier("dataflow", paths, reached_of, visit, after=check_cache_keys)

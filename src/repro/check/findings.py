@@ -14,13 +14,22 @@ A finding is ``location: CODE message`` where the location is a
 ``file:line`` pair for source-anchored findings and a descriptor string
 (e.g. ``hsn(l=2, n=1)`` or ``shapes[route_resolve]``) for
 instance/workload findings.
+
+Source tiers emit through one :class:`Emitter`, which honours
+``# repro: noqa[CODE]`` comments (read from COMMENT tokens, so a string
+literal that spells the marker suppresses nothing).
 """
 
 from __future__ import annotations
 
+import io
+import re
+import tokenize
 from dataclasses import dataclass, field
 
-__all__ = ["Finding", "Report"]
+__all__ = ["Finding", "Report", "Emitter", "noqa_map"]
+
+_NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[\s*([A-Z0-9_,\s]+?)\s*\])?")
 
 
 @dataclass(frozen=True, order=True)
@@ -96,3 +105,68 @@ class Report:
         else:
             lines.append(f"clean ({self.checked} checks)")
         return "\n".join(lines)
+
+
+def noqa_map(source: str) -> dict[int, frozenset[str] | None]:
+    """Line -> suppressed codes (``None`` = all codes) from noqa comments."""
+    out: dict[int, frozenset[str] | None] = {}
+    hits = [i for i, line in enumerate(source.splitlines(), 1) if _NOQA_RE.search(line)]
+    if not hits:
+        return out
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    try:
+        for tok in tokens:
+            if tok.start[0] > hits[-1]:
+                break
+            m = _NOQA_RE.search(tok.string) if tok.type == tokenize.COMMENT else None
+            if m is None:
+                continue
+            codes = m.group(1)
+            out[tok.start[0]] = None if codes is None else frozenset(
+                c.strip() for c in codes.split(",") if c.strip()
+            )
+    except (tokenize.TokenError, SyntaxError):
+        pass
+    return out
+
+
+class Emitter:
+    """The one noqa-aware finding sink of the source tiers.
+
+    A finding is suppressed by a noqa comment on its own line, or — with
+    ``def_line=True`` (the perf and shape tiers, which scan whole kernel
+    functions) — on the ``def`` line of the function being scanned, and
+    those tiers also keep one finding per ``(path, line, code)``.
+    Suppressed findings are counted in :attr:`suppressed`.
+    """
+
+    def __init__(self, report: Report, def_line: bool = False):
+        self.report = report
+        self.def_line = def_line
+        self.suppressed = 0
+        self._seen: set[tuple[str, int, str]] | None = set() if def_line else None
+        self._noqa: dict[str, dict[int, frozenset[str] | None]] = {}
+
+    def bind(self, path: str, source: str, def_lineno: int = 0):
+        """``emit(node, code, message)`` for findings in one file/function;
+        ``node`` is an AST node or a bare line number."""
+        noqa = self._noqa.get(path)
+        if noqa is None:
+            noqa = self._noqa[path] = noqa_map(source)
+        lines = (def_lineno,) if self.def_line and def_lineno else ()
+
+        def emit(node, code: str, message: str) -> None:
+            lineno = node if isinstance(node, int) else getattr(node, "lineno", 0)
+            if self._seen is not None:
+                key = (path, lineno, code)
+                if key in self._seen:
+                    return
+                self._seen.add(key)
+            for ln in (lineno, *lines):
+                mask = noqa.get(ln, frozenset())
+                if mask is None or code in mask:
+                    self.suppressed += 1
+                    return
+            self.report.add(Finding(path, lineno, code, message))
+
+        return emit

@@ -90,12 +90,6 @@ def _star(n: int) -> Callable[[], object]:
     return lambda: star_nucleus(n)
 
 
-def _petersen_net() -> object:
-    from repro.networks.classic import petersen
-
-    return petersen()
-
-
 #: registry name -> spec; the sweep fails (CTR008) on any registry family
 #: missing from this table, so new families must declare their contracts.
 FAMILY_SPECS: dict[str, FamilySpec] = {

@@ -23,20 +23,19 @@ RPR005    Public functions in ``repro.core`` / ``repro.networks`` must
 
 Any finding can be suppressed on its line with ``# repro: noqa[CODE]``
 (or every rule at once with a bare ``# repro: noqa``).  The linter is
-pure stdlib (``ast`` + ``re``) and needs no third-party tooling.
+pure stdlib (``ast`` + ``tokenize``) and needs no third-party tooling.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import obs
 
-from .findings import Finding, Report
+from .findings import Emitter, Finding, Report
 
 __all__ = ["RULES", "lint_source", "lint_paths"]
 
@@ -48,8 +47,6 @@ RULES: dict[str, str] = {
     "RPR004": "__all__ drift (unbound export or unlisted re-export)",
     "RPR005": "public repro.core/repro.networks function missing return type",
 }
-
-_NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[\s*([A-Z0-9_,\s]+?)\s*\])?")
 
 #: attributes of the stdlib ``random`` module that are NOT global-state RNG
 _RANDOM_OK = {"Random", "SystemRandom"}
@@ -79,23 +76,6 @@ _MUTABLE_CTORS = {
 }
 #: the strict-typing perimeter for RPR005
 _TYPED_PREFIXES = ("repro.core", "repro.networks")
-
-
-def _noqa_map(source: str) -> dict[int, frozenset[str] | None]:
-    """Line -> suppressed codes (``None`` = all codes) from noqa comments."""
-    out: dict[int, frozenset[str] | None] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        m = _NOQA_RE.search(line)
-        if not m:
-            continue
-        codes = m.group(1)
-        if codes is None:
-            out[lineno] = None
-        else:
-            out[lineno] = frozenset(
-                c.strip() for c in codes.split(",") if c.strip()
-            )
-    return out
 
 
 def _module_name(path: Path) -> str:
@@ -135,56 +115,80 @@ class _ModuleInfo:
         return self.path.name == "__init__.py"
 
 
-def _bound_names(body: Sequence[ast.stmt], info: _ModuleInfo, pkg: str) -> None:
-    """Collect top-level bindings (descending into If/Try branches)."""
+@dataclass
+class _TopLevel:
+    """What a module binds at top level (descending into If/Try branches)."""
+
+    bound: set[str] = field(default_factory=set)
+    #: local binding -> dotted target ("numpy", "repro.cache.cache_key", ...)
+    imports: dict[str, str] = field(default_factory=dict)
+    #: (lineno, source module, original name) of every resolved ``from X import Y``
+    froms: list[tuple[int, str, str]] = field(default_factory=list)
+    star: bool = False  #: a ``from X import *`` (untrackable bindings)
+
+
+def _resolve_relative(module: str, level: int, target: str | None, is_init: bool) -> str | None:
+    """Absolute dotted module for a ``from ...x import y`` (None if broken).
+
+    Relative imports resolve against the containing package: the module
+    itself for ``__init__.py``, its parent otherwise.
+    """
+    base = module.split(".") if is_init else module.split(".")[:-1]
+    base = base[: len(base) - (level - 1)]
+    if target:
+        base.append(target)
+    return ".".join(base) if base else None
+
+
+def _top_level(
+    body: Sequence[ast.stmt], modname: str, is_init: bool, out: _TopLevel | None = None
+) -> _TopLevel:
+    """The module-level bindings of ``body`` (shared by the linter and the
+    call graph)."""
+    out = out if out is not None else _TopLevel()
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            info.bound.add(node.name)
+            out.bound.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (
-                node.targets
-                if isinstance(node, ast.Assign)
-                else [node.target]
-            )
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for t in targets:
-                for n in ast.walk(t):
-                    if isinstance(n, ast.Name):
-                        info.bound.add(n.id)
+                out.bound.update(n.id for n in ast.walk(t) if isinstance(n, ast.Name))
         elif isinstance(node, ast.Import):
             for alias in node.names:
-                info.bound.add((alias.asname or alias.name).split(".")[0])
+                local = alias.asname or alias.name.split(".")[0]
+                out.bound.add(local)
+                out.imports[local] = alias.name if alias.asname else local
         elif isinstance(node, ast.ImportFrom):
-            src = _resolve_from(node, info.modname, pkg, info.is_init)
+            if node.level:
+                src = _resolve_relative(modname, node.level, node.module, is_init)
+            else:
+                src = node.module
             for alias in node.names:
                 if alias.name == "*":
-                    info.all_dynamic = True  # can't track star imports
+                    out.star = True
                     continue
-                info.bound.add(alias.asname or alias.name)
+                local = alias.asname or alias.name
+                out.bound.add(local)
                 if src is not None:
-                    info.reexports.append((node.lineno, src, alias.name))
+                    out.imports[local] = f"{src}.{alias.name}"
+                    out.froms.append((node.lineno, src, alias.name))
         elif isinstance(node, (ast.If, ast.Try)):
-            _bound_names(node.body, info, pkg)
+            _top_level(node.body, modname, is_init, out)
             for handler in getattr(node, "handlers", []):
-                _bound_names(handler.body, info, pkg)
-            _bound_names(node.orelse, info, pkg)
-            _bound_names(getattr(node, "finalbody", []), info, pkg)
+                _top_level(handler.body, modname, is_init, out)
+            _top_level(node.orelse, modname, is_init, out)
+            _top_level(getattr(node, "finalbody", []), modname, is_init, out)
+    return out
 
 
-def _resolve_from(
-    node: ast.ImportFrom, modname: str, pkg: str, is_init: bool
-) -> str | None:
-    """Dotted source module of a ``from X import ...``, or None if external."""
-    if node.level:
-        # relative imports resolve against the containing package: the
-        # module itself for __init__.py, its parent otherwise
-        base = modname.split(".") if is_init else modname.split(".")[:-1]
-        base = base[: len(base) - (node.level - 1)]
-        if node.module:
-            base.append(node.module)
-        return ".".join(base) if base else None
-    if node.module and (node.module == pkg or node.module.startswith(pkg + ".")):
-        return node.module
-    return None
+def _bind(info: _ModuleInfo) -> None:
+    """Fill the RPR004 facts of ``info`` from its top-level bindings."""
+    pkg = info.modname.split(".")[0]
+    top = _top_level(info.tree.body, info.modname, info.is_init)
+    info.bound = top.bound
+    info.all_dynamic |= top.star  # can't track star imports
+    # re-exports from inside the package (relative imports always are)
+    info.reexports = [r for r in top.froms if r[1] == pkg or r[1].startswith(pkg + ".")]
 
 
 def _extract_all(info: _ModuleInfo) -> None:
@@ -208,11 +212,9 @@ def _extract_all(info: _ModuleInfo) -> None:
 class _FileLinter(ast.NodeVisitor):
     """Single-module rules: RPR001, RPR002, RPR003, RPR005."""
 
-    def __init__(self, info: _ModuleInfo, report: Report, display_path: str):
+    def __init__(self, info: _ModuleInfo, emit):
         self.info = info
-        self.report = report
-        self.display_path = display_path
-        self.noqa = _noqa_map("")
+        self.emit = emit
         # import aliases for RPR001
         self.random_aliases: set[str] = set()
         self.np_aliases: set[str] = set()
@@ -225,14 +227,6 @@ class _FileLinter(ast.NodeVisitor):
         self._class_public: list[bool] = []
         self._func_depth = 0
         self.typed_module = self.info.modname.startswith(_TYPED_PREFIXES)
-
-    # -- plumbing ------------------------------------------------------
-    def emit(self, node: ast.AST, code: str, message: str) -> None:
-        lineno = getattr(node, "lineno", 0)
-        suppressed = self.noqa.get(lineno, frozenset())
-        if suppressed is None or code in suppressed:
-            return
-        self.report.add(Finding(self.display_path, lineno, code, message))
 
     # -- imports (RPR001 bookkeeping) ----------------------------------
     def visit_Import(self, node: ast.Import) -> None:
@@ -271,6 +265,14 @@ class _FileLinter(ast.NodeVisitor):
             and value.value.id in self.np_aliases
         )
 
+    def _global_rng(self, node: ast.Call, module: str, fn: str, how: str = "") -> None:
+        fix = (
+            "a seeded `random.Random(seed)` instance"
+            if module == "random"
+            else "`np.random.default_rng(seed)`"
+        )
+        self.emit(node, "RPR001", f"call to process-global `{module}.{fn}()`{how}; use {fix}")
+
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute):
@@ -279,34 +281,15 @@ class _FileLinter(ast.NodeVisitor):
                 and func.value.id in self.random_aliases
                 and func.attr not in _RANDOM_OK
             ):
-                self.emit(
-                    node,
-                    "RPR001",
-                    f"call to process-global `random.{func.attr}()`; "
-                    "use a seeded `random.Random(seed)` instance",
-                )
+                self._global_rng(node, "random", func.attr)
             elif self._np_random_base(func.value) and func.attr not in _NP_RANDOM_OK:
-                self.emit(
-                    node,
-                    "RPR001",
-                    f"call to process-global `np.random.{func.attr}()`; "
-                    "use `np.random.default_rng(seed)`",
-                )
+                self._global_rng(node, "np.random", func.attr)
         elif isinstance(func, ast.Name):
             if func.id in self.random_funcs:
-                self.emit(
-                    node,
-                    "RPR001",
-                    f"call to process-global `random.{self.random_funcs[func.id]}()`"
-                    " (imported name); use a seeded `random.Random(seed)` instance",
-                )
+                self._global_rng(node, "random", self.random_funcs[func.id], " (imported name)")
             elif func.id in self.np_random_funcs:
-                self.emit(
-                    node,
-                    "RPR001",
-                    "call to process-global "
-                    f"`np.random.{self.np_random_funcs[func.id]}()` (imported name); "
-                    "use `np.random.default_rng(seed)`",
+                self._global_rng(
+                    node, "np.random", self.np_random_funcs[func.id], " (imported name)"
                 )
         self.generic_visit(node)
 
@@ -405,35 +388,26 @@ class _FileLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _lint_module(info: _ModuleInfo, report: Report, display_path: str, source: str) -> None:
-    linter = _FileLinter(info, report, display_path)
-    linter.noqa = _noqa_map(source)
-    linter.visit(info.tree)
+def _lint_module(info: _ModuleInfo, emitter: Emitter, display_path: str, source: str) -> None:
+    emit = emitter.bind(display_path, source)
+    _FileLinter(info, emit).visit(info.tree)
     # intra-module half of RPR004: __all__ entries must be bound
     if info.all_names is not None and not info.all_dynamic:
-        suppressed = linter.noqa.get(info.all_lineno, frozenset())
-        if suppressed is None or "RPR004" in (suppressed or frozenset()):
-            return
         for name in info.all_names:
             if name not in info.bound:
-                report.add(
-                    Finding(
-                        display_path,
-                        info.all_lineno,
-                        "RPR004",
-                        f"`__all__` lists `{name}` but the module never binds it",
-                    )
+                emit(
+                    info.all_lineno,
+                    "RPR004",
+                    f"`__all__` lists `{name}` but the module never binds it",
                 )
 
 
-def _load(path: Path, pkg_hint: str | None = None) -> tuple[_ModuleInfo, str]:
+def _load(path: Path) -> tuple[_ModuleInfo, str]:
     source = path.read_text()
     tree = ast.parse(source, filename=str(path))
-    modname = _module_name(path)
-    pkg = pkg_hint or modname.split(".")[0]
-    info = _ModuleInfo(path=path, modname=modname, tree=tree)
+    info = _ModuleInfo(path=path, modname=_module_name(path), tree=tree)
     _extract_all(info)
-    _bound_names(tree.body, info, pkg)
+    _bind(info)
     return info, source
 
 
@@ -447,8 +421,8 @@ def lint_source(source: str, path: str = "<string>", modname: str = "module") ->
     tree = ast.parse(source, filename=path)
     info = _ModuleInfo(path=Path(path), modname=modname, tree=tree)
     _extract_all(info)
-    _bound_names(tree.body, info, modname.split(".")[0])
-    _lint_module(info, report, path, source)
+    _bind(info)
+    _lint_module(info, Emitter(report), path, source)
     report.checked += 1
     return report
 
@@ -484,10 +458,11 @@ def lint_paths(paths: Iterable[str | Path]) -> Report:
                 )
                 continue
             modules[info.modname] = (info, source)
+        emitter = Emitter(report)
         for info, source in modules.values():
-            _lint_module(info, report, str(info.path), source)
+            _lint_module(info, emitter, str(info.path), source)
             report.checked += 1
-        _check_reexports(modules, report)
+        _check_reexports(modules, emitter)
         reg = obs.registry()
         reg.incr("check.lint.files", len(files))
         reg.incr("check.lint.findings", len(report.findings))
@@ -495,46 +470,28 @@ def lint_paths(paths: Iterable[str | Path]) -> Report:
 
 
 def _check_reexports(
-    modules: dict[str, tuple[_ModuleInfo, str]], report: Report
+    modules: dict[str, tuple[_ModuleInfo, str]], emitter: Emitter
 ) -> None:
     """Cross-module half of RPR004: ``__init__`` re-exports vs. ``__all__``."""
     for info, source in modules.values():
         if not info.is_init:
             continue
-        noqa = _noqa_map(source)
+        emit = emitter.bind(str(info.path), source)
         for lineno, srcmod, name in info.reexports:
-            if name.startswith("_"):
-                continue
             target = modules.get(srcmod)
-            if target is None:
-                # ``from .pkg import sub`` resolves to a module, not a name
-                if f"{srcmod}.{name}" in modules:
-                    continue
-                continue  # outside the linted set; runtime import covers it
-            tinfo, _ = target
-            suppressed = noqa.get(lineno, frozenset())
-            if suppressed is None or "RPR004" in (suppressed or frozenset()):
+            if name.startswith("_") or target is None or f"{srcmod}.{name}" in modules:
+                # private, outside the linted set (the runtime import covers
+                # it), or a re-exported submodule rather than a name
                 continue
-            if f"{srcmod}.{name}" in modules:
-                continue  # re-exporting a subpackage/submodule by name
+            tinfo, _ = target
             if tinfo.all_dynamic:
                 continue
             if tinfo.all_names is not None and name not in tinfo.all_names:
-                report.add(
-                    Finding(
-                        str(info.path),
-                        lineno,
-                        "RPR004",
-                        f"re-exports `{name}` from `{srcmod}` but "
-                        f"`{srcmod}.__all__` does not list it",
-                    )
+                emit(
+                    lineno,
+                    "RPR004",
+                    f"re-exports `{name}` from `{srcmod}` but "
+                    f"`{srcmod}.__all__` does not list it",
                 )
             elif tinfo.all_names is None and name not in tinfo.bound:
-                report.add(
-                    Finding(
-                        str(info.path),
-                        lineno,
-                        "RPR004",
-                        f"re-exports `{name}` but `{srcmod}` never binds it",
-                    )
-                )
+                emit(lineno, "RPR004", f"re-exports `{name}` but `{srcmod}` never binds it")

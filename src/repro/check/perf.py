@@ -16,7 +16,9 @@ fault decision stage, the percolation union-find, and the orbit signature kernel
 and closed over the import-aware call graph
 (:mod:`repro.check.callgraph`), exactly like the determinism perimeters
 of :mod:`repro.check.determinism`.  Every function reachable from a hot
-kernel is scanned by an AST/dataflow pass emitting stable rules:
+kernel is scanned by an AST pass that reads the kind and dtype facts of
+the one array-fact interpreter (:class:`repro.check.shapeinfer.ShapeInterp`)
+and emits stable rules:
 
 ========  =============================================================
 RPR020    Per-element Python ``for``/``while`` loop over ndarray/CSR
@@ -58,16 +60,21 @@ half of this tier (cProfile attribution, SAN004–SAN005) lives in
 from __future__ import annotations
 
 import ast
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro import obs
-
-from .callgraph import CallGraph, FunctionNode, FunctionResolver, build_callgraph
-from .determinism import Perimeter, _parent_map, _set_valued_names
-from .findings import Finding, Report
-from .lint import _noqa_map
+from .callgraph import CallGraph, FunctionNode, FunctionResolver, scan_tier
+from .determinism import Perimeter, _parent_map
+from .findings import Report
+from .shapeinfer import (
+    DTYPE_WIDTH,
+    EXPENSIVE_FNS,
+    FLOAT_DTYPES,
+    INT_DTYPES,
+    ShapeInterp,
+)
 
 __all__ = [
     "PERF_RULES",
@@ -204,61 +211,16 @@ def hot_path_perimeter(
     :mod:`repro.check.perfsanitize`) flags any *measured*-hot function
     the static closure missed.
     """
-    from collections import deque
-
     perimeter = Perimeter("hot")
-    queue: deque[str] = deque()
     for kernel in kernels if kernels is not None else HOT_PERIMETER:
-        qual = kernel.qualname
-        perimeter.roots[qual] = qual
-        if qual in cg.functions and qual not in perimeter.reached:
-            perimeter.reached[qual] = qual
-            queue.append(qual)
-    while queue:
-        cur = queue.popleft()
-        origin = perimeter.reached[cur]
-        typed = cg.edges.get(cur, set()) - cg.fallback_edges.get(cur, set())
-        for nxt in typed:
-            if nxt not in perimeter.reached:
-                perimeter.reached[nxt] = origin
-                queue.append(nxt)
+        perimeter.roots[kernel.qualname] = kernel.qualname
+    perimeter.close(cg, typed=True)
     return perimeter
 
 
 # ----------------------------------------------------------------------
 # NumPy call vocabulary
 # ----------------------------------------------------------------------
-#: expensive whole-array operations (RPR024 hoisting candidates).  Plain
-#: allocations (zeros/empty/arange) are excluded: reallocating a buffer
-#: per iteration is sometimes the point (double-buffering).
-_EXPENSIVE_FNS = frozenset(
-    {
-        "sort", "argsort", "lexsort", "unique", "searchsorted", "concatenate",
-        "where", "nonzero", "flatnonzero", "argwhere", "cumsum", "diff",
-        "repeat", "tile", "dot", "matmul", "einsum", "minimum", "maximum",
-        "stack", "hstack", "vstack", "column_stack", "bincount", "isin",
-        "in1d", "setdiff1d", "intersect1d", "union1d", "add", "logical_and",
-        "logical_or",
-    }
-)
-#: numpy free functions returning ndarrays (array-valued inference)
-_NP_ARRAY_FNS = _EXPENSIVE_FNS | frozenset(
-    {
-        "array", "asarray", "asanyarray", "ascontiguousarray", "zeros",
-        "empty", "ones", "full", "zeros_like", "empty_like", "ones_like",
-        "full_like", "arange", "linspace", "fromiter", "frombuffer", "copy",
-        "atleast_1d", "atleast_2d", "clip", "abs", "sign", "mod",
-    }
-)
-#: ndarray methods returning ndarrays
-_ARRAY_METHODS = frozenset(
-    {
-        "astype", "copy", "ravel", "reshape", "view", "take", "clip",
-        "repeat", "flatten", "transpose", "squeeze", "cumsum", "round",
-    }
-)
-#: CSR / edge-bundle attributes that are ndarray-valued wherever they appear
-_CSR_ATTRS = frozenset({"indptr", "indices", "data"})
 #: numpy free functions that grow an array (RPR021 inside loops)
 _GROWTH_FNS = frozenset({"append", "concatenate", "hstack", "vstack", "insert"})
 #: numpy functions that convert a python list into an array (RPR021 sink)
@@ -266,155 +228,6 @@ _CONVERT_FNS = frozenset(
     {"array", "asarray", "asanyarray", "stack", "concatenate", "fromiter",
      "column_stack", "vstack", "hstack"}
 )
-#: numpy tuple-returning functions whose unpacked targets are all arrays
-_TUPLE_ARRAY_FNS = frozenset({"nonzero", "unique", "meshgrid", "divmod", "histogram"})
-
-_INT_DTYPES = frozenset(
-    {"int8", "int16", "int32", "int64", "intp", "uint8", "uint16", "uint32",
-     "uint64", "bool", "bool_", "pyint"}
-)
-_FLOAT_DTYPES = frozenset({"float16", "float32", "float64", "pyfloat"})
-#: relative width rank inside a family (for truncation vs widening wording)
-_DTYPE_WIDTH = {
-    "bool": 1, "bool_": 1, "int8": 8, "uint8": 8, "int16": 16, "uint16": 16,
-    "int32": 32, "uint32": 32, "int64": 64, "uint64": 64, "intp": 64,
-    "float16": 16, "float32": 32, "float64": 64, "pyint": 64, "pyfloat": 64,
-}
-
-
-def _np_call_name(resolver: FunctionResolver, call: ast.Call) -> str | None:
-    """``"concatenate"`` for ``np.concatenate(...)`` (also for ufunc-method
-    chains like ``np.minimum.reduceat``), else None."""
-    dotted = resolver.resolve_expr(call.func)
-    if dotted is None:
-        return None
-    parts = dotted.split(".")
-    if parts[0] == "numpy" and len(parts) >= 2:
-        return parts[1]
-    return None
-
-
-# ----------------------------------------------------------------------
-# local type inference (array / dict / set / dtype)
-# ----------------------------------------------------------------------
-class _LocalTypes:
-    """Flow-insensitive value kinds for one function body.
-
-    Fixpoint over assignments classifies local names as array-valued,
-    dict-valued, or set-valued, and records locally-inferable dtypes.
-    Deliberately shallow: attribute reads, call results of unscanned
-    functions, and anything ambiguous stay unknown — the rules only fire
-    on what can be proven locally, which is how the pass stays quiet on
-    clean code without a noqa budget.
-    """
-
-    def __init__(self, fn: FunctionNode, resolver: FunctionResolver) -> None:
-        self.resolver = resolver
-        self.arrays: set[str] = set()
-        self.dicts: set[str] = set()
-        self.sets: set[str] = _set_valued_names(fn.node)
-        self._annotate_params(fn.node)
-        for _ in range(2):  # two passes so ``b = a`` chains settle
-            for node in ast.walk(fn.node):
-                self._classify_stmt(node)
-
-    def _annotate_params(self, fn_node: ast.AST) -> None:
-        args = getattr(fn_node, "args", None)
-        if args is None:
-            return
-        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-            if arg.annotation is None:
-                continue
-            try:
-                ann = ast.unparse(arg.annotation)
-            except Exception:  # pragma: no cover — malformed annotation
-                continue
-            if "ndarray" in ann or "NDArray" in ann:
-                self.arrays.add(arg.arg)
-            elif ann.startswith(("dict", "Dict", "Mapping")) or "Mapping[" in ann:
-                self.dicts.add(arg.arg)
-
-    def _classify_stmt(self, node: ast.AST) -> None:
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        else:
-            return
-        # tuple unpack: np.nonzero / paired array expressions
-        for t in targets:
-            if isinstance(t, (ast.Tuple, ast.List)):
-                self._classify_unpack(t, value)
-        names = [t.id for t in targets if isinstance(t, ast.Name)]
-        if not names:
-            return
-        if self.is_array(value):
-            self.arrays.update(names)
-        elif self._is_dict_expr(value):
-            self.dicts.update(names)
-
-    def _classify_unpack(self, target: ast.Tuple | ast.List, value: ast.expr) -> None:
-        if isinstance(value, ast.Call):
-            name = _np_call_name(self.resolver, value)
-            if name in _TUPLE_ARRAY_FNS:
-                for elt in target.elts:
-                    if isinstance(elt, ast.Name):
-                        self.arrays.add(elt.id)
-        elif isinstance(value, (ast.Tuple, ast.List)) and len(value.elts) == len(
-            target.elts
-        ):
-            for elt, val in zip(target.elts, value.elts):
-                if isinstance(elt, ast.Name) and self.is_array(val):
-                    self.arrays.add(elt.id)
-
-    def _is_dict_expr(self, expr: ast.expr) -> bool:
-        if isinstance(expr, (ast.Dict, ast.DictComp)):
-            return True
-        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
-            if expr.func.id in ("dict", "defaultdict", "OrderedDict", "Counter"):
-                return True
-        if isinstance(expr, ast.Name):
-            return expr.id in self.dicts
-        return False
-
-    # -- array-valuedness ----------------------------------------------
-    def is_array(self, expr: ast.expr) -> bool:
-        """Is this expression provably ndarray-valued?"""
-        if isinstance(expr, ast.Name):
-            return expr.id in self.arrays
-        if isinstance(expr, ast.Attribute):
-            return expr.attr in _CSR_ATTRS
-        if isinstance(expr, ast.Subscript):
-            return self.is_array(expr.value)
-        if isinstance(expr, ast.UnaryOp):
-            return self.is_array(expr.operand)
-        if isinstance(expr, ast.BinOp):
-            return self.is_array(expr.left) or self.is_array(expr.right)
-        if isinstance(expr, ast.Compare):
-            return self.is_array(expr.left) or any(
-                self.is_array(c) for c in expr.comparators
-            )
-        if isinstance(expr, ast.IfExp):
-            return self.is_array(expr.body) or self.is_array(expr.orelse)
-        if isinstance(expr, ast.Call):
-            name = _np_call_name(self.resolver, expr)
-            if name in _NP_ARRAY_FNS:
-                return True
-            if isinstance(expr.func, ast.Attribute):
-                if expr.func.attr in _ARRAY_METHODS and self.is_array(expr.func.value):
-                    return True
-        return False
-
-    def is_arraylike_iter(self, expr: ast.expr) -> bool:
-        """Array-valued, or array data flattened element-wise (``.tolist()``)."""
-        if self.is_array(expr):
-            return True
-        return (
-            isinstance(expr, ast.Call)
-            and isinstance(expr.func, ast.Attribute)
-            and expr.func.attr == "tolist"
-            and self.is_array(expr.func.value)
-        )
 
 
 # ----------------------------------------------------------------------
@@ -466,11 +279,12 @@ class _PerfScan:
         emit,
     ) -> None:
         self.fn = fn
-        self.resolver = resolver
         self.tag = tag
         self.contracts = contracts
         self.emit = emit
-        self.types = _LocalTypes(fn, resolver)
+        self.facts = ShapeInterp(fn.node, resolver)
+        self.facts.run()
+        self.facts.settle_facts()
         self.parents = _parent_map(fn.node)
         #: loop node -> names that vary across its iterations
         self._varying: dict[ast.AST, set[str]] = {}
@@ -518,7 +332,7 @@ class _PerfScan:
                 self._check_range_loop(node)
                 return
         for src in sources:
-            if self.types.is_arraylike_iter(src):
+            if self.facts.is_arraylike_iter(src):
                 what = src.id if isinstance(src, ast.Name) else "an ndarray expression"
                 self.emit(
                     node,
@@ -528,57 +342,52 @@ class _PerfScan:
                 )
                 return
 
+    def _scalar_index(self, loop: ast.For | ast.While, cursors: set[str]) -> str | None:
+        """A cursor name the loop body uses as a scalar index into an array."""
+        for sub in loop.body:
+            for n in ast.walk(sub):
+                if (
+                    isinstance(n, ast.Subscript)
+                    and self.facts.is_array(n.value)
+                    and isinstance(n.slice, ast.Name)
+                    and n.slice.id in cursors
+                    and n.slice.id not in self.facts.arrays
+                ):
+                    return n.slice.id
+        return None
+
     def _check_range_loop(self, node: ast.For) -> None:
         """1–2-arg ``range`` loop scalar-indexing an array with the loop var.
 
         3-arg ``range`` (chunked block loops) never reaches here: stepping
         through offsets and slicing blocks is the sanctioned batch shape.
         """
-        loop_vars = _target_names(node.target)
-        for sub in node.body:
-            for n in ast.walk(sub):
-                if (
-                    isinstance(n, ast.Subscript)
-                    and self.types.is_array(n.value)
-                    and isinstance(n.slice, ast.Name)
-                    and n.slice.id in loop_vars
-                    and n.slice.id not in self.types.arrays
-                ):
-                    self.emit(
-                        node,
-                        "RPR020",
-                        f"`range` loop scalar-indexes an ndarray with "
-                        f"`{n.slice.id}` (one element per iteration); slice or "
-                        f"gather the whole block instead [{self.tag}]",
-                    )
-                    return
+        name = self._scalar_index(node, _target_names(node.target))
+        if name is not None:
+            self.emit(
+                node,
+                "RPR020",
+                f"`range` loop scalar-indexes an ndarray with "
+                f"`{name}` (one element per iteration); slice or "
+                f"gather the whole block instead [{self.tag}]",
+            )
 
     def _check_while(self, node: ast.While) -> None:
         """Manual-cursor ``while`` loop: scalar-indexes an array with a name
         the body itself advances.  Whole-array convergence loops (pointer
         doubling, frontier expansion) index with *arrays* and are exempt."""
-        stored = _stored_names(node)
-        for sub in node.body:
-            for n in ast.walk(sub):
-                if (
-                    isinstance(n, ast.Subscript)
-                    and self.types.is_array(n.value)
-                    and isinstance(n.slice, ast.Name)
-                    and n.slice.id in stored
-                    and n.slice.id not in self.types.arrays
-                ):
-                    self.emit(
-                        node,
-                        "RPR020",
-                        f"manual-cursor `while` loop scalar-indexes an ndarray "
-                        f"with `{n.slice.id}`; batch the traversal "
-                        f"[{self.tag}]",
-                    )
-                    return
+        name = self._scalar_index(node, _stored_names(node))
+        if name is not None:
+            self.emit(
+                node,
+                "RPR020",
+                f"manual-cursor `while` loop scalar-indexes an ndarray "
+                f"with `{name}`; batch the traversal [{self.tag}]",
+            )
 
     def _check_comprehension(self, node: ast.expr) -> None:
         for comp in node.generators:
-            if self.types.is_arraylike_iter(comp.iter):
+            if self.facts.is_arraylike_iter(comp.iter):
                 what = (
                     comp.iter.id
                     if isinstance(comp.iter, ast.Name)
@@ -595,7 +404,7 @@ class _PerfScan:
     # -- RPR021 / RPR022 / RPR024: calls --------------------------------
     def _check_call(self, node: ast.Call) -> None:
         loop = _enclosing_loop(node, self.parents)
-        name = _np_call_name(self.resolver, node)
+        name = self.facts.np_name(node)
         if loop is not None and name in _GROWTH_FNS:
             self.emit(
                 node,
@@ -604,7 +413,7 @@ class _PerfScan:
                 f"iteration (O(n²) growth); collect blocks and concatenate "
                 f"once after the loop [{self.tag}]",
             )
-        elif loop is not None and name in _EXPENSIVE_FNS:
+        elif loop is not None and name in EXPENSIVE_FNS:
             if not self._uses_varying(node, loop):
                 self.emit(
                     node,
@@ -614,11 +423,11 @@ class _PerfScan:
                     f"above the loop [{self.tag}]",
                 )
         if loop is not None and isinstance(node.func, ast.Attribute):
-            self._check_probe_call(node, loop)
+            self._check_keyed_call(node, loop)
         if isinstance(node.func, ast.Attribute) and node.func.attr == "append":
             self._check_list_append(node)
 
-    def _check_probe_call(self, node: ast.Call, loop: ast.For | ast.While) -> None:
+    def _check_keyed_call(self, node: ast.Call, loop: ast.For | ast.While) -> None:
         """RPR022: ``d.get(k)`` / ``d.setdefault`` / ``s.add(k)`` with a
         loop-varying key — the per-label dedup probe shape."""
         func = node.func
@@ -626,8 +435,8 @@ class _PerfScan:
         base = func.value
         if not isinstance(base, ast.Name):
             return
-        is_dict = base.id in self.types.dicts
-        is_set = base.id in self.types.sets
+        is_dict = base.id in self.facts.dicts
+        is_set = base.id in self.facts.sets
         probe = func.attr
         if is_dict and probe in ("get", "setdefault", "pop") or is_set and probe in (
             "add",
@@ -653,11 +462,11 @@ class _PerfScan:
         func = node.func
         assert isinstance(func, ast.Attribute)
         base = func.value
-        if not isinstance(base, ast.Name) or base.id in self.types.dicts:
+        if not isinstance(base, ast.Name) or base.id in self.facts.dicts:
             return
-        if not node.args or self.types.is_array(node.args[0]):
+        if not node.args or self.facts.is_array(node.args[0]):
             return
-        if base.id not in self._converted_lists():
+        if base.id not in self._converted_lists:
             return
         self.emit(
             node,
@@ -667,16 +476,14 @@ class _PerfScan:
             f"[{self.tag}]",
         )
 
+    @functools.cached_property
     def _converted_lists(self) -> set[str]:
         """Names passed to an array-conversion call anywhere in the function."""
-        got = getattr(self, "_converted_cache", None)
-        if got is not None:
-            return got
         out: set[str] = set()
         for node in ast.walk(self.fn.node):
             if not isinstance(node, ast.Call):
                 continue
-            if _np_call_name(self.resolver, node) not in _CONVERT_FNS:
+            if self.facts.np_name(node) not in _CONVERT_FNS:
                 continue
             for arg in node.args:
                 exprs = (
@@ -685,13 +492,12 @@ class _PerfScan:
                 for e in exprs:
                     if isinstance(e, ast.Name):
                         out.add(e.id)
-        self._converted_cache = out
         return out
 
     # -- RPR022: subscripts and membership ------------------------------
     def _check_subscript(self, node: ast.Subscript) -> None:
         base = node.value
-        if not (isinstance(base, ast.Name) and base.id in self.types.dicts):
+        if not (isinstance(base, ast.Name) and base.id in self.facts.dicts):
             return
         loop = _enclosing_loop(node, self.parents)
         if loop is None or not self._uses_varying(node.slice, loop):
@@ -709,12 +515,12 @@ class _PerfScan:
                 continue
             if not isinstance(comparator, ast.Name):
                 continue
-            if comparator.id not in self.types.dicts | self.types.sets:
+            if comparator.id not in self.facts.dicts | self.facts.sets:
                 continue
             loop = _enclosing_loop(node, self.parents)
             if loop is None or not self._uses_varying(node.left, loop):
                 continue
-            kind = "dict" if comparator.id in self.types.dicts else "set"
+            kind = "dict" if comparator.id in self.facts.dicts else "set"
             self.emit(
                 node,
                 "RPR022",
@@ -723,134 +529,42 @@ class _PerfScan:
             )
 
     # -- RPR023: dtype contracts -----------------------------------------
-    def _dtype_name(self, expr: ast.expr) -> str | None:
-        """``"int64"`` for ``np.int64`` / ``"int64"`` / ``int``/``float``/``bool``."""
-        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-            return expr.value
-        if isinstance(expr, ast.Name):
-            return {"int": "int64", "float": "float64", "bool": "bool"}.get(expr.id)
-        dotted = self.resolver.resolve_expr(expr)
-        if dotted is not None and dotted.startswith("numpy."):
-            leaf = dotted.split(".")[-1]
-            if leaf in _INT_DTYPES or leaf in _FLOAT_DTYPES:
-                return leaf
-        return None
-
-    def _dtype_of(self, expr: ast.expr, env: dict[str, str]) -> str | None:
-        """Locally-inferable element dtype of an expression, or None."""
-        if isinstance(expr, ast.Constant):
-            if isinstance(expr.value, bool):
-                return "bool"
-            if isinstance(expr.value, int):
-                return "pyint"
-            if isinstance(expr.value, float):
-                return "pyfloat"
-            return None
-        if isinstance(expr, ast.Name):
-            return env.get(expr.id)
-        if isinstance(expr, ast.Subscript):
-            return self._dtype_of(expr.value, env)
-        if isinstance(expr, ast.UnaryOp):
-            return self._dtype_of(expr.operand, env)
-        if isinstance(expr, ast.BinOp):
-            if isinstance(expr.op, ast.Div):
-                return "float64"  # true division always yields float
-            left = self._dtype_of(expr.left, env)
-            right = self._dtype_of(expr.right, env)
-            if left in _FLOAT_DTYPES or right in _FLOAT_DTYPES:
-                return "float64"
-            if left in _INT_DTYPES and right in _INT_DTYPES:
-                return max((left, right), key=lambda d: _DTYPE_WIDTH.get(d, 0))
-            return None
-        if isinstance(expr, ast.Call):
-            func = expr.func
-            if isinstance(func, ast.Attribute) and func.attr == "astype":
-                if expr.args:
-                    return self._dtype_name(expr.args[0])
-                return None
-            name = _np_call_name(self.resolver, expr)
-            if name is None:
-                return None
-            if name in _INT_DTYPES or name in _FLOAT_DTYPES:
-                return name  # np.int64(x) scalar constructor
-            for kw in expr.keywords:
-                if kw.arg == "dtype":
-                    return self._dtype_name(kw.value)
-            if name in ("zeros", "ones", "empty", "linspace"):
-                return "float64"  # numpy's default dtype
-            if name == "arange" and all(
-                self._dtype_of(a, env) in _INT_DTYPES for a in expr.args
-            ):
-                return "int64"
-        return None
-
     def _check_dtypes(self) -> None:
-        """Linear abstract-interpretation pass over assignments in source
-        order: contract conflicts, silent int→float upcasts, float indices."""
-        env: dict[str, str] = {}
-        assigns = [
-            n
-            for n in ast.walk(self.fn.node)
-            if isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign))
-        ]
-        for node in sorted(assigns, key=lambda n: (n.lineno, n.col_offset)):
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign):
-                if node.value is None:
-                    continue
-                targets, value = [node.target], node.value
-            else:  # AugAssign: x op= v keeps/loosens x's dtype
-                targets, value = [node.target], node.value
-                if isinstance(node.target, ast.Name) and isinstance(node.op, ast.Div):
-                    value = ast.BinOp(node.target, ast.Div(), node.value)
-                    ast.copy_location(value, node)
-                else:
-                    continue
-            dtype = self._dtype_of(value, env)
-            is_astype = (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Attribute)
-                and value.func.attr == "astype"
-            )
-            for t in targets:
-                if not isinstance(t, ast.Name):
-                    continue
-                declared = self.contracts.get(t.id)
-                prev = env.get(t.id)
-                if dtype is not None and declared is not None:
-                    self._check_contract(node, t.id, declared, dtype)
-                if (
-                    dtype in _FLOAT_DTYPES
-                    and prev in _INT_DTYPES
-                    and prev not in ("pyint",)
-                    and not is_astype
-                ):
-                    self.emit(
-                        node,
-                        "RPR023",
-                        f"silent upcast: `{t.id}` was {prev} and is rebound to "
-                        f"a float64 expression (doubles memory, breaks integer "
-                        f"semantics); use an explicit `.astype` if intended "
-                        f"[{self.tag}]",
-                    )
-                if dtype is not None:
-                    env[t.id] = dtype
-        self._check_float_indices(env)
+        """Every binding in source order, as the interpreter's dtype facts
+        saw it: contract conflicts, silent int→float upcasts, float indices."""
+        for node, name, dtype, prev, is_astype in self.facts.dtype_events:
+            declared = self.contracts.get(name)
+            if dtype is not None and declared is not None:
+                self._check_contract(node, name, declared, dtype)
+            if (
+                dtype in FLOAT_DTYPES
+                and prev in INT_DTYPES
+                and prev not in ("pyint",)
+                and not is_astype
+            ):
+                self.emit(
+                    node,
+                    "RPR023",
+                    f"silent upcast: `{name}` was {prev} and is rebound to "
+                    f"a float64 expression (doubles memory, breaks integer "
+                    f"semantics); use an explicit `.astype` if intended "
+                    f"[{self.tag}]",
+                )
+        self._check_float_indices(self.facts.dtypes)
 
     def _check_contract(
         self, node: ast.AST, name: str, declared: str, actual: str
     ) -> None:
-        if actual == declared or actual == "pyint" and declared in _INT_DTYPES:
+        if actual == declared or actual == "pyint" and declared in INT_DTYPES:
             return
         same_family = (
-            actual in _INT_DTYPES
-            and declared in _INT_DTYPES
-            or actual in _FLOAT_DTYPES
-            and declared in _FLOAT_DTYPES
+            actual in INT_DTYPES
+            and declared in INT_DTYPES
+            or actual in FLOAT_DTYPES
+            and declared in FLOAT_DTYPES
         )
         if same_family:
-            narrower = _DTYPE_WIDTH.get(actual, 0) < _DTYPE_WIDTH.get(declared, 0)
+            narrower = DTYPE_WIDTH.get(actual, 0) < DTYPE_WIDTH.get(declared, 0)
             detail = (
                 f"{actual} truncates the declared {declared} range"
                 if narrower
@@ -869,11 +583,11 @@ class _PerfScan:
         for node in ast.walk(self.fn.node):
             if not isinstance(node, ast.Subscript):
                 continue
-            if not self.types.is_array(node.value):
+            if not self.facts.is_array(node.value):
                 continue
             if (
                 isinstance(node.slice, ast.Name)
-                and env.get(node.slice.id) in _FLOAT_DTYPES
+                and env.get(node.slice.id) in FLOAT_DTYPES
             ):
                 self.emit(
                     node,
@@ -901,49 +615,16 @@ def perf_paths(
     """
     kernels = tuple(kernels) if kernels is not None else HOT_PERIMETER
     contracts_by_root = {k.qualname: dict(k.contracts) for k in kernels}
-    report = Report()
-    with obs.span("check.perf"):
-        cg = build_callgraph(paths)
-        perimeter = hot_path_perimeter(cg, kernels)
-        noqa_cache: dict[str, dict[int, frozenset[str] | None]] = {}
-        seen: set[tuple[str, int, str]] = set()
-        suppressed = 0
+    reached: dict[str, str] = {}
 
-        for qual in sorted(perimeter.reached):
-            fn = cg.functions[qual]
-            scope = cg.modules[fn.module]
-            resolver = FunctionResolver(cg, scope, fn)
-            origin = perimeter.reached[qual]
-            tag = f"hot via {origin}"
-            contracts = contracts_by_root.get(origin, {})
-            noqa = noqa_cache.setdefault(fn.path, _noqa_map(scope.source))
+    def reached_of(cg: CallGraph) -> dict[str, str]:
+        reached.update(hot_path_perimeter(cg, kernels).reached)
+        return reached
 
-            def emit(
-                node: ast.AST,
-                code: str,
-                message: str,
-                _noqa=noqa,
-                _fn=fn,
-            ) -> None:
-                nonlocal suppressed
-                lineno = getattr(node, "lineno", 0)
-                key = (_fn.path, lineno, code)
-                if key in seen:
-                    return
-                for ln in (lineno, _fn.lineno):
-                    mask = _noqa.get(ln, frozenset())
-                    if mask is None or code in mask:
-                        seen.add(key)
-                        suppressed += 1
-                        return
-                seen.add(key)
-                report.add(Finding(_fn.path, lineno, code, message))
+    def visit(fn: FunctionNode, resolver: FunctionResolver, emit) -> int:
+        origin = reached[fn.qualname]
+        contracts = contracts_by_root.get(origin, {})
+        _PerfScan(fn, resolver, f"hot via {origin}", contracts, emit).run()
+        return 1
 
-            _PerfScan(fn, resolver, tag, contracts, emit).run()
-            report.checked += 1
-
-        reg = obs.registry()
-        reg.incr("check.perf.reachable", len(perimeter.reached))
-        reg.incr("check.perf.findings", len(report.findings))
-        reg.incr("check.perf.suppressed", suppressed)
-    return report
+    return scan_tier("perf", paths, reached_of, visit, def_line=True)

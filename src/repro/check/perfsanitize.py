@@ -50,7 +50,9 @@ __all__ = [
     "run_workload",
     "perimeter_frame_index",
     "hot_frames",
+    "load_profiles",
     "load_budgets",
+    "write_profile",
     "update_budgets",
     "perf_sanitize",
 ]
@@ -68,10 +70,13 @@ BUDGET_MARGIN = 6.0
 #: SAN004 fires only above max(_FLOOR_S, _FRAC * profile total) own-time
 _FLOOR_S = 0.05
 _FRAC = 0.10
+#: a profiled frame matches a perimeter ``def`` within this many lines
+#: (``co_firstlineno`` of a decorated function is its first decorator)
+_LINENO_SLACK = 8
 
 
 # ----------------------------------------------------------------------
-# seeded micro-workloads
+# seeded micro-workloads: the one catalog of the runtime tiers
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Workload:
@@ -79,17 +84,21 @@ class Workload:
 
     ``prepare(smoke)`` does all setup (network builds, injection draws,
     cached-group materialization) *outside* the measured region and
-    returns a thunk; calling the thunk runs the kernel once and returns
-    the number of units processed (nodes, packets, mask rows, ...).
+    returns a thunk.  ``thunk()`` runs the kernel once and returns the
+    number of units processed (nodes, packets, mask rows, ...) — the
+    SAN004/SAN005 timing pass.  ``thunk(record)`` runs it once more and
+    stores the named ndarrays whose geometry the shape contracts pin into
+    the ``record`` dict — the SAN006 recording pass
+    (:mod:`repro.check.shapesanitize`).
     """
 
     name: str
     kernel: str  #: perimeter root qualname this workload exercises
     unit: str  #: what "per-unit" means in the budget file
-    prepare: Callable[[bool], Callable[[], int]]
+    prepare: Callable[[bool], Callable[..., int]]
 
 
-def _wl_closure(smoke: bool) -> Callable[[], int]:
+def _wl_closure(smoke: bool) -> Callable[..., int]:
     from repro.core.ipgraph import build_ip_graph
     from repro.core.permutation import from_cycles
 
@@ -97,26 +106,34 @@ def _wl_closure(smoke: bool) -> Callable[[], int]:
     seed = tuple(range(k))
     gens = [from_cycles(k, [(0, i)]) for i in range(1, k)]
 
-    def run() -> int:
-        return build_ip_graph(seed, gens, name="perfsan-star").num_nodes
-
-    return run
-
-
-def _wl_routing(smoke: bool) -> Callable[[], int]:
-    from repro.networks import build
-    from repro.routing.table import NextHopTable
-
-    net = build("hsn", l=2, n=3) if smoke else build("hypercube", n=9)
-
-    def run() -> int:
-        NextHopTable(net)
+    def run(record: dict | None = None) -> int:
+        net = build_ip_graph(seed, gens, name="perfsan-star")
+        if record is not None:
+            csr = net.adjacency_csr()
+            record.update(indptr=csr.indptr, indices=csr.indices, data=csr.data)
         return net.num_nodes
 
     return run
 
 
-def _wl_sim(smoke: bool) -> Callable[[], int]:
+def _wl_routing(smoke: bool) -> Callable[..., int]:
+    from repro.networks import build
+    from repro.routing.table import NextHopTable
+
+    net = build("hsn", l=2, n=3) if smoke else build("hypercube", n=9)
+
+    def run(record: dict | None = None) -> int:
+        if record is None:
+            NextHopTable(net)
+        else:
+            table = NextHopTable(net, with_distances=True)
+            record.update(table=table.table, dist=table.dist)
+        return net.num_nodes
+
+    return run
+
+
+def _wl_sim(smoke: bool) -> Callable[..., int]:
     import numpy as np
 
     from repro.networks import build
@@ -129,14 +146,17 @@ def _wl_sim(smoke: bool) -> Callable[[], int]:
     inj = uniform_random_array(net, 0.2, cycles, rng)
     sim = PacketSimulator(net)
 
-    def run() -> int:
+    def run(record: dict | None = None) -> int:
         sim.run(inj)
+        if record is not None:
+            csr = net.adjacency_csr()
+            record.update(injections=inj, indptr=csr.indptr, indices=csr.indices)
         return len(inj)
 
     return run
 
 
-def _wl_serve(smoke: bool) -> Callable[[], int]:
+def _wl_serve(smoke: bool) -> Callable[..., int]:
     from repro.networks import build
     from repro.routing.table import NextHopTable
     from repro.serve import RouteService
@@ -147,14 +167,22 @@ def _wl_serve(smoke: bool) -> Callable[[], int]:
     count = 50_000 if smoke else 500_000
     src, dst = seeded_queries(net.num_nodes, count, seed=0)
 
-    def run() -> int:
-        svc.resolve(src, dst)
+    def run(record: dict | None = None) -> int:
+        batch = svc.resolve(src, dst, paths=record is not None)
+        if record is not None:
+            record.update(
+                src=batch.src,
+                dst=batch.dst,
+                next_hop=batch.next_hop,
+                distance=batch.distance,
+                paths=batch.paths,
+            )
         return count
 
     return run
 
 
-def _wl_percolation(smoke: bool) -> Callable[[], int]:
+def _wl_percolation(smoke: bool) -> Callable[..., int]:
     import numpy as np
 
     from repro.fault.percolation import masked_components
@@ -165,14 +193,18 @@ def _wl_percolation(smoke: bool) -> Callable[[], int]:
     batch = 64 if smoke else 1024
     node_alive = rng.random((batch, net.num_nodes)) > 0.1
 
-    def run() -> int:
-        masked_components(net, node_alive=node_alive)
+    def run(record: dict | None = None) -> int:
+        labels = masked_components(net, node_alive=node_alive)
+        if record is not None:
+            record.update(node_alive=node_alive, labels=labels)
         return batch * net.num_nodes
 
     return run
 
 
-def _wl_orbits(smoke: bool) -> Callable[[], int]:
+def _wl_orbits(smoke: bool) -> Callable[..., int]:
+    import numpy as np
+
     from repro.fault.orbits import cached_automorphism_group, fault_signature
     from repro.networks import build
 
@@ -182,7 +214,11 @@ def _wl_orbits(smoke: bool) -> Callable[[], int]:
     group = cached_automorphism_group(net)
     patterns = list(itertools.combinations(range(net.num_nodes), 2))
 
-    def run() -> int:
+    def run(record: dict | None = None) -> int:
+        if record is not None:
+            sig = fault_signature(net, (0, 3), group=group)
+            record.update(group=group, signature=np.asarray(sig, dtype=np.int64))
+            return 1
         for p in patterns:
             fault_signature(net, p, group=group)
         return len(patterns)
@@ -275,12 +311,13 @@ def run_workload(w: Workload, smoke: bool = False, repeats: int = 3) -> Measurem
 def perimeter_frame_index(
     paths: Iterable[str | Path] = ("src",),
     kernels=None,
-) -> tuple[dict[tuple[str, str], list[int]], str]:
+) -> tuple[dict[tuple[str, str], list[int]], list[str]]:
     """Map the statically-closed hot perimeter to profiler frame keys.
 
-    Returns ``((realpath, funcname) -> [def linenos], scan_root)`` for
-    every function the perimeter reaches.  cProfile keys frames by
-    ``(filename, co_firstlineno, funcname)``; decorated functions put
+    Returns ``((realpath, funcname) -> [def linenos], scan roots)`` for
+    every function the perimeter reaches; the scan roots are the real
+    paths of ``paths``, all of which SAN004 checks.  cProfile keys frames
+    by ``(filename, co_firstlineno, funcname)``; decorated functions put
     ``co_firstlineno`` on the first decorator, so matching tolerates a
     small lineno offset rather than demanding equality.
     """
@@ -288,16 +325,11 @@ def perimeter_frame_index(
     from .perf import hot_path_perimeter
 
     cg = build_callgraph(paths)
-    perimeter = hot_path_perimeter(cg, kernels)
     index: dict[tuple[str, str], list[int]] = {}
-    for qual in perimeter.reached:
-        fn = cg.functions.get(qual)
-        if fn is None:
-            continue
-        key = (os.path.realpath(fn.path), fn.name)
-        index.setdefault(key, []).append(fn.lineno)
-    roots = [os.path.realpath(str(p)) for p in paths]
-    return index, roots[0] if roots else ""
+    for qual in hot_path_perimeter(cg, kernels).reached:
+        fn = cg.functions[qual]
+        index.setdefault((os.path.realpath(fn.path), fn.name), []).append(fn.lineno)
+    return index, [os.path.realpath(str(p)) for p in paths]
 
 
 def hot_frames(
@@ -323,33 +355,39 @@ def hot_frames(
     return out
 
 
-def _frame_in_perimeter(
-    index: dict[tuple[str, str], list[int]],
-    path: str,
-    lineno: int,
-    funcname: str,
-    tolerance: int = 8,
-) -> bool:
-    linenos = index.get((path, funcname))
-    if not linenos:
-        return False
-    return any(abs(lineno - ln) <= tolerance for ln in linenos)
-
-
-def _under(root: str, path: str) -> bool:
-    return bool(root) and path.startswith(root + os.sep)
+def _under(roots: Iterable[str], path: str) -> bool:
+    return any(path.startswith(root + os.sep) for root in roots)
 
 
 # ----------------------------------------------------------------------
 # SAN005: budgets
 # ----------------------------------------------------------------------
-def load_budgets(path: str | Path) -> dict:
-    """Load the budget file; ``{}`` when absent (SAN005 then skips)."""
+def load_profiles(path: str | Path) -> dict:
+    """Load a per-profile JSON file (the SAN005 budgets, or the SAN006
+    shape contracts); ``{}`` when absent."""
     p = Path(path)
     if not p.exists():
         return {}
     with open(p) as fh:
         return json.load(fh)
+
+
+load_budgets = load_profiles
+
+
+def write_profile(path: str | Path, profile: str, entries: dict, meta: dict) -> dict:
+    """Merge ``entries`` into ``profile`` and ``meta`` into ``_meta`` of
+    the JSON file at ``path`` (the other profile's entries are kept);
+    returns the written dict."""
+    data = load_profiles(path)
+    data.setdefault("_meta", {}).update(meta)
+    data.setdefault("profiles", {}).setdefault(profile, {}).update(entries)
+    p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    with open(p, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return data
 
 
 def update_budgets(
@@ -360,32 +398,25 @@ def update_budgets(
 ) -> dict:
     """Write measured costs x ``margin`` as the ``profile`` budgets,
     preserving the other profile's entries; returns the written dict."""
-    data = load_budgets(path)
-    data.setdefault("_meta", {}).update(
-        {
-            "margin": margin,
-            "unit": "per_unit_us",
-            "generated_by": "python -m repro.check perf --measure --update-budgets",
-            "note": (
-                "budgets are measured-cost x margin on the recording machine; "
-                "regenerate after intentional kernel changes or hardware moves"
-            ),
-        }
-    )
-    prof = data.setdefault("profiles", {}).setdefault(profile, {})
-    for m in measurements:
-        prof[m.workload] = {
+    entries = {
+        m.workload: {
             "per_unit_us": round(m.per_unit_us * margin, 3),
             "measured_us": round(m.per_unit_us, 3),
             "units": m.units,
             "unit": m.unit,
         }
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return data
+        for m in measurements
+    }
+    meta = {
+        "margin": margin,
+        "unit": "per_unit_us",
+        "generated_by": "python -m repro.check perf --measure --update-budgets",
+        "note": (
+            "budgets are measured-cost x margin on the recording machine; "
+            "regenerate after intentional kernel changes or hardware moves"
+        ),
+    }
+    return write_profile(path, profile, entries, meta)
 
 
 # ----------------------------------------------------------------------
@@ -415,9 +446,9 @@ def perf_sanitize(
     report = Report()
     reg = obs.registry()
     with obs.span("check.perfsan", profile=profile_name, workloads=len(wls)):
-        index, scan_root = perimeter_frame_index(paths, kernels)
+        index, roots = perimeter_frame_index(paths, kernels)
         budgets = {} if update else (
-            load_budgets(budgets_path).get("profiles", {}).get(profile_name, {})
+            load_profiles(budgets_path).get("profiles", {}).get(profile_name, {})
         )
         measurements: list[Measurement] = []
         for w in wls:
@@ -434,9 +465,10 @@ def perf_sanitize(
             for path, lineno, funcname, tt, total in hot_frames(
                 m.profile, floor_s, frac
             ):
-                if not _under(scan_root, path) or _under(harness, path):
+                if not _under(roots, path) or _under([harness], path):
                     continue
-                if _frame_in_perimeter(index, path, lineno, funcname):
+                linenos = index.get((path, funcname), ())
+                if any(abs(lineno - ln) <= _LINENO_SLACK for ln in linenos):
                     continue
                 rel = os.path.relpath(path)
                 report.add(

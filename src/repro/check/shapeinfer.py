@@ -1,11 +1,11 @@
-"""Symbolic shape inference over function-local numpy dataflow.
+"""The array-fact interpreter of the perf and shape tiers.
 
-The shape tier (:mod:`repro.check.shapes`, rules RPR030–RPR034) needs to
-answer questions the dtype-level inference of :mod:`repro.check.perf`
-cannot: *what is the rank and extent of this array expression*, so that a
-``(n, 1) ⊕ (n,)`` broadcast blow-up, an out-of-rank reduction axis, or an
-element-count-mismatched ``reshape`` is provable before any code runs.
-This module is the abstract interpreter those rules drive.
+One local abstract interpreter answers every question the kernel tiers
+ask about a function's names: is it an array, a dict or a set (RPR020–
+RPR022), what is its element dtype (RPR023), and what is its rank and
+extent (RPR030–RPR034) — so that an ``(n, 1) ⊕ (n,)`` broadcast blow-up,
+an out-of-rank reduction axis, or an element-count-mismatched
+``reshape`` is provable before any code runs.
 
 **Domain.**  A shape is a tuple of dimensions or ``None`` (nothing is
 known, not even the rank).  A dimension is an ``int``, a :class:`SymDim`
@@ -16,15 +16,21 @@ extent, known to exist).  Symbols are seeded from constructor arguments
 ``(x.rows+1,)``, ``x.indices``/``x.data`` ⇒ ``(x.nnz,)``), constant-bound
 slices (``indptr[:-1]`` ⇒ ``(x.rows,)``), and declared shape contracts.
 
-**Evaluation.**  :class:`ShapeInterp` walks one function body in source
-order — a single linear pass, deliberately flow-insensitive across
-branches (both arms are interpreted; a rebind joins by forgetting
-disagreeing dimensions) — and evaluates every expression through the
-numpy vocabulary: ctors, ``reshape``/``ravel``/``T``/indexing/
-``newaxis``, ufunc broadcasting, ``reduce``/``reduceat``, ``unique``,
-``concatenate``/``stack``.  Anything outside the vocabulary evaluates to
-``None``, which silences every downstream check — the rules fire only on
-what is *proven*, which is how the tier stays quiet on clean code.
+**Evaluation.**  :class:`ShapeInterp` walks one function body once, in
+source order, and records every statement it meets (nested ``def`` and
+``class`` bodies included).  Shapes are evaluated on that walk —
+deliberately flow-insensitive across branches (both arms are
+interpreted, the later binding wins) and never inside nested scopes —
+through the numpy vocabulary: ctors, ``reshape``/``ravel``/``T``/
+indexing/``newaxis``, ufunc broadcasting, ``reduce``/``reduceat``,
+``unique``, ``concatenate``/``stack``.  Anything outside the vocabulary
+evaluates to ``None``, which silences every downstream check — the rules
+fire only on what is *proven*, which is how the tiers stay quiet on
+clean code.  From the recorded statements the interpreter then settles
+the *kind* facts (array / dict / set; flow-insensitive, a least fixpoint
+over every binding, ``np.ndarray``-annotated parameters and CSR
+attributes included) and the *dtype* facts (one pass over the bindings
+in source order, keeping each rebinding as an event for RPR023).
 
 Structural problems discovered during evaluation (impossible broadcasts,
 bad axes, unsatisfiable reshapes) are reported through an ``on_issue``
@@ -40,7 +46,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .callgraph import FunctionResolver
-from .perf import _CSR_ATTRS
+from .determinism import _set_valued_names
 
 __all__ = [
     "SymDim",
@@ -472,6 +478,69 @@ def parse_shape(spec: str):
 
 
 # ----------------------------------------------------------------------
+# numpy vocabulary
+# ----------------------------------------------------------------------
+#: expensive whole-array operations (RPR024 hoisting candidates).  Plain
+#: allocations (zeros/empty/arange) are excluded: reallocating a buffer
+#: per iteration is sometimes the point (double-buffering).
+EXPENSIVE_FNS = frozenset(
+    {
+        "sort", "argsort", "lexsort", "unique", "searchsorted", "concatenate",
+        "where", "nonzero", "flatnonzero", "argwhere", "cumsum", "diff",
+        "repeat", "tile", "dot", "matmul", "einsum", "minimum", "maximum",
+        "stack", "hstack", "vstack", "column_stack", "bincount", "isin",
+        "in1d", "setdiff1d", "intersect1d", "union1d", "add", "logical_and",
+        "logical_or",
+    }
+)
+#: numpy free functions returning ndarrays (array-valued inference)
+_NP_ARRAY_FNS = EXPENSIVE_FNS | frozenset(
+    {
+        "array", "asarray", "asanyarray", "ascontiguousarray", "zeros",
+        "empty", "ones", "full", "zeros_like", "empty_like", "ones_like",
+        "full_like", "arange", "linspace", "fromiter", "frombuffer", "copy",
+        "atleast_1d", "atleast_2d", "clip", "abs", "sign", "mod",
+    }
+)
+#: ndarray methods returning ndarrays
+_ARRAY_METHODS = frozenset(
+    {
+        "astype", "copy", "ravel", "reshape", "view", "take", "clip",
+        "repeat", "flatten", "transpose", "squeeze", "cumsum", "round",
+    }
+)
+#: CSR / edge-bundle attributes that are ndarray-valued wherever they appear
+_CSR_ATTRS = frozenset({"indptr", "indices", "data"})
+#: numpy tuple-returning functions whose unpacked targets are all arrays
+_TUPLE_ARRAY_FNS = frozenset({"nonzero", "unique", "meshgrid", "divmod", "histogram"})
+#: constructors of dict-valued locals
+_DICT_CTORS = frozenset({"dict", "defaultdict", "OrderedDict", "Counter"})
+
+INT_DTYPES = frozenset(
+    {"int8", "int16", "int32", "int64", "intp", "uint8", "uint16", "uint32",
+     "uint64", "bool", "bool_", "pyint"}
+)
+FLOAT_DTYPES = frozenset({"float16", "float32", "float64", "pyfloat"})
+#: relative width rank inside a family (for truncation vs widening wording)
+DTYPE_WIDTH = {
+    "bool": 1, "bool_": 1, "int8": 8, "uint8": 8, "int16": 16, "uint16": 16,
+    "int32": 32, "uint32": 32, "int64": 64, "uint64": 64, "intp": 64,
+    "float16": 16, "float32": 32, "float64": 64, "pyint": 64, "pyfloat": 64,
+}
+
+
+def _child_bodies(stmt: ast.stmt):
+    """A statement's nested statement lists, in source order."""
+    yield getattr(stmt, "body", [])
+    for handler in getattr(stmt, "handlers", ()):
+        yield handler.body
+    for case in getattr(stmt, "cases", ()):
+        yield case.body
+    yield getattr(stmt, "orelse", [])
+    yield getattr(stmt, "finalbody", [])
+
+
+# ----------------------------------------------------------------------
 # the interpreter
 # ----------------------------------------------------------------------
 #: numpy ctors whose first argument is a shape spec
@@ -516,7 +585,7 @@ _PURE_DIM_NODES = (ast.Name, ast.Attribute, ast.Subscript, ast.Constant)
 
 
 class ShapeInterp:
-    """Linear shape abstract interpretation of one function body.
+    """The array-fact interpretation of one function body.
 
     Parameters
     ----------
@@ -532,9 +601,18 @@ class ShapeInterp:
         ``(node, ShapeIssue) -> None`` callback for every provable
         geometry problem; deduplication is the caller's concern.
 
-    After :meth:`run`, :attr:`bindings` holds every ``(node, name, shape)``
-    assignment observed and :attr:`returns` every ``(node, shape)`` from a
-    ``return`` statement — the raw material for RPR034 contract checks.
+    After :meth:`run`, :attr:`bindings` holds every ``(node, name,
+    shape)`` assignment observed and :attr:`returns` every ``(node,
+    shape)`` from a ``return`` statement — the raw material for RPR034
+    contract checks — and :attr:`statements` lists every statement of the
+    body in source order, nested scopes included.  After
+    :meth:`settle_facts`:
+
+    * :attr:`arrays`, :attr:`dicts` and :attr:`sets` name the locals of
+      each kind, and :meth:`is_array` classifies expressions;
+    * :attr:`dtype_events` holds ``(node, name, dtype, previous dtype,
+      explicit astype)`` for every name binding in source order, and
+      :attr:`dtypes` each name's last inferred dtype.
     """
 
     def __init__(
@@ -550,6 +628,12 @@ class ShapeInterp:
         self.env: dict[str, tuple | None] = {}
         self.bindings: list[tuple[ast.AST, str, tuple | None]] = []
         self.returns: list[tuple[ast.AST, tuple | None]] = []
+        self.statements: list[ast.stmt] = []
+        self.arrays: set[str] = set()
+        self.dicts: set[str] = set()
+        self.sets: set[str] = set()
+        self.dtypes: dict[str, str] = {}
+        self.dtype_events: list[tuple[ast.stmt, str, str | None, str | None, bool]] = []
         self._memo: dict[ast.AST, tuple | None] = {}
         args = fn_node.args
         for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
@@ -557,6 +641,12 @@ class ShapeInterp:
             ann = self._annotation_shape(arg.annotation)
             if ann is not None:
                 self.env[arg.arg] = ann
+            if arg.annotation is not None:
+                text = ast.unparse(arg.annotation)
+                if "ndarray" in text or "NDArray" in text:
+                    self.arrays.add(arg.arg)
+                elif text.startswith(("dict", "Dict", "Mapping")) or "Mapping[" in text:
+                    self.dicts.add(arg.arg)
         if seed_shapes:
             self.env.update(seed_shapes)
 
@@ -584,6 +674,12 @@ class ShapeInterp:
         if parts[0] != "numpy" or len(parts) < 2:
             return None
         return parts[1:]
+
+    def np_name(self, call: ast.Call) -> str | None:
+        """``"concatenate"`` for ``np.concatenate(...)`` (also for ufunc-method
+        chains like ``np.minimum.reduceat``), else None."""
+        parts = self._np_parts(call)
+        return parts[0] if parts is not None else None
 
     # -- dimension extraction ------------------------------------------
     def dim_of(self, expr: ast.expr):
@@ -683,9 +779,13 @@ class ShapeInterp:
             self._memo[expr] = got
         return got
 
-    def _emit(self, node: ast.AST, issue) -> None:
+    def _checked(self, node: ast.AST, outcome):
+        """Report the issue of a ``(result, ShapeIssue | None)`` pair at
+        ``node``; return the result."""
+        result, issue = outcome
         if issue is not None:
             self.on_issue(node, issue)
+        return result
 
     def _infer(self, expr: ast.expr):  # noqa: C901 - one dispatch point
         if isinstance(expr, ast.Constant):
@@ -762,9 +862,7 @@ class ShapeInterp:
         b = self.infer(expr.right)
         if a is None or b is None:
             return None
-        result, issue = broadcast_shapes(a, b)
-        self._emit(expr, issue)
-        return result
+        return self._checked(expr, broadcast_shapes(a, b))
 
     def _infer_compare(self, expr: ast.Compare):
         shapes = [self.infer(expr.left)] + [self.infer(c) for c in expr.comparators]
@@ -774,8 +872,7 @@ class ShapeInterp:
             return ()
         out = shapes[0]
         for s in shapes[1:]:
-            out, issue = broadcast_shapes(out, s)
-            self._emit(expr, issue)
+            out = self._checked(expr, broadcast_shapes(out, s))
             if out is None:
                 return None
         return out
@@ -913,30 +1010,24 @@ class ShapeInterp:
             if shape == ():
                 return (1,)
             return shape
-        if name == "atleast_2d":
-            return None
         if name in _REDUCE_FNS:
             arg = self._call_arg(call, 0)
             shape = self.infer(arg) if arg is not None else None
             axis = self._axis_arg(call, pos=1)
             if axis == "unknown":
                 return None
-            result, issue = reduce_shape(shape, axis)
-            self._emit(call, issue)
-            return result
+            return self._checked(call, reduce_shape(shape, axis))
         if name in _BINARY_UFUNCS:
             if len(call.args) < 2:
                 return None
             a, b = self.infer(call.args[0]), self.infer(call.args[1])
             if a is None or b is None:
                 return None
-            result, issue = broadcast_shapes(a, b)
-            self._emit(call, issue)
-            return result
+            return self._checked(call, broadcast_shapes(a, b))
         if name == "where":
             if len(call.args) == 1:
                 shape = self.infer(call.args[0])
-                return None if shape is None else ((None,),)[0]
+                return None if shape is None else (None,)
             if len(call.args) == 3:
                 out = self.infer(call.args[0])
                 for arg in call.args[1:]:
@@ -944,8 +1035,7 @@ class ShapeInterp:
                     if out is None or s is None:
                         out = None
                         continue
-                    out, issue = broadcast_shapes(out, s)
-                    self._emit(call, issue)
+                    out = self._checked(call, broadcast_shapes(out, s))
                 return out
             return None
         if name == "concatenate":
@@ -957,9 +1047,7 @@ class ShapeInterp:
                 return None
             if axis is None:
                 axis = 0
-            result, issue = concat_shapes(shapes, axis)
-            self._emit(call, issue)
-            return result
+            return self._checked(call, concat_shapes(shapes, axis))
         if name in ("stack", "vstack", "hstack", "column_stack", "row_stack"):
             return self._infer_stack(call, name)
         if name == "reshape":
@@ -986,11 +1074,7 @@ class ShapeInterp:
                 out[axis] = None
                 return tuple(out)
             return None
-        if name == "tile":
-            return None
         if name in _FLAT_UNKNOWN_FNS:
-            return (None,)
-        if name == "unique":
             return (None,)
         if name == "nonzero":
             shape = self.infer(call.args[0]) if call.args else None
@@ -1031,9 +1115,6 @@ class ShapeInterp:
         if name in ("int8", "int16", "int32", "int64", "float32", "float64",
                     "intp", "uint8", "uint16", "uint32", "uint64", "bool_"):
             return ()
-        if name in ("meshgrid", "histogram", "divmod", "load", "split",
-                    "array_split", "broadcast_to", "einsum"):
-            return None
         return None
 
     def _infer_stack(self, call: ast.Call, name: str):
@@ -1045,29 +1126,20 @@ class ShapeInterp:
             axis = 0
         known = [s for s in shapes if s is not None]
         if name == "stack":
-            result, issue = stack_shapes(shapes, axis)
-            self._emit(call, issue)
-            return result
+            return self._checked(call, stack_shapes(shapes, axis))
+        flat = known and all(len(s) == 1 for s in known)
         if name in ("vstack", "row_stack"):
-            if known and all(len(s) == 1 for s in known):
-                result, issue = stack_shapes(shapes, 0)
-            else:
-                result, issue = concat_shapes(shapes, 0)
-            self._emit(call, issue)
-            return result
+            return self._checked(
+                call, stack_shapes(shapes, 0) if flat else concat_shapes(shapes, 0)
+            )
         if name == "hstack":
-            if known and all(len(s) == 1 for s in known):
-                result, issue = concat_shapes(shapes, 0)
-            else:
-                result, issue = concat_shapes(shapes, 1)
-            self._emit(call, issue)
-            return result
+            return self._checked(call, concat_shapes(shapes, 0 if flat else 1))
         if name == "column_stack":
-            if known and all(len(s) == 1 for s in known):
+            if flat:
                 dim = known[0][0]
                 for s in known[1:]:
                     if dims_equal(dim, s[0]) is False:
-                        self._emit(
+                        self.on_issue(
                             call,
                             ShapeIssue(
                                 "stack",
@@ -1079,9 +1151,7 @@ class ShapeInterp:
                     dim = _merge_dim(dim, s[0])
                 count = len(shapes) if len(known) == len(shapes) else None
                 return (dim, count)
-            result, issue = concat_shapes(shapes, 1)
-            self._emit(call, issue)
-            return result
+            return self._checked(call, concat_shapes(shapes, 1))
         return None
 
     def _reshape(self, node: ast.AST, old, spec: ast.expr):
@@ -1089,9 +1159,7 @@ class ShapeInterp:
             dims = [self.dim_of(e) for e in spec.elts]
         else:
             dims = [self.dim_of(spec)]
-        result, issue = reshape_shape(old, dims)
-        self._emit(node, issue)
-        return result
+        return self._checked(node, reshape_shape(old, dims))
 
     def _infer_ufunc_method(self, call: ast.Call, method: str):
         arg = self._call_arg(call, 0)
@@ -1108,16 +1176,14 @@ class ShapeInterp:
         if axis == "unknown":
             return None
         if method == "reduce":
-            result, issue = reduce_shape(shape, axis)
-            self._emit(call, issue)
-            return result
+            return self._checked(call, reduce_shape(shape, axis))
         # reduceat: the reduced axis takes the indices' extent
         idx = self._call_arg(call, 1, "indices")
         idx_shape = self.infer(idx) if idx is not None else None
         ax = 0 if axis is None else axis
         rank = len(shape) if shape is not None else None
         if rank is not None and not -rank <= ax < rank:
-            self._emit(
+            self.on_issue(
                 call,
                 ShapeIssue(
                     "axis",
@@ -1137,21 +1203,17 @@ class ShapeInterp:
     def _infer_method(self, call: ast.Call, func: ast.Attribute):  # noqa: C901
         base = self.infer(func.value)
         name = func.attr
+        if base is None:
+            return None  # unknown base means unknown rank: nothing to prove
         if name == "reshape":
-            if base is None and self.infer(func.value) is None and not self._is_arrayish(func.value):
+            if not call.args:
                 return None
             spec = (
                 call.args[0]
                 if len(call.args) == 1
                 else ast.Tuple(elts=list(call.args), ctx=ast.Load())
             )
-            if not call.args:
-                return None
             return self._reshape(call, base, spec)
-        if base is None:
-            # still validate reductions by rank when only rank is knowable?
-            # no: unknown base means unknown rank, nothing to prove
-            return None
         if name in ("ravel", "flatten"):
             return flatten_shape(base)
         if name == "transpose":
@@ -1169,26 +1231,17 @@ class ShapeInterp:
             axis = self._axis_arg(call, pos=0)
             if axis == "unknown":
                 return None
-            result, issue = reduce_shape(base, axis)
-            self._emit(call, issue)
-            return result
+            return self._checked(call, reduce_shape(base, axis))
         if name == "cumsum":
             axis = self._axis_arg(call, pos=0)
             if axis is None:
                 return flatten_shape(base)
             if axis == "unknown":
                 return None
-            result, issue = reduce_shape(base, axis, keepdims=True)
-            self._emit(call, issue)
+            result = self._checked(call, reduce_shape(base, axis, keepdims=True))
             return base if result is not None else None
-        if name == "squeeze":
-            return None
-        if name == "take":
-            return None
         if name == "nonzero":
             return tuple((None,) for _ in range(len(base)))
-        if name == "tolist":
-            return None
         if name == "repeat":
             axis = self._axis_arg(call, pos=1)
             if axis is None or axis == "unknown":
@@ -1199,19 +1252,31 @@ class ShapeInterp:
             return self.infer(v) if v is not None else None
         return None
 
-    def _is_arrayish(self, expr: ast.expr) -> bool:
-        return self.infer(expr) is not None
-
     # -- statements -----------------------------------------------------
     def run(self) -> None:
-        """Interpret the whole body once, in source order."""
+        """Interpret the whole body once, in source order, recording every
+        statement; shapes are evaluated on the way."""
         self._run_body(self.fn_node.body)
+
+    def settle_facts(self) -> None:
+        """Derive the kind and dtype facts from the recorded statements
+        (after :meth:`run`; the shape rules do not need them)."""
+        self._settle_kinds()
+        self._settle_dtypes()
 
     def _run_body(self, body: list[ast.stmt]) -> None:
         for stmt in body:
             self._run_stmt(stmt)
 
+    def _record_dark(self, stmt: ast.stmt) -> None:
+        """Record the statements nested in ``stmt`` without evaluating shapes."""
+        for body in _child_bodies(stmt):
+            for sub in body:
+                self.statements.append(sub)
+                self._record_dark(sub)
+
     def _run_stmt(self, stmt: ast.stmt) -> None:  # noqa: C901 - dispatch
+        self.statements.append(stmt)
         if isinstance(stmt, ast.Assign):
             shape = self.infer(stmt.value)
             for target in stmt.targets:
@@ -1233,8 +1298,7 @@ class ShapeInterp:
                 if old is not None and inc is not None and not isinstance(
                     stmt.op, ast.MatMult
                 ):
-                    result, issue = broadcast_shapes(old, inc)
-                    self._emit(stmt, issue)
+                    self._checked(stmt, broadcast_shapes(old, inc))
                     # in-place ops cannot grow the left side; keep it
                     self._record(stmt, stmt.target.id, old)
                 else:
@@ -1246,30 +1310,22 @@ class ShapeInterp:
                 self.returns.append((stmt, self.infer(stmt.value)))
         elif isinstance(stmt, ast.Expr):
             self.infer(stmt.value)
-        elif isinstance(stmt, (ast.If,)):
-            self.infer(stmt.test)
-            self._run_body(stmt.body)
-            self._run_body(stmt.orelse)
-        elif isinstance(stmt, ast.For):
-            self.infer(stmt.iter)
-            self._bind_loop_target(stmt.target, stmt.iter)
-            self._run_body(stmt.body)
-            self._run_body(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            self.infer(stmt.test)
-            self._run_body(stmt.body)
-            self._run_body(stmt.orelse)
-        elif isinstance(stmt, ast.With):
-            for item in stmt.items:
-                self.infer(item.context_expr)
-            self._run_body(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self._run_body(stmt.body)
-            for handler in stmt.handlers:
-                self._run_body(handler.body)
-            self._run_body(stmt.orelse)
-            self._run_body(stmt.finalbody)
-        # nested defs/classes are separate scan units; skip them
+        elif isinstance(stmt, (ast.If, ast.For, ast.While, ast.With, ast.Try)):
+            if isinstance(stmt, (ast.If, ast.While)):
+                self.infer(stmt.test)
+            elif isinstance(stmt, ast.For):
+                self.infer(stmt.iter)
+                self._bind_loop_target(stmt.target, stmt.iter)
+            elif isinstance(stmt, ast.With):
+                for item in stmt.items:
+                    self.infer(item.context_expr)
+            for body in _child_bodies(stmt):
+                self._run_body(body)
+        else:
+            # nested defs/classes are separate scan units (and other
+            # compound statements are outside the vocabulary): no shapes,
+            # but their bindings still feed the kind and dtype facts
+            self._record_dark(stmt)
 
     def _bind_loop_target(self, target: ast.expr, it: ast.expr) -> None:
         """``for row in matrix`` peels the leading axis."""
@@ -1285,12 +1341,6 @@ class ShapeInterp:
                     self.env[elt.id] = None
 
     def _record(self, node: ast.AST, name: str, shape) -> None:
-        prev = self.env.get(name)
-        if name in self.env and prev is not None and shape is not None:
-            # rebinding joins: a name that sometimes has another shape
-            # keeps only the dims both agree on (same rank) or goes dark
-            if len(prev) == len(shape) and prev != shape:
-                pass  # keep the new binding; linear order wins
         self.env[name] = shape
         self.bindings.append((node, name, shape))
 
@@ -1307,8 +1357,7 @@ class ShapeInterp:
             # `a[idx] = v`: the write must broadcast into the selected slot
             slot = self.infer(target)
             if slot is not None and shape is not None:
-                _result, issue = broadcast_shapes(slot, shape)
-                self._emit(stmt, issue)
+                self._checked(stmt, broadcast_shapes(slot, shape))
 
     def _bind_unpack(
         self, stmt: ast.stmt, target: ast.Tuple | ast.List, value: ast.expr
@@ -1334,3 +1383,167 @@ class ShapeInterp:
         for elt, shape in zip(target.elts, values):
             if isinstance(elt, ast.Name):
                 self._record(stmt, elt.id, shape)
+
+    # -- kind facts (array / dict / set) ---------------------------------
+    def _bindings(self):
+        """``(stmt, targets, value)`` per binding statement, in source order;
+        ``value`` is None for ``x /= y`` (a float rebinding)."""
+        for stmt in self.statements:
+            if isinstance(stmt, ast.Assign):
+                yield stmt, stmt.targets, stmt.value
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                yield stmt, [stmt.target], stmt.value
+            elif (
+                isinstance(stmt, ast.AugAssign)
+                and isinstance(stmt.target, ast.Name)
+                and isinstance(stmt.op, ast.Div)
+            ):
+                yield stmt, [stmt.target], None
+
+    def _settle_kinds(self) -> None:
+        """Least fixpoint of the kind rules over every recorded binding."""
+        self.sets = _set_valued_names(self.fn_node)
+        pairs = [(t, v) for _, t, v in self._bindings() if v is not None]
+        size = -1
+        while size != len(self.arrays) + len(self.dicts):
+            size = len(self.arrays) + len(self.dicts)
+            for targets, value in pairs:
+                for t in targets:
+                    if isinstance(t, (ast.Tuple, ast.List)):
+                        self._classify_unpack(t, value)
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                if self.is_array(value):
+                    self.arrays.update(names)
+                elif self._is_dict(value):
+                    self.dicts.update(names)
+
+    def _classify_unpack(self, target: ast.Tuple | ast.List, value: ast.expr) -> None:
+        if isinstance(value, ast.Call):
+            if self.np_name(value) in _TUPLE_ARRAY_FNS:
+                self.arrays.update(e.id for e in target.elts if isinstance(e, ast.Name))
+        elif isinstance(value, (ast.Tuple, ast.List)) and len(value.elts) == len(
+            target.elts
+        ):
+            for elt, val in zip(target.elts, value.elts):
+                if isinstance(elt, ast.Name) and self.is_array(val):
+                    self.arrays.add(elt.id)
+
+    def _is_dict(self, expr: ast.expr) -> bool:
+        if isinstance(expr, (ast.Dict, ast.DictComp)):
+            return True
+        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
+            return expr.func.id in _DICT_CTORS
+        return isinstance(expr, ast.Name) and expr.id in self.dicts
+
+    def is_array(self, expr: ast.expr) -> bool:
+        """Is this expression provably ndarray-valued?"""
+        if isinstance(expr, ast.Name):
+            return expr.id in self.arrays
+        if isinstance(expr, ast.Attribute):
+            return expr.attr in _CSR_ATTRS
+        if isinstance(expr, ast.Subscript):
+            return self.is_array(expr.value)
+        if isinstance(expr, ast.UnaryOp):
+            return self.is_array(expr.operand)
+        if isinstance(expr, ast.BinOp):
+            return self.is_array(expr.left) or self.is_array(expr.right)
+        if isinstance(expr, ast.Compare):
+            return self.is_array(expr.left) or any(
+                self.is_array(c) for c in expr.comparators
+            )
+        if isinstance(expr, ast.IfExp):
+            return self.is_array(expr.body) or self.is_array(expr.orelse)
+        if isinstance(expr, ast.Call):
+            if self.np_name(expr) in _NP_ARRAY_FNS:
+                return True
+            func = expr.func
+            return (
+                isinstance(func, ast.Attribute)
+                and func.attr in _ARRAY_METHODS
+                and self.is_array(func.value)
+            )
+        return False
+
+    def is_arraylike_iter(self, expr: ast.expr) -> bool:
+        """Array-valued, or array data flattened element-wise (``.tolist()``)."""
+        return self.is_array(expr) or (
+            isinstance(expr, ast.Call)
+            and isinstance(expr.func, ast.Attribute)
+            and expr.func.attr == "tolist"
+            and self.is_array(expr.func.value)
+        )
+
+    # -- dtype facts -----------------------------------------------------
+    def _settle_dtypes(self) -> None:
+        """One pass over the bindings in source order: each name's dtype
+        as it is rebound (``x /= y`` always rebinds to float64)."""
+        for stmt, targets, value in self._bindings():
+            dtype = "float64" if value is None else self.dtype(value)
+            is_astype = (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Attribute)
+                and value.func.attr == "astype"
+            )
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    self.dtype_events.append(
+                        (stmt, t.id, dtype, self.dtypes.get(t.id), is_astype)
+                    )
+                    if dtype is not None:
+                        self.dtypes[t.id] = dtype
+
+    def _dtype_arg(self, expr: ast.expr) -> str | None:
+        """``"int64"`` for ``np.int64`` / ``"int64"`` / ``int``/``float``/``bool``."""
+        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
+            return expr.value
+        if isinstance(expr, ast.Name):
+            return {"int": "int64", "float": "float64", "bool": "bool"}.get(expr.id)
+        dotted = self.resolver.resolve_expr(expr)
+        if dotted is not None and dotted.startswith("numpy."):
+            leaf = dotted.split(".")[-1]
+            if leaf in INT_DTYPES or leaf in FLOAT_DTYPES:
+                return leaf
+        return None
+
+    def dtype(self, expr: ast.expr) -> str | None:
+        """Element dtype of an expression under the current dtype facts."""
+        if isinstance(expr, ast.Constant):
+            if isinstance(expr.value, bool):
+                return "bool"
+            if isinstance(expr.value, int):
+                return "pyint"
+            if isinstance(expr.value, float):
+                return "pyfloat"
+            return None
+        if isinstance(expr, ast.Name):
+            return self.dtypes.get(expr.id)
+        if isinstance(expr, ast.Subscript):
+            return self.dtype(expr.value)
+        if isinstance(expr, ast.UnaryOp):
+            return self.dtype(expr.operand)
+        if isinstance(expr, ast.BinOp):
+            if isinstance(expr.op, ast.Div):
+                return "float64"  # true division always yields float
+            left, right = self.dtype(expr.left), self.dtype(expr.right)
+            if left in FLOAT_DTYPES or right in FLOAT_DTYPES:
+                return "float64"
+            if left in INT_DTYPES and right in INT_DTYPES:
+                return max((left, right), key=lambda d: DTYPE_WIDTH.get(d, 0))
+            return None
+        if not isinstance(expr, ast.Call):
+            return None
+        if isinstance(expr.func, ast.Attribute) and expr.func.attr == "astype":
+            return self._dtype_arg(expr.args[0]) if expr.args else None
+        name = self.np_name(expr)
+        if name is None:
+            return None
+        if name in INT_DTYPES or name in FLOAT_DTYPES:
+            return name  # np.int64(x) scalar constructor
+        for kw in expr.keywords:
+            if kw.arg == "dtype":
+                return self._dtype_arg(kw.value)
+        if name in ("zeros", "ones", "empty", "linspace"):
+            return "float64"  # numpy's default dtype
+        if name == "arange" and all(self.dtype(a) in INT_DTYPES for a in expr.args):
+            return "int64"
+        return None

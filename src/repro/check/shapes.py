@@ -53,13 +53,9 @@ import ast
 from collections.abc import Iterable
 from pathlib import Path
 
-from repro import obs
-
-from .callgraph import FunctionNode, FunctionResolver, build_callgraph
-from .determinism import _parent_map
-from .findings import Finding, Report
-from .lint import _noqa_map
-from .perf import HOT_PERIMETER, HotKernel, _LocalTypes, hot_path_perimeter
+from .callgraph import CallGraph, FunctionNode, FunctionResolver, scan_tier
+from .findings import Report
+from .perf import HOT_PERIMETER, HotKernel, hot_path_perimeter
 from .shapeinfer import ShapeInterp, parse_shape, unify_shapes
 
 __all__ = [
@@ -136,8 +132,6 @@ class _AliasScan:
         self.resolver = resolver
         self.tag = tag
         self.emit = emit
-        self.types = _LocalTypes(fn, resolver)
-        self.parents = _parent_map(fn.node)
         self.readonly: set[str] = set()
         self.views: dict[str, str] = {}
 
@@ -217,13 +211,13 @@ class _AliasScan:
         return None
 
     # -- writes ---------------------------------------------------------
-    def _subscript_root(self, target: ast.expr) -> str | None:
-        cur = target
-        while isinstance(cur, ast.Subscript):
-            cur = cur.value
-        return cur.id if isinstance(cur, ast.Name) else None
-
-    def _check_write(self, node: ast.stmt, root: str) -> None:
+    def _check_write(self, node: ast.stmt, target: ast.expr) -> None:
+        """A write through ``target`` (a subscript chain or a bare name)."""
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        if not isinstance(target, ast.Name):
+            return
+        root = target.id
         if root in self.readonly:
             self.emit(
                 node,
@@ -248,33 +242,22 @@ class _AliasScan:
                 f"last read [{self.tag}]",
             )
 
-    def run(self) -> None:
-        stmts = [
-            n
-            for n in ast.walk(self.fn.node)
-            if isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.Expr))
-        ]
-        for node in sorted(stmts, key=lambda n: (n.lineno, n.col_offset)):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
+    def run(self, statements: list[ast.stmt]) -> None:
+        """Scan the function's statements (source order, nested scopes
+        included — :attr:`ShapeInterp.statements`)."""
+        for node in statements:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if node.value is None:
+                    continue
+                for target in targets:
                     if isinstance(target, ast.Name):
                         self._classify(target.id, node.value)
                     elif isinstance(target, ast.Subscript):
-                        root = self._subscript_root(target)
-                        if root is not None:
-                            self._check_write(node, root)
-            elif isinstance(node, ast.AnnAssign):
-                if node.value is not None and isinstance(node.target, ast.Name):
-                    self._classify(node.target.id, node.value)
-                elif isinstance(node.target, ast.Subscript) and node.value is not None:
-                    root = self._subscript_root(node.target)
-                    if root is not None:
-                        self._check_write(node, root)
+                        self._check_write(node, target)
             elif isinstance(node, ast.AugAssign):
                 if isinstance(node.target, ast.Subscript):
-                    root = self._subscript_root(node.target)
-                    if root is not None:
-                        self._check_write(node, root)
+                    self._check_write(node, node.target)
             elif isinstance(node, ast.Expr):
                 call = node.value
                 if (
@@ -282,15 +265,8 @@ class _AliasScan:
                     and isinstance(call.func, ast.Attribute)
                     and call.func.attr in _MUTATING_METHODS
                     and isinstance(call.func.value, ast.Name)
-                    and (
-                        call.func.value.id in self.readonly
-                        or call.func.value.id in self.views
-                        or self.types.is_array(call.func.value)
-                    )
                 ):
-                    name = call.func.value.id
-                    if name in self.readonly or name in self.views:
-                        self._check_write(node, name)
+                    self._check_write(node, call.func.value)
 
 
 # ----------------------------------------------------------------------
@@ -306,9 +282,7 @@ def _parse_contracts(kernel: HotKernel) -> dict[str, tuple]:
     return {name: parse_shape(spec) for name, spec in kernel.shape}
 
 
-def _check_contracts(
-    kernel: HotKernel, interp: ShapeInterp, declared: dict, tag: str, emit
-) -> None:
+def _check_contracts(interp: ShapeInterp, declared: dict, tag: str, emit) -> None:
     """RPR034: every observed binding / return against the declarations.
 
     One shared symbol table spans all of the kernel's declarations, so
@@ -316,30 +290,15 @@ def _check_contracts(
     extents — that *relation* is most of a shape contract's value.
     """
     bindings: dict = {}
-    ret_decl = declared.get("return")
-    for node, name, shape in interp.bindings:
+    observed = [(node, name, f"`{name}`", shape) for node, name, shape in interp.bindings]
+    observed += [(node, "return", "the return value", shape) for node, shape in interp.returns]
+    for node, name, what, shape in observed:
         want = declared.get(name)
         if want is None or shape is None:
             continue
         conflict = unify_shapes(want, shape, bindings)
         if conflict is not None:
-            emit(
-                node,
-                "RPR034",
-                f"shape contract drift on `{name}`: {conflict} [{tag}]",
-            )
-    if ret_decl is not None:
-        for node, shape in interp.returns:
-            if shape is None:
-                continue
-            conflict = unify_shapes(ret_decl, shape, bindings)
-            if conflict is not None:
-                emit(
-                    node,
-                    "RPR034",
-                    f"shape contract drift on the return value: {conflict} "
-                    f"[{tag}]",
-                )
+            emit(node, "RPR034", f"shape contract drift on {what}: {conflict} [{tag}]")
 
 
 # ----------------------------------------------------------------------
@@ -366,61 +325,28 @@ def shape_paths(
         else HOT_PERIMETER + SERVE_SHAPE_ROOTS
     )
     kernels_by_qual = {k.qualname: k for k in kernels}
-    report = Report()
-    with obs.span("check.shapes"):
-        cg = build_callgraph(paths)
-        perimeter = hot_path_perimeter(cg, kernels)
-        noqa_cache: dict[str, dict[int, frozenset[str] | None]] = {}
-        seen: set[tuple[str, int, str]] = set()
-        suppressed = 0
+    reached: dict[str, str] = {}
 
-        for qual in sorted(perimeter.reached):
-            fn = cg.functions[qual]
-            scope = cg.modules[fn.module]
-            resolver = FunctionResolver(cg, scope, fn)
-            origin = perimeter.reached[qual]
-            tag = f"hot via {origin}"
-            noqa = noqa_cache.setdefault(fn.path, _noqa_map(scope.source))
+    def reached_of(cg: CallGraph) -> dict[str, str]:
+        reached.update(hot_path_perimeter(cg, kernels).reached)
+        return reached
 
-            def emit(
-                node: ast.AST,
-                code: str,
-                message: str,
-                _noqa=noqa,
-                _fn=fn,
-            ) -> None:
-                nonlocal suppressed
-                lineno = getattr(node, "lineno", 0)
-                key = (_fn.path, lineno, code)
-                if key in seen:
-                    return
-                for ln in (lineno, _fn.lineno):
-                    mask = _noqa.get(ln, frozenset())
-                    if mask is None or code in mask:
-                        seen.add(key)
-                        suppressed += 1
-                        return
-                seen.add(key)
-                report.add(Finding(_fn.path, lineno, code, message))
+    def visit(fn: FunctionNode, resolver: FunctionResolver, emit) -> int:
+        tag = f"hot via {reached[fn.qualname]}"
+        kernel = kernels_by_qual.get(fn.qualname)
+        declared = _parse_contracts(kernel) if kernel is not None else {}
+        interp = ShapeInterp(
+            fn.node,
+            resolver,
+            seed_shapes={k: v for k, v in declared.items() if k != "return"},
+            on_issue=lambda node, issue: emit(
+                node, _ISSUE_CODES[issue.kind], f"{issue.detail} [{tag}]"
+            ),
+        )
+        interp.run()
+        if declared:
+            _check_contracts(interp, declared, tag, emit)
+        _AliasScan(fn, resolver, tag, emit).run(interp.statements)
+        return 1
 
-            kernel = kernels_by_qual.get(qual)
-            declared = _parse_contracts(kernel) if kernel is not None else {}
-            interp = ShapeInterp(
-                fn.node,
-                resolver,
-                seed_shapes={k: v for k, v in declared.items() if k != "return"},
-                on_issue=lambda node, issue, _emit=emit, _tag=tag: _emit(
-                    node, _ISSUE_CODES[issue.kind], f"{issue.detail} [{_tag}]"
-                ),
-            )
-            interp.run()
-            if declared and kernel is not None:
-                _check_contracts(kernel, interp, declared, tag, emit)
-            _AliasScan(fn, resolver, tag, emit).run()
-            report.checked += 1
-
-        reg = obs.registry()
-        reg.incr("check.shapes.reachable", len(perimeter.reached))
-        reg.incr("check.shapes.findings", len(report.findings))
-        reg.incr("check.shapes.suppressed", suppressed)
-    return report
+    return scan_tier("shapes", paths, reached_of, visit, def_line=True)

@@ -149,7 +149,7 @@ class NextHopTable:
                 padded[:n] = hops
                 padded[n] = np.iinfo(hops.dtype).max
                 code = np.zeros((n, len(dsts)), dtype=code_type)
-                for c in range(1, width + 1):  # repro: noqa[RPR020] — per slot, not per element
+                for c in range(1, width + 1):
                     hit = padded.take(slot[:, c], axis=0) == closer
                     np.maximum(code, hit * code_type.type(c), out=code)
                 nh = hop.take(code + hop_row)

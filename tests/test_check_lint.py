@@ -245,6 +245,10 @@ class TestNoqaAndModel:
         r = lint("def f(xs=[], ys={}):  # repro: noqa\n    return xs, ys\n")
         assert r.ok
 
+    def test_noqa_inside_a_string_literal_does_not_suppress(self):
+        r = lint('def f(xs=[], s="# repro: noqa"):\n    return xs, s\n')
+        assert _codes(r) == {"RPR002"}
+
     def test_noqa_for_other_code_does_not_suppress(self):
         r = lint("def f(xs=[]):  # repro: noqa[RPR001]\n    return xs\n")
         assert _codes(r) == {"RPR002"}

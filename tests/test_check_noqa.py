@@ -1,0 +1,82 @@
+"""Every ``# repro: noqa`` in ``src/`` must still be earning its keep.
+
+The four static tiers run on a copy of ``src/`` with every noqa marker
+neutralized; each marker of the real tree must then name a code that
+fires on its line (or, for a ``def``-line marker of the perf and shape
+tiers, anywhere in the function).  A marker that suppresses nothing
+hides the next real finding on its line, so it fails this test.
+"""
+
+import ast
+import shutil
+from pathlib import Path
+
+from repro.check import dataflow_paths, lint_paths, perf_paths, shape_paths
+from repro.check.findings import noqa_map
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: tiers whose def-line noqa covers the whole function
+_DEF_LINE_CODES = ("RPR02", "RPR03")
+
+
+def neutralized_copy(src: Path, dest: Path) -> Path:
+    """Copy ``src`` to ``dest`` with every noqa marker made inert (line
+    numbers unchanged)."""
+    shutil.copytree(src, dest, ignore=shutil.ignore_patterns("__pycache__"))
+    for path in dest.rglob("*.py"):
+        text = path.read_text()
+        if "repro: noqa" in text:
+            path.write_text(text.replace("repro: noqa", "repro: nada"))
+    return dest
+
+
+def static_findings(tree: Path):
+    """Every finding of the four static tiers over ``tree``."""
+    findings = []
+    for tier in (lint_paths, dataflow_paths, perf_paths, shape_paths):
+        findings.extend(tier([tree]).findings)
+    return findings
+
+
+def _function_spans(source: str) -> dict[int, tuple[int, int]]:
+    """``def`` line -> (first, last) line of that function."""
+    return {
+        node.lineno: (node.lineno, node.end_lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def test_every_noqa_suppresses_a_finding(tmp_path):
+    copy = neutralized_copy(SRC, tmp_path / "src")
+    fired: dict[str, list[tuple[int, str]]] = {}
+    for f in static_findings(copy):
+        rel = str(Path(f.path).resolve().relative_to(copy.resolve()))
+        fired.setdefault(rel, []).append((f.line, f.code))
+
+    stale = []
+    for path in sorted(SRC.rglob("*.py")):
+        source = path.read_text()
+        markers = noqa_map(source)
+        if not markers:
+            continue
+        rel = str(path.relative_to(SRC))
+        spans = _function_spans(source)
+        for line, codes in markers.items():
+            lo, hi = spans.get(line, (line, line))
+
+            def covers(hit_line, code, lo=lo, hi=hi, codes=codes, line=line):
+                named = codes is None or code in codes
+                if hit_line == line:
+                    return named
+                return named and code.startswith(_DEF_LINE_CODES) and lo <= hit_line <= hi
+
+            if not any(covers(hl, code) for hl, code in fired.get(rel, [])):
+                stale.append(f"{rel}:{line}: noqa{sorted(codes or [])} suppresses nothing")
+    assert not stale, "\n".join(stale)
+
+
+def test_noqa_in_a_string_literal_is_not_a_comment():
+    source = 'x = "# repro: noqa[RPR020]"\ny = 1  # repro: noqa[RPR021]\n'
+    assert noqa_map(source) == {2: frozenset({"RPR021"})}

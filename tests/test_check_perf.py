@@ -424,6 +424,23 @@ class TestNoqa:
         )
         assert perf_paths([root], kernels=KERNEL).ok
 
+    def test_noqa_spelled_in_a_string_literal_does_not_suppress(self, tmp_path):
+        root = make_tree(
+            tmp_path,
+            {
+                "app/kern.py": """
+                    import numpy as np
+
+                    def kernel(arr: np.ndarray):
+                        total = 0
+                        for v in arr: total += len("# repro: noqa[RPR020]")
+                        return total
+                """
+            },
+        )
+        r = perf_paths([root], kernels=KERNEL)
+        assert anchor(r, "RPR020")[1] == line_of(root, "app/kern.py", "for v in arr")
+
     def test_def_line_noqa_does_not_cover_other_codes(self, tmp_path):
         root = make_tree(
             tmp_path,
@@ -561,6 +578,40 @@ class TestPerfSanitize:
         r3 = perf_sanitize(paths=[SRC], workloads=[w], budgets_path=budgets)
         assert "SAN005" not in codes(r3)
 
+    def test_san004_checks_every_scanned_root(self, tmp_path, monkeypatch):
+        # the hot frame lives under the *second* root of the scan
+        root = make_tree(
+            tmp_path,
+            {
+                "busyapp/grind.py": """
+                    def grind(n):
+                        total = 0
+                        for i in range(n):
+                            total += i * i
+                        return total
+                """
+            },
+        )
+        monkeypatch.syspath_prepend(str(root))
+
+        def prepare(smoke):
+            from busyapp.grind import grind
+
+            def run():
+                grind(300_000)
+                return 1
+
+            return run
+
+        r = perf_sanitize(
+            paths=[SRC, root],
+            workloads=[Workload("grind", "app.none", "call", prepare)],
+            budgets_path=tmp_path / "budgets.json",
+            floor_s=0.002,
+        )
+        assert "SAN004" in codes(r)
+        assert "grind" in next(f.message for f in r.findings if f.code == "SAN004")
+
     def test_update_preserves_other_profile(self, tmp_path):
         budgets = tmp_path / "budgets.json"
         m = run_workload(_trivial_workload(), smoke=True, repeats=1)
@@ -606,6 +657,23 @@ class TestCLI:
 
     def test_repo_src_is_clean(self):
         assert check_main(["perf", str(SRC)]) == 0
+
+    def test_measure_without_budget_file_fails_naming_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert check_main(["perf", "--measure", "--smoke"]) != 0
+        assert "benchmarks/perf_budgets.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["perf", "--smoke"], ["perf", "--budgets", "b.json", "src"]]
+    )
+    def test_measure_only_flags_need_measure(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            check_main(argv)
+        assert exc.value.code != 0
+        assert "--measure" in capsys.readouterr().err
 
     def test_help_lists_all_tiers(self, capsys):
         with pytest.raises(SystemExit) as exc:

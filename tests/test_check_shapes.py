@@ -42,9 +42,8 @@ from repro.check.shapeinfer import (
     stack_shapes,
     unify_shapes,
 )
+from repro.check.perfsanitize import WORKLOADS, Workload
 from repro.check.shapesanitize import (
-    SHAPE_PROBES,
-    ShapeProbe,
     load_contracts,
     record_shapes,
     update_contracts,
@@ -787,7 +786,21 @@ class TestPerimeter:
 # ----------------------------------------------------------------------
 # SAN006: recorded shape contracts
 # ----------------------------------------------------------------------
-def _probe_fixed(smoke):
+def _fixture_workload(arrays):
+    """A one-catalog workload whose recording pass stores ``arrays()``."""
+
+    def prepare(smoke):
+        def run(record=None):
+            if record is not None:
+                record.update(arrays())
+            return 1
+
+        return run
+
+    return Workload("fixture", "app.kern.kernel", "unit", prepare)
+
+
+def _arrays_fixed():
     import numpy as np
 
     return {
@@ -796,7 +809,7 @@ def _probe_fixed(smoke):
     }
 
 
-def _probe_drifted(smoke):
+def _arrays_drifted():
     import numpy as np
 
     # same names, changed geometry/dtype; `ids` vanished, `extra` appeared
@@ -806,8 +819,8 @@ def _probe_drifted(smoke):
     }
 
 
-FIXED = ShapeProbe("fixture", "app.kern.kernel", _probe_fixed)
-DRIFTED = ShapeProbe("fixture", "app.kern.kernel", _probe_drifted)
+FIXED = _fixture_workload(_arrays_fixed)
+DRIFTED = _fixture_workload(_arrays_drifted)
 
 
 class TestSAN006:
@@ -821,26 +834,26 @@ class TestSAN006:
     def test_uncontracted_workload_is_skipped(self, tmp_path):
         path = tmp_path / "contracts.json"
         report = shape_sanitize(
-            smoke=True, contracts_path=path, update=False, probes=[FIXED]
+            smoke=True, contracts_path=path, update=False, workloads=[FIXED]
         )
         assert report.ok and report.checked == 0
 
     def test_update_then_compare_then_drift(self, tmp_path):
         path = tmp_path / "contracts.json"
         report = shape_sanitize(
-            smoke=True, contracts_path=path, update=True, probes=[FIXED]
+            smoke=True, contracts_path=path, update=True, workloads=[FIXED]
         )
         assert report.ok
         data = load_contracts(path)
         assert data["profiles"]["smoke"]["fixture"]["grid"]["shape"] == [3, 4]
 
         report = shape_sanitize(
-            smoke=True, contracts_path=path, update=False, probes=[FIXED]
+            smoke=True, contracts_path=path, update=False, workloads=[FIXED]
         )
         assert report.ok and report.checked == 1
 
         report = shape_sanitize(
-            smoke=True, contracts_path=path, update=False, probes=[DRIFTED]
+            smoke=True, contracts_path=path, update=False, workloads=[DRIFTED]
         )
         assert codes(report) == {"SAN006"}
         msgs = "\n".join(f.message for f in report.findings)
@@ -854,7 +867,7 @@ class TestSAN006:
         update_contracts(
             path, {"other": {"x": {"shape": [1], "dtype": "int64"}}}, "full"
         )
-        shape_sanitize(smoke=True, contracts_path=path, update=True, probes=[FIXED])
+        shape_sanitize(smoke=True, contracts_path=path, update=True, workloads=[FIXED])
         data = load_contracts(path)
         assert data["profiles"]["full"]["other"]["x"]["shape"] == [1]
         assert "fixture" in data["profiles"]["smoke"]
@@ -863,12 +876,12 @@ class TestSAN006:
         quals = {k.qualname for k in HOT_PERIMETER} | {
             k.qualname for k in SERVE_SHAPE_ROOTS
         }
-        for probe in SHAPE_PROBES:
+        for probe in WORKLOADS:
             assert probe.kernel in quals, probe.name
 
     def test_committed_contracts_cover_all_probes(self):
         data = load_contracts(CONTRACTS)
-        names = {p.name for p in SHAPE_PROBES}
+        names = {p.name for p in WORKLOADS}
         for profile in ("smoke", "full"):
             prof = data["profiles"][profile]
             assert set(prof) == names
@@ -881,9 +894,9 @@ class TestSAN006:
     def test_smoke_probes_match_committed_contracts(self):
         # the cheapest live probe end-to-end: closure_fast against the
         # committed smoke profile must be drift-free
-        probe = next(p for p in SHAPE_PROBES if p.name == "closure_fast")
+        probe = next(p for p in WORKLOADS if p.name == "closure_fast")
         report = shape_sanitize(
-            smoke=True, contracts_path=CONTRACTS, update=False, probes=[probe]
+            smoke=True, contracts_path=CONTRACTS, update=False, workloads=[probe]
         )
         assert report.ok, report.render()
 
@@ -914,6 +927,23 @@ class TestCLI:
 
     def test_repo_src_is_clean(self):
         assert check_main(["shapes", str(SRC)]) == 0
+
+    def test_measure_without_contract_file_fails_naming_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert check_main(["shapes", "--measure", "--smoke"]) != 0
+        assert "benchmarks/shape_contracts.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["shapes", "--smoke"], ["shapes", "--contracts", "c.json"]]
+    )
+    def test_measure_only_flags_need_measure(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            check_main(argv)
+        assert exc.value.code != 0
+        assert "--measure" in capsys.readouterr().err
 
     def test_help_lists_all_tiers(self, capsys):
         with pytest.raises(SystemExit) as exc:
