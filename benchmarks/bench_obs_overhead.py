@@ -1,8 +1,8 @@
 """Disabled-path overhead of the observability layer (<2% budget).
 
 Compares the instrumented :func:`repro.core.ipgraph.build_ip_graph`
-(with :mod:`repro.obs` disabled, the default) against a verbatim copy of the
-pre-instrumentation closure kept below as the baseline.  Asserts the
+(with :mod:`repro.obs` disabled, the default) against the same closure
+helpers called without the instrumentation, kept below as the baseline.  Asserts the
 median of paired instrumented/baseline ratios stays under 2% — the
 guarantee DESIGN.md makes for benchmark neutrality.
 
@@ -18,82 +18,33 @@ import statistics
 import sys
 import time
 
-import numpy as np
-
-from repro.core.ipgraph import Generator, IPGraph, _encode_seed, _void_view, build_ip_graph
+from repro.core.ipgraph import (
+    Generator,
+    IPGraph,
+    _arc_table,
+    _closure,
+    _key_constants,
+    _labels,
+    _padded_rows,
+    build_ip_graph,
+)
 from repro.core.permutation import transposition
 
 THRESHOLD = 0.02
 ROUNDS = 11
-STAR_K = 8  # 8! = 40320 nodes — big enough that one build takes ~0.1 s
+STAR_K = 8  # 8! = 40320 nodes — big enough that one build takes tens of ms
 
 
 def _baseline_build(seed, generators):
-    """The batched closure exactly as it was before instrumentation, graph
+    """The batched closure with its instrumentation stripped, graph
     assembly included, so both sides of the comparison do identical work."""
     gens = [g if isinstance(g, Generator) else Generator(g) for g in generators]
-    k = gens[0].perm.size
     seed_t = tuple(seed)
-    seed_row, alphabet = _encode_seed(seed_t)
-    gen_imgs = [np.asarray(g.perm.img, dtype=np.int64) for g in gens]
-    ngen = len(gens)
-
-    rows_blocks = [seed_row[None, :]]
-    known_keys = _void_view(seed_row[None, :]).copy()
-    known_ids = np.array([0], dtype=np.int64)
-    total = 1
-    arc_src, arc_dst, arc_gen = [], [], []
-    frontier = seed_row[None, :]
-    frontier_ids = np.array([0], dtype=np.int64)
-    while len(frontier):
-        f = len(frontier)
-        src_ids = frontier_ids
-        stacked = np.empty((f * ngen, k), dtype=frontier.dtype)
-        for gi, img in enumerate(gen_imgs):
-            stacked[gi::ngen] = frontier[:, img]
-        keys = _void_view(stacked)
-        pos = np.searchsorted(known_keys, keys)
-        pos_c = np.minimum(pos, len(known_keys) - 1)
-        hit = known_keys[pos_c] == keys
-        dst = np.empty(f * ngen, dtype=np.int64)
-        dst[hit] = known_ids[pos_c[hit]]
-        miss_idx = np.nonzero(~hit)[0]
-        if len(miss_idx):
-            miss_keys = keys[miss_idx]
-            uniq, first, inv = np.unique(
-                miss_keys, return_index=True, return_inverse=True
-            )
-            order = np.argsort(first, kind="stable")
-            rank = np.empty(len(uniq), dtype=np.int64)
-            rank[order] = np.arange(len(uniq))
-            new_ids = total + rank
-            dst[miss_idx] = new_ids[inv]
-            new_rows = stacked[miss_idx[first[order]]]
-            rows_blocks.append(new_rows)
-            merged_keys = np.concatenate([known_keys, uniq])
-            merged_ids = np.concatenate([known_ids, new_ids])
-            sort = np.argsort(merged_keys, kind="stable")
-            known_keys = merged_keys[sort]
-            known_ids = merged_ids[sort]
-            old_total = total
-            total += len(uniq)
-            frontier = new_rows
-            frontier_ids = np.arange(old_total, total, dtype=np.int64)
-        else:
-            frontier = frontier[:0]
-        arc_src.append(np.repeat(src_ids, ngen))
-        arc_dst.append(dst)
-        arc_gen.append(np.tile(np.arange(ngen, dtype=np.int64), f))
-    mat = np.concatenate(rows_blocks, axis=0)
-    if alphabet == list(range(len(alphabet))):
-        labels = list(map(tuple, mat.tolist()))
-    else:
-        amap = np.array(alphabet, dtype=object)
-        labels = list(map(tuple, amap[mat].tolist()))
-    edges = np.column_stack(
-        [np.concatenate(arc_src), np.concatenate(arc_dst), np.concatenate(arc_gen)]
-    )
-    return IPGraph(labels, gens, edges, seed=seed_t)
+    seed_row, imgs, alphabet = _padded_rows(seed_t, gens)
+    consts = _key_constants(0, seed_row.nbytes // 8)
+    rows, dst, _ = _closure(seed_row, imgs, consts, 2_000_000)
+    labels = _labels(rows, len(seed_t), alphabet)
+    return IPGraph(labels, gens, _arc_table(dst, len(gens)), seed=seed_t)
 
 
 def _time_once(fn) -> float:
@@ -174,7 +125,7 @@ def main() -> int:
         print(
             f"batched closure, star S{STAR_K} ({r['nodes']} nodes), "
             f"median of {ROUNDS} paired ratios (attempt {attempt}):\n"
-            f"  pre-instrumentation baseline  {r['baseline_s'] * 1e3:8.2f} ms (best)\n"
+            f"  uninstrumented baseline       {r['baseline_s'] * 1e3:8.2f} ms (best)\n"
             f"  instrumented (obs disabled)   {r['instrumented_s'] * 1e3:8.2f} ms (best)\n"
             f"  overhead (median ratio)       {r['overhead'] * 100:+8.2f} %"
         )

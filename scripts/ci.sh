@@ -88,6 +88,10 @@ python -m repro faults percolation --smoke > /dev/null
 echo "OK"
 
 echo
+echo "== IP-graph closure (>=5x vs per-label oracle, bit-identical, HSN(4,Q4) N=65536) =="
+python benchmarks/bench_closure.py
+
+echo
 echo "== next-hop table build (>=3x vs oracle, bit-identical, N=4096) =="
 python benchmarks/bench_routing.py
 

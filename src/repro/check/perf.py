@@ -12,7 +12,7 @@ The **hot-path perimeter** is declared once — :data:`HOT_PERIMETER`, a
 tuple of :class:`HotKernel` records naming the closure engine, the
 ``NextHopTable`` construction, the BFS distance kernel, the
 node-disjoint-paths flow kernel, the simulator event core and its
-fault decision stage, the percolation union-find, and the orbit signature kernels —
+fault decision stage, the percolation component labeling, and the orbit signature kernels —
 and closed over the import-aware call graph
 (:mod:`repro.check.callgraph`), exactly like the determinism perimeters
 of :mod:`repro.check.determinism`.  Every function reachable from a hot
@@ -119,7 +119,7 @@ HOT_PERIMETER: tuple[HotKernel, ...] = (
     HotKernel(
         "repro.core.ipgraph.build_ip_graph",
         "batched BFS closure engine",
-        contracts=(("known_ids", "int64"), ("frontier_ids", "int64"), ("dst", "int64")),
+        contracts=(("known_ids", "int64"), ("new_ids", "int64"), ("dst", "int64")),
     ),
     HotKernel(
         "repro.routing.table.NextHopTable.__init__",
@@ -178,7 +178,7 @@ HOT_PERIMETER: tuple[HotKernel, ...] = (
     ),
     HotKernel(
         "repro.fault.percolation.masked_components",
-        "batched union-find component labeling",
+        "batched connected-component labeling",
         contracts=(("label", "int64"), ("flat_src", "int64"), ("flat_dst", "int64")),
     ),
     HotKernel(

@@ -328,7 +328,7 @@ def exhaustive_fault_sweep(
     Enumerates all ``C(·, k)`` node or link fault patterns, collapses
     them to canonical orbit representatives under the automorphism group,
     evaluates each representative's survivor graph once (components,
-    giant size, pairwise routability — via the same batched union-find as
+    giant size, pairwise routability — via the same batched component labeling as
     the percolation sweep), and expands with multiplicity weights.
 
     Returns a dict with:

@@ -17,11 +17,13 @@ Engine shape:
   network — so giant-component curves are monotone in ``p`` sample by
   sample, not just in expectation, and comparisons across ``p`` are
   paired.
-* **Batched union-find.**  Connected components for all grid points of a
+* **Batched components.**  Connected components for all grid points of a
   trial are labeled in one flat pass: surviving edges of every grid point
-  are packed into a single offset edge array and resolved by vectorized
-  min-label propagation with pointer doubling — no per-node Python loops
-  (the ``percolation.components`` obs counter tallies components found).
+  are packed into a single offset graph, labeled by
+  :func:`scipy.sparse.csgraph.connected_components`, and each component is
+  renamed to its smallest node id by one first-occurrence pass — no
+  per-node Python loops (the ``percolation.components`` obs counter
+  tallies components found).
 * **Deterministic fan-out.**  Trials are independent tasks whose RNG
   streams derive from ``(seed, trial)`` alone, so ``jobs`` fans them out
   over a process pool with bit-identical results to the serial run (see
@@ -37,6 +39,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro import obs
 from repro.core.network import Network
@@ -85,30 +88,6 @@ def _validated_probs(probs) -> np.ndarray:
 # ----------------------------------------------------------------------
 # batched connected components
 # ----------------------------------------------------------------------
-def _components_flat(total: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Component labels for ``total`` nodes under the given edges.
-
-    Vectorized min-label propagation with pointer doubling: every node's
-    label converges to the smallest node id in its component.  The outer
-    loop runs O(log N) times; every step is whole-array NumPy.
-    """
-    label = np.arange(total, dtype=np.int64)
-    if len(src) == 0:
-        return label
-    while True:
-        old = label.copy()
-        lo = np.minimum(label[src], label[dst])
-        np.minimum.at(label, src, lo)
-        np.minimum.at(label, dst, lo)
-        while True:  # pointer doubling: label -> label[label] until stable
-            nxt = label[label]
-            if np.array_equal(nxt, label):
-                break
-            label = nxt
-        if np.array_equal(label, old):
-            return label
-
-
 def masked_components(
     net: Network,
     node_alive: np.ndarray | None = None,
@@ -119,8 +98,8 @@ def masked_components(
     ``node_alive`` / ``edge_alive`` are boolean masks over the nodes and
     the sorted undirected edge list (:func:`edge_list` order); either may
     be 1-D (one mask) or 2-D ``(B, ·)`` (a batch of masks, labeled in one
-    flat union-find pass).  An edge survives iff its own mask entry and
-    both endpoint entries are alive.  Returns int labels shaped like
+    flat ``connected_components`` pass).  An edge survives iff its own
+    mask entry and both endpoint entries are alive.  Returns int labels shaped like
     ``node_alive`` broadcast to ``(B, n)``; dead nodes are labeled ``-1``,
     live nodes carry the smallest live node id of their component.
     """
@@ -144,15 +123,26 @@ def masked_components(
     b_idx, e_idx = np.nonzero(live_edge)
     flat_src = b_idx * n + src[e_idx]
     flat_dst = b_idx * n + dst[e_idx]
-    label = _components_flat(batch * n, flat_src, flat_dst).reshape(batch, n)
+    total = batch * n
+    # edges are sorted by (u, v) and np.nonzero is row-major, so flat_src
+    # is sorted: the CSR is built directly, in the float64 / int32 form
+    # csgraph works on, so it is not converted again
+    indptr = np.zeros(total + 1, dtype=np.int32)
+    np.cumsum(np.bincount(flat_src, minlength=total), out=indptr[1:])
+    graph = sp.csr_matrix(
+        (np.ones(len(flat_dst)), flat_dst.astype(np.int32), indptr), shape=(total, total)
+    )
+    # attribute access loads scipy.sparse.csgraph on first use, not at import
+    ncomp, comp = sp.csgraph.connected_components(graph, directed=False)
+    # first-occurrence pass: each component's smallest flat id names it
+    first = np.full(ncomp, total, dtype=np.int64)
+    np.minimum.at(first, comp, np.arange(total, dtype=np.int64))
+    label = first[comp].reshape(batch, n)
     label -= np.arange(batch, dtype=np.int64)[:, None] * n  # back to node ids
     label[~node_alive] = -1
-    # per-batch component tally in one pass: re-offsetting rows into
-    # disjoint id ranges makes one np.unique over all live labels count
-    # every row's components at once (dead nodes are masked out first)
-    flat = label + np.arange(batch, dtype=np.int64)[:, None] * n
-    live = flat[node_alive]
-    obs.registry().incr("percolation.components", int(np.unique(live).size))
+    # dead nodes have no live edge, so each is a singleton component
+    live_components = ncomp - (total - int(np.count_nonzero(node_alive)))
+    obs.registry().incr("percolation.components", live_components)
     return label
 
 

@@ -472,11 +472,12 @@ class TestPerimeter:
         for kernel in HOT_PERIMETER:
             assert kernel.qualname in per.reached, kernel.qualname
         # helpers reached through typed edges join the perimeter
-        assert "repro.core.ipgraph._void_view" in per.reached
-        assert (
-            per.reached["repro.core.ipgraph._void_view"]
-            == "repro.core.ipgraph.build_ip_graph"
-        )
+        for helper in ("_closure", "_row_keys", "_merge_sorted"):
+            assert f"repro.core.ipgraph.{helper}" in per.reached
+            assert (
+                per.reached[f"repro.core.ipgraph.{helper}"]
+                == "repro.core.ipgraph.build_ip_graph"
+            )
         # cold construction/workload layers stay out
         assert "repro.networks.registry.build" not in per.reached
         assert "repro.sim.workloads.uniform_random" not in per.reached

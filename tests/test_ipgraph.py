@@ -115,6 +115,24 @@ class TestEngine:
                 v = g.apply_generator(u, k)
                 assert v in g.neighbors(u) or v == u
 
+    @pytest.mark.parametrize(
+        "node, gen, message",
+        [
+            (-1, 0, "node id -1 is out of range for 'tri-star' (valid ids: 0..5)"),
+            (6, 0, "node id 6 is out of range for 'tri-star' (valid ids: 0..5)"),
+            (0, -1, "generator index -1 is out of range for 'tri-star' (valid indices: 0..1)"),
+            (0, 2, "generator index 2 is out of range for 'tri-star' (valid indices: 0..1)"),
+            (-1, -1, "node id -1 is out of range for 'tri-star' (valid ids: 0..5)"),
+        ],
+    )
+    def test_apply_generator_rejects_out_of_range(self, node, gen, message):
+        g = build_ip_graph(
+            (0, 1, 2), [transposition(3, 0, 1), transposition(3, 0, 2)], name="tri-star"
+        )
+        with pytest.raises(ValueError) as exc:
+            g.apply_generator(node, gen)
+        assert str(exc.value) == message
+
     def test_bare_permutations_accepted(self):
         g = build_ip_graph(self.seed, [transposition(3, 0, 1), transposition(3, 0, 2)])
         assert g.num_nodes == 6

@@ -79,6 +79,20 @@ class TestAccessors:
     def test_len(self):
         assert len(triangle()) == 3
 
+    @pytest.mark.parametrize("bad", [-1, 3, np.int64(-2)])
+    def test_label_of_rejects_out_of_range(self, bad):
+        n = Network([(0,), (1,), (2,)], [0, 1], [1, 2], name="tri")
+        with pytest.raises(ValueError) as exc:
+            n.label_of(bad)
+        assert str(exc.value) == f"node id {bad} is out of range for 'tri' (valid ids: 0..2)"
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_neighbors_rejects_out_of_range(self, bad):
+        n = Network([(0,), (1,), (2,)], [0, 1], [1, 2], name="tri")
+        with pytest.raises(ValueError) as exc:
+            n.neighbors(bad)
+        assert str(exc.value) == f"node id {bad} is out of range for 'tri' (valid ids: 0..2)"
+
     def test_repr(self):
         n = triangle()
         assert "N=3" in repr(n)

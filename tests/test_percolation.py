@@ -22,6 +22,9 @@ from repro.fault.percolation import (
     threshold_traffic_runs,
 )
 
+from repro.core.network import Network
+
+from .components_oracle import oracle_masked_components
 from .sim_oracle import ReferencePacketSimulator
 
 
@@ -72,6 +75,68 @@ class TestMaskedComponents:
         finally:
             obs.disable()
             obs.reset()
+
+
+class TestComponentsOracle:
+    """``masked_components`` against the pointer-doubling oracle."""
+
+    @staticmethod
+    def _random_net(rng, n, density):
+        # isolated nodes appear whenever a node draws no edge; duplicates
+        # and loops are dropped by the simple adjacency
+        m = int(rng.integers(0, int(density * n) + 1))
+        src = rng.integers(0, n, m)
+        dst = rng.integers(0, n, m)
+        return Network([(i,) for i in range(n)], src, dst, name="random")
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_random_masks_match_oracle(self, case):
+        rng = np.random.default_rng([2024, case])
+        n = int(rng.integers(1, 40))
+        net = self._random_net(rng, n, density=float(rng.choice([0.0, 0.5, 1.5])))
+        num_edges = net.adjacency_csr(directed=False).nnz // 2
+        batch = int(rng.integers(1, 5))
+        node_alive = rng.random((batch, n)) < rng.random()
+        edge_alive = rng.random((batch, num_edges)) < rng.random()
+        obs.reset()
+        obs.enable()
+        try:
+            labels = masked_components(net, node_alive, edge_alive)
+            counted = obs.report()["counters"].get("percolation.components", 0)
+        finally:
+            obs.disable()
+            obs.reset()
+        expected = oracle_masked_components(net, node_alive, edge_alive)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, expected)
+        # the counter tallies distinct live labels, row by row
+        assert counted == sum(
+            len(np.unique(row[row >= 0])) for row in expected
+        )
+
+    def test_empty_edge_set(self):
+        net = Network([(i,) for i in range(5)], [], [], name="empty")
+        alive = np.array([[True, False, True, True, False], [True] * 5])
+        labels = masked_components(net, alive)
+        assert np.array_equal(labels, oracle_masked_components(net, alive))
+        assert labels.tolist() == [[0, -1, 2, 3, -1], [0, 1, 2, 3, 4]]
+
+    def test_isolated_nodes_keep_own_id(self):
+        # path 0-1-2, isolated 3, edge 4-5
+        net = Network([(i,) for i in range(6)], [0, 1, 4], [1, 2, 5], name="parts")
+        labels = masked_components(net)
+        assert labels.tolist() == [[0, 0, 0, 3, 4, 4]]
+        assert np.array_equal(labels, oracle_masked_components(net))
+
+    def test_registry_family_batch_matches_oracle(self):
+        g = nw.build("hsn", l=2, n=3)
+        rng = np.random.default_rng(11)
+        node_alive = rng.random((6, g.num_nodes)) < 0.6
+        edge_alive = rng.random((6, g.num_edges())) < 0.8
+        assert np.array_equal(
+            masked_components(g, node_alive, edge_alive),
+            oracle_masked_components(g, node_alive, edge_alive),
+        )
 
 
 class TestPercolationSweep:
