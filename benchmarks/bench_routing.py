@@ -9,9 +9,21 @@ The table-build case holds the bit-parallel BFS kernel behind
 (N=4096) the table and distance matrix must be bit-identical to the
 sparse-matmul oracle in ``tests/bfs_oracle.py``, and the build must be at
 least ``MIN_TABLE_SPEEDUP``x faster (best of ``TABLE_ROUNDS`` against
-one oracle run, GC parked).  Run it directly (exits non-zero on a
-mismatch or a missed budget; prints one JSON record, appended to
-``$REPRO_BENCH_TRAJECTORY`` when set)::
+one oracle run, GC parked).
+
+The router case routes ``ROUTER_PAIRS`` seeded pairs on HSN(4,Q4)
+(N=65,536, :class:`~repro.routing.SuperIPRouter`) and on ring-CN(3,
+Petersen) (N=1,000, :class:`~repro.routing.ExplicitSuperIPRouter`)
+through the one router engine and through the scalar routers in
+``tests/superip_oracle.py``.  Explicit-router paths must be identical;
+IP-router paths must have the oracle's length and super-generator hop
+positions (nucleus ties break differently).  Each engine must keep at
+least ``MIN_ROUTER_RATIO`` of its oracle's routes/s (best of
+``ROUTER_ROUNDS``, GC parked).
+
+Run it directly (exits non-zero on a mismatch or a missed budget; prints
+one JSON record per case, appended to ``$REPRO_BENCH_TRAJECTORY`` when
+set)::
 
     PYTHONPATH=src python benchmarks/bench_routing.py
 """
@@ -28,15 +40,20 @@ from repro import networks as nw
 from repro import obs
 from repro.core.superip import SuperGeneratorSet, build_super_ip_graph
 from repro.metrics.distances import bfs_distances
-from repro.routing import NextHopTable, SuperIPRouter, verify_route
+from repro.networks.hier import explicit_super_graph
+from repro.routing import ExplicitSuperIPRouter, NextHopTable, SuperIPRouter, verify_route
 
 from conftest import print_table
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests import superip_oracle  # noqa: E402
 from tests.bfs_oracle import oracle_next_hop_table  # noqa: E402
 
 MIN_TABLE_SPEEDUP = 3.0
 TABLE_ROUNDS = 3
+MIN_ROUTER_RATIO = 0.9
+ROUTER_ROUNDS = 3
+ROUTER_PAIRS = 2000
 
 
 @pytest.fixture(scope="module")
@@ -161,10 +178,85 @@ def table_build_case() -> dict:
     }
 
 
+def _super_hops(labels: list, m: int) -> list[int]:
+    """Positions of super-generator hops: only they change blocks 1..l-1."""
+    return [i for i, (a, b) in enumerate(zip(labels, labels[1:])) if a[m:] != b[m:]]
+
+
+def router_case() -> dict:
+    """Route seeded pairs through the engine and the oracle; compare."""
+    hsn_nuc = nw.hypercube_nucleus(4)
+    hsn_sgs = SuperGeneratorSet.transpositions(4)
+    pet_nuc = nw.petersen()
+    pet_sgs = SuperGeneratorSet.ring(3)
+    cases = {
+        "hsn_4_q4": (
+            build_super_ip_graph(hsn_nuc, hsn_sgs),
+            SuperIPRouter(hsn_nuc, hsn_sgs),
+            superip_oracle.SuperIPRouter(hsn_nuc, hsn_sgs),
+            hsn_nuc.m,
+        ),
+        "ring_cn_3_petersen": (
+            explicit_super_graph(pet_nuc, pet_sgs),
+            ExplicitSuperIPRouter(pet_nuc, pet_sgs),
+            superip_oracle.ExplicitSuperIPRouter(pet_nuc, pet_sgs),
+            None,  # explicit labels: paths must be identical
+        ),
+    }
+    record: dict = {"bench": "superip_router", "pairs": ROUTER_PAIRS, "mismatches": 0}
+    for name, (g, engine, oracle, m) in cases.items():
+        pairs = np.random.default_rng(19).integers(0, g.num_nodes, size=(ROUTER_PAIRS, 2))
+        pairs = pairs.tolist()
+        mismatches = 0
+        for s, d in pairs:
+            ours = engine.route_nodes(g, s, d)
+            want = oracle.route_nodes(g, s, d)
+            if m is None:
+                mismatches += ours != want
+            else:
+                labels = [g.labels[v] for v in ours]
+                wanted = [g.labels[v] for v in want]
+                mismatches += len(ours) != len(want) or _super_hops(
+                    labels, m
+                ) != _super_hops(wanted, m)
+            mismatches += not verify_route(g, ours) or len(ours) - 1 > engine.max_route_length()
+
+        def run(router, g=g, pairs=pairs):
+            for s, d in pairs:
+                router.route_nodes(g, s, d)
+
+        engine_s = oracle_s = float("inf")
+        for _ in range(ROUTER_ROUNDS):  # interleaved, best of each
+            engine_s = min(engine_s, _timed(lambda: run(engine)))
+            oracle_s = min(oracle_s, _timed(lambda: run(oracle)))
+        record[name] = {
+            "nodes": g.num_nodes,
+            "engine_routes_per_s": round(len(pairs) / engine_s),
+            "oracle_routes_per_s": round(len(pairs) / oracle_s),
+            "ratio": round(oracle_s / engine_s, 3),
+            "mismatches": mismatches,
+        }
+        record["mismatches"] += mismatches
+    return record
+
+
 def main() -> int:
+    ok = True
+    router = router_case()
+    obs.emit_record(router)
+    if router["mismatches"]:
+        print(f"FAIL: {router['mismatches']} routes differ from the oracle", file=sys.stderr)
+        ok = False
+    for name in ("hsn_4_q4", "ring_cn_3_petersen"):
+        if router[name]["ratio"] < MIN_ROUTER_RATIO:
+            print(
+                f"FAIL: {name} router throughput {router[name]['ratio']:.2f}x of the "
+                f"oracle's < {MIN_ROUTER_RATIO}x",
+                file=sys.stderr,
+            )
+            ok = False
     record = table_build_case()
     obs.emit_record(record)
-    ok = True
     if not record["identical"]:
         print("FAIL: next-hop table differs from the oracle", file=sys.stderr)
         ok = False

@@ -4,7 +4,7 @@ A :class:`~repro.routing.table.NextHopTable` is a pure function of the
 topology it is built on, so when the topology itself came out of the
 artifact cache (and therefore carries a ``cache_key`` attribute, stamped
 by :func:`repro.networks.registry.build`), the table can be persisted
-alongside it and reloaded instead of re-running the chunked all-pairs BFS.
+alongside it and reloaded instead of re-running the all-pairs BFS.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = ["cached_next_hop_table"]
 
 def cached_next_hop_table(
     net: "Network",
-    chunk: int = 64,
     with_distances: bool = False,
     allow_unreachable: bool = False,
     cache: ArtifactCache | None = None,
@@ -42,16 +41,13 @@ def cached_next_hop_table(
     if cache is None or net_key is None or net.num_nodes < cache.min_nodes:
         table = NextHopTable(
             net,
-            chunk=chunk,
             with_distances=with_distances,
             allow_unreachable=allow_unreachable,
         )
         if obs.artifact_sink() is not None:
             obs.artifact("routing.next_hop_table", table.to_arrays())
         return table
-    # `chunk` is a BFS batching knob: it sets peak memory of the build,
-    # not the table's contents, so artifacts are shared across chunk sizes
-    key = cache_key(  # repro: noqa[RPR012]
+    key = cache_key(
         "routing.next_hop_table",
         graph=net_key,
         with_distances=with_distances,
@@ -65,7 +61,6 @@ def cached_next_hop_table(
         )
     table = NextHopTable(
         net,
-        chunk=chunk,
         with_distances=with_distances,
         allow_unreachable=allow_unreachable,
     )

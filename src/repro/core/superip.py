@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.cache.memory import memoize_lru
@@ -48,6 +48,7 @@ __all__ = [
     "build_super_ip_graph",
     "super_ip_size",
     "symmetric_super_ip_size",
+    "fronting_schedules",
     "min_supergen_steps",
     "min_supergen_steps_symmetric",
     "reachable_arrangements",
@@ -352,36 +353,65 @@ def symmetric_super_ip_size(nucleus_size: int, sgs: SuperGeneratorSet) -> int:
 # ----------------------------------------------------------------------
 # the quantities t and t_S (Theorems 4.1 / 4.3)
 # ----------------------------------------------------------------------
+def fronting_schedules(
+    sgs: SuperGeneratorSet,
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Shortest fronting schedule per reachable end arrangement, lazily.
+
+    A schedule is a list of super-generator indices.  It *fronts* every
+    block when each block occupies the leftmost position at least once
+    (the initially-leftmost block counts immediately).  One BFS over
+    (arrangement, fronted-blocks) states yields ``(arrangement,
+    schedule)`` for the first state found that has every block fronted
+    and ends in ``arrangement`` (``arrangement[pos]`` = the initial
+    position of the block now at ``pos``).  BFS order makes each yielded
+    schedule a shortest one for its arrangement, and the first one
+    yielded a shortest one overall.  Stopping after the first yield
+    leaves the rest of the state space unexplored.
+    """
+    perms = sgs.perms()
+    full = (1 << sgs.l) - 1
+    start = (tuple(range(sgs.l)), 1)
+    parent: dict = {start: None}
+    done: set[tuple[int, ...]] = set()
+
+    def schedule(state: tuple[tuple[int, ...], int]) -> list[int]:
+        seq: list[int] = []
+        while parent[state] is not None:
+            state, gi = parent[state]
+            seq.append(gi)
+        seq.reverse()
+        return seq
+
+    if start[1] == full:
+        done.add(start[0])
+        yield start[0], []
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        arr, vis = state
+        for gi, p in enumerate(perms):
+            nxt_arr = p(arr)
+            key = (nxt_arr, vis | (1 << nxt_arr[0]))
+            if key in parent:
+                continue
+            parent[key] = (state, gi)
+            if key[1] == full and nxt_arr not in done:
+                done.add(nxt_arr)
+                yield nxt_arr, schedule(key)
+            queue.append(key)
+
+
 def min_supergen_steps(sgs: SuperGeneratorSet) -> int:
     """Exact ``t`` of Theorem 4.1: the minimum number of super-generator
     applications after which every block has occupied the leftmost position
     at least once (the initially-leftmost block counts immediately).
 
-    Computed by BFS over (arrangement, visited-set) states; for all the
-    paper's families the result is ``l - 1``.
+    The length of the first schedule :func:`fronting_schedules` yields;
+    for all the paper's families the result is ``l - 1``.
     """
-    l = sgs.l
-    perms = sgs.perms()
-    start_arr = tuple(range(l))
-    full = (1 << l) - 1
-    start = (start_arr, 1 << start_arr[0])
-    if start[1] == full:
-        return 0
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        arr, vis = queue.popleft()
-        d = dist[(arr, vis)]
-        for p in perms:
-            nxt_arr = p(arr)
-            nxt_vis = vis | (1 << nxt_arr[0])
-            key = (nxt_arr, nxt_vis)
-            if key in dist:
-                continue
-            if nxt_vis == full:
-                return d + 1
-            dist[key] = d + 1
-            queue.append(key)
+    for _, schedule in fronting_schedules(sgs):
+        return len(schedule)
     raise ValueError(
         "super-generators cannot bring every block to the front "
         "(not a valid super-IP generator set)"
@@ -394,29 +424,7 @@ def min_supergen_steps_symmetric(sgs: SuperGeneratorSet) -> int:
     (a) bring every block to the front at least once and (b) leave the
     blocks in the target arrangement.
     """
-    l = sgs.l
-    perms = sgs.perms()
-    start_arr = tuple(range(l))
-    full = (1 << l) - 1
-    start = (start_arr, 1 << start_arr[0])
-    dist = {start: 0}
-    queue = deque([start])
-    done: dict[tuple[int, ...], int] = {}
-    if start[1] == full:
-        done[start_arr] = 0
-    while queue:
-        arr, vis = queue.popleft()
-        d = dist[(arr, vis)]
-        for p in perms:
-            nxt_arr = p(arr)
-            nxt_vis = vis | (1 << nxt_arr[0])
-            key = (nxt_arr, nxt_vis)
-            if key in dist:
-                continue
-            dist[key] = d + 1
-            if nxt_vis == full and nxt_arr not in done:
-                done[nxt_arr] = d + 1
-            queue.append(key)
+    done = {arr: len(seq) for arr, seq in fronting_schedules(sgs)}
     targets = reachable_arrangements(sgs)
     missing = targets - set(done)
     if missing:

@@ -8,7 +8,8 @@ the latency model of Section 5.
 Implementation notes: every distance here comes from one kernel,
 :func:`multi_source_bfs` — bit-parallel BFS that expands 64 sources per
 machine word with CSR gathers and ``reduceat`` (no Python per-edge loops)
-— and all-pairs sweeps are chunked so memory stays bounded.  The
+— and all-pairs sweeps run 64 sources (one word) per batch, so memory
+stays bounded.  The
 all-pairs next-hop table (:class:`repro.routing.table.NextHopTable`) is
 built on the same kernel.
 """
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 _UNREACHED = -1
+
+#: sources per all-pairs BFS batch: one ``uint64`` word of lanes
+_BATCH = 64
 
 
 def as_csr(net: Network | sp.spmatrix) -> sp.csr_matrix:
@@ -164,7 +168,6 @@ def single_source_distances(net: Network | sp.spmatrix, source: int = 0) -> np.n
 def eccentricities(
     net: Network | sp.spmatrix,
     sources: Iterable[int] | None = None,
-    chunk: int = 64,
 ) -> np.ndarray:
     """Eccentricity (max finite distance) of each source node.
 
@@ -174,8 +177,8 @@ def eccentricities(
     n = as_csr(net).shape[0]
     src = np.arange(n) if sources is None else np.asarray(list(sources), dtype=np.int64)
     out = np.empty(len(src), dtype=np.int64)
-    for start in range(0, len(src), chunk):
-        block = src[start : start + chunk]
+    for start in range(0, len(src), _BATCH):
+        block = src[start : start + _BATCH]
         d = bfs_distances(net, block)
         if (d == _UNREACHED).any():
             raise ValueError("graph is disconnected; eccentricity undefined")
@@ -186,7 +189,6 @@ def eccentricities(
 def diameter(
     net: Network | sp.spmatrix,
     assume_vertex_transitive: bool = False,
-    chunk: int = 64,
 ) -> int:
     """Exact diameter (max over node pairs of hop distance).
 
@@ -196,13 +198,12 @@ def diameter(
     """
     if assume_vertex_transitive:
         return int(eccentricities(net, sources=[0])[0])
-    return int(eccentricities(net, chunk=chunk).max())
+    return int(eccentricities(net).max())
 
 
 def average_distance(
     net: Network | sp.spmatrix,
     assume_vertex_transitive: bool = False,
-    chunk: int = 64,
 ) -> float:
     """Average hop distance over ordered pairs of distinct nodes."""
     n = as_csr(net).shape[0]
@@ -214,8 +215,8 @@ def average_distance(
             raise ValueError("graph is disconnected")
         return float(d.sum()) / (n - 1)
     total = 0
-    for start in range(0, n, chunk):
-        block = np.arange(start, min(start + chunk, n))
+    for start in range(0, n, _BATCH):
+        block = np.arange(start, min(start + _BATCH, n))
         d = bfs_distances(net, block)
         if (d == _UNREACHED).any():
             raise ValueError("graph is disconnected")

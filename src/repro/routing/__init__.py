@@ -1,6 +1,5 @@
 """Routing: the Theorem-4.1 sorting router, family routers, BFS tables."""
 
-from .explicit import ExplicitSuperIPRouter
 from .disjoint import edge_disjoint_paths, node_disjoint_paths, path_diversity
 from .families import (
     debruijn_route,
@@ -8,7 +7,7 @@ from .families import (
     star_route,
     star_route_length_bound,
 )
-from .superip import SuperIPRouter, verify_route
+from .superip import ExplicitSuperIPRouter, SuperIPRouter, verify_route
 from .table import NextHopTable, shortest_path
 
 __all__ = [

@@ -15,96 +15,55 @@ The route length is at most ``l·D_G + t`` (``l·D_G + t_S`` for symmetric
 variants, where the schedule must additionally realize the arrangement the
 destination's block colors demand) — which Theorem 4.1 shows is exactly the
 diameter, so this simple router is worst-case optimal.
+
+One walker serves every super graph.  A block is an integer
+``color·M + nucleus node id`` (``M`` nucleus nodes; the color is 0 except
+in symmetric variants), schedules come from
+:func:`repro.core.superip.fronting_schedules` and nucleus moves read one
+``M × M`` :class:`~repro.routing.table.NextHopTable` of the nucleus.
+:class:`SuperIPRouter` encodes IP labels (``l`` blocks of ``m`` symbols);
+:class:`ExplicitSuperIPRouter` encodes the labels of
+:func:`repro.networks.hier.explicit_super_graph` (``l`` nucleus node ids).
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro import obs
 from repro.core.ipgraph import IPGraph
-from repro.core.network import Label
+from repro.core.network import Label, Network
+from repro.core.permutation import Permutation
 from repro.core.superip import (
     NucleusSpec,
     SuperGeneratorSet,
+    _symmetric_seed,
+    fronting_schedules,
     min_supergen_steps,
     min_supergen_steps_symmetric,
+    reachable_arrangements,
 )
+from repro.metrics.distances import diameter
+from repro.routing.table import NextHopTable
 
-__all__ = ["SuperIPRouter", "verify_route"]
+__all__ = ["ExplicitSuperIPRouter", "SuperIPRouter", "verify_route"]
 
-
-def _schedule_all_fronted(sgs: SuperGeneratorSet) -> list[int]:
-    """Shortest super-generator index sequence bringing every block to the
-    front at least once (the ``t`` witness of Theorem 4.1)."""
-    l = sgs.l
-    perms = sgs.perms()
-    start_arr = tuple(range(l))
-    full = (1 << l) - 1
-    start = (start_arr, 1 << start_arr[0])
-    if start[1] == full:
-        return []
-    parent: dict = {start: (None, -1)}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        arr, vis = state
-        for gi, p in enumerate(perms):
-            nxt_arr = p(arr)
-            nxt_vis = vis | (1 << nxt_arr[0])
-            key = (nxt_arr, nxt_vis)
-            if key in parent:
-                continue
-            parent[key] = (state, gi)
-            if nxt_vis == full:
-                seq: list[int] = []
-                cur = key
-                while parent[cur][0] is not None:
-                    cur, gi2 = parent[cur][0], parent[cur][1]
-                    seq.append(gi2)
-                seq.reverse()
-                return seq
-            queue.append(key)
-    raise ValueError("super-generators cannot front every block")
+#: one walker step: the block gather of a super-generator (``None`` before
+#: the first one) and the destination position the new front block sorts
+#: to (``-1`` when that block was fronted before)
+_Step = tuple[tuple[int, ...] | None, int]
 
 
-def _schedules_by_arrangement(sgs: SuperGeneratorSet) -> dict[tuple, list[int]]:
-    """For the symmetric variant: shortest schedule per reachable target
-    arrangement that fronts every block AND ends in that arrangement."""
-    l = sgs.l
-    perms = sgs.perms()
-    start_arr = tuple(range(l))
-    full = (1 << l) - 1
-    start = (start_arr, 1 << start_arr[0])
-    parent: dict = {start: (None, -1)}
-    queue = deque([start])
-    out: dict[tuple, list[int]] = {}
-
-    def extract(key) -> list[int]:
-        seq: list[int] = []
-        cur = key
-        while parent[cur][0] is not None:
-            cur, gi = parent[cur][0], parent[cur][1]
-            seq.append(gi)
-        seq.reverse()
-        return seq
-
-    if start[1] == full:
-        out[start_arr] = []
-    while queue:
-        state = queue.popleft()
-        arr, vis = state
-        for gi, p in enumerate(perms):
-            nxt_arr = p(arr)
-            nxt_vis = vis | (1 << nxt_arr[0])
-            key = (nxt_arr, nxt_vis)
-            if key in parent:
-                continue
-            parent[key] = (state, gi)
-            if nxt_vis == full and nxt_arr not in out:
-                out[nxt_arr] = extract(key)
-            queue.append(key)
-    return out
+def _program(perms: list[Permutation], schedule: list[int], final: tuple) -> list[_Step]:
+    """The walk ``schedule`` prescribes when it ends in arrangement ``final``."""
+    dst_pos = {slot: pos for pos, slot in enumerate(final)}
+    arr = tuple(range(len(final)))
+    steps: list[_Step] = [(None, dst_pos[0])]
+    fronted = {0}
+    for gi in schedule:
+        arr = perms[gi](arr)
+        front = arr[0]
+        steps.append((perms[gi].img, -1 if front in fronted else dst_pos[front]))
+        fronted.add(front)
+    return steps
 
 
 class SuperIPRouter:
@@ -115,101 +74,89 @@ class SuperIPRouter:
     super-generator set, same ``symmetric`` flag.
 
     The router works purely on labels — it never searches the (potentially
-    huge) network graph; nucleus-level BFS tables (size ``O(M²)``) are the
-    only precomputation.
+    huge) network graph; the nucleus next-hop table (size ``O(M²)``) is
+    the only precomputation.
     """
 
     def __init__(
         self, nucleus: NucleusSpec, sgs: SuperGeneratorSet, symmetric: bool = False
     ):
         self.nucleus = nucleus
+        nuc_graph = nucleus.build()
+        keys = list(nuc_graph.labels)
+        if symmetric:
+            m = nucleus.m
+            sym = dict(zip(nucleus.seed, _symmetric_seed(nucleus, 1)))
+            keys = [
+                tuple(c * m + sym[s] for s in lab) for c in range(sgs.l) for lab in keys
+            ]
+        self._setup(nuc_graph, sgs, symmetric, keys, nucleus.m)
+
+    def _setup(
+        self,
+        nuc_graph: Network,
+        sgs: SuperGeneratorSet,
+        symmetric: bool,
+        keys: list[tuple],
+        m: int,
+    ) -> None:
+        """Shared construction: ``keys[b]`` is the ``m`` label symbols of
+        block ``b``, and ``b = color·M + nucleus node id``."""
         self.sgs = sgs
         self.symmetric = symmetric
         self.l = sgs.l
-        self.m = nucleus.m
-        self._nuc_graph = nucleus.build()
-        self._nuc_index = self._nuc_graph.index
-        self._nuc_gens = [g.perm for g in self._nuc_graph.generators]
-        # next-generator table per destination nucleus node (lazy)
-        self._next_gen_cache: dict[int, list[int]] = {}
+        self.m = m
+        self._keys = keys
+        self._encode = {key: b for b, key in enumerate(keys)}
+        self._nodes = nuc_graph.num_nodes
+        self._hops = NextHopTable(nuc_graph).table
+        self._nucleus_diameter = diameter(nuc_graph)
+        perms = sgs.perms()
         if symmetric:
-            self._schedules = _schedules_by_arrangement(sgs)
             self.t = min_supergen_steps_symmetric(sgs)
+            self._arrangements = reachable_arrangements(sgs)
+            self._programs = {
+                arr: _program(perms, seq, arr) for arr, seq in fronting_schedules(sgs)
+            }
         else:
-            self._schedule = _schedule_all_fronted(sgs)
             self.t = min_supergen_steps(sgs)
-
-    # ------------------------------------------------------------------
-    # nucleus-level sorting
-    # ------------------------------------------------------------------
-    def _next_gen_table(self, dst_node: int) -> list[int]:
-        """``next_gen[u]`` = nucleus generator moving ``u`` one step closer
-        to ``dst_node`` (−1 at the destination itself)."""
-        cached = self._next_gen_cache.get(dst_node)
-        if cached is not None:
-            obs.registry().incr("routing.superip.table_cache_hits")
-            return cached
-        obs.registry().incr("routing.superip.table_builds")
-        g = self._nuc_graph
-        n = g.num_nodes
-        next_gen = [-1] * n
-        dist = [-1] * n
-        dist[dst_node] = 0
-        q: deque[int] = deque([dst_node])
-        # BFS backwards from dst: if gen gi maps u -> v and v is closer,
-        # then at u we should apply gi.  Explore arcs from each settled v
-        # using inverse generators.
-        inv = [p.inverse() for p in self._nuc_gens]
-        labels = g.labels
-        index = g.index
-        while q:
-            v = q.popleft()
-            for gi, pinv in enumerate(inv):
-                u = index[pinv(labels[v])]
-                if dist[u] == -1:
-                    dist[u] = dist[v] + 1
-                    next_gen[u] = gi
-                    q.append(u)
-        if any(d == -1 for d in dist):
-            raise ValueError("nucleus graph is disconnected")
-        self._next_gen_cache[dst_node] = next_gen
-        return next_gen
-
-    def _sort_front(self, blocks: list[tuple], target_block: tuple) -> list[list[tuple]]:
-        """Nucleus-generator applications turning ``blocks[0]`` into
-        ``target_block``; returns the successive block states (excluding the
-        start)."""
-        cur = blocks[0]
-        dst_node = self._nuc_index[target_block]
-        table = self._next_gen_table(dst_node)
-        states = []
-        while cur != target_block:
-            gi = table[self._nuc_index[cur]]
-            cur = self._nuc_gens[gi](cur)
-            states.append([cur] + blocks[1:])
-        return states
+            arr, seq = next(fronting_schedules(sgs))
+            self._program = _program(perms, seq, arr)
 
     # ------------------------------------------------------------------
     # label plumbing
     # ------------------------------------------------------------------
-    def split(self, label: Label) -> list[tuple]:
-        """Split a full label into its ``l`` blocks."""
-        m = self.m
-        return [tuple(label[b * m : (b + 1) * m]) for b in range(self.l)]
+    def _blocks_of(self, label: Label, role: str) -> list[int]:
+        """Block ids of a node label; ``ValueError`` naming what is wrong
+        when ``label`` is not a node of the graph this router serves."""
+        label = tuple(label)
+        l, m = self.l, self.m
+        if len(label) != l * m:
+            raise ValueError(
+                f"{role} label {label!r} has {len(label)} symbols, "
+                f"expected {l * m} ({l} blocks of {m})"
+            )
+        encode = self._encode.get
+        blocks = [encode(label[i : i + m]) for i in range(0, l * m, m)]
+        if None in blocks:
+            i, keys = blocks.index(None), self._keys
+            raise ValueError(
+                f"{role} label {label!r} is not a node: block {i} "
+                f"{label[i * m : (i + 1) * m]!r} is not one of the "
+                f"{len(keys)} valid blocks {keys[0]!r} .. {keys[-1]!r}"
+            )
+        if self.symmetric:
+            colors = tuple(b // self._nodes for b in blocks)
+            if colors not in self._arrangements:
+                raise ValueError(
+                    f"{role} label {label!r} is not a node: its block colors "
+                    f"{colors} are not one of the {len(self._arrangements)} "
+                    f"arrangements the super-generators reach"
+                )
+        return blocks
 
-    @staticmethod
-    def join(blocks: list[tuple]) -> Label:
-        """Concatenate blocks back into a full label."""
-        return tuple(s for b in blocks for s in b)
-
-    def _color(self, block: tuple) -> int:
-        """Color of a symmetric-variant block (which ``m``-symbol range)."""
-        return min(block) // self.m
-
-    def _normalize(self, block: tuple) -> tuple:
-        """Map a colored block onto nucleus symbols (subtract the offset)."""
-        c = self._color(block)
-        return tuple(s - c * self.m for s in block)
+    def _label_of(self, blocks: list[int]) -> Label:
+        return sum(map(self._keys.__getitem__, blocks), ())
 
     # ------------------------------------------------------------------
     # routing
@@ -218,106 +165,48 @@ class SuperIPRouter:
         """Full node-label path from ``src`` to ``dst`` (inclusive).
 
         Guaranteed length ≤ ``l·D_G + t`` (non-symmetric) or
-        ``l·D_G + t_S`` (symmetric).
+        ``l·D_G + t_S`` (symmetric).  Raises ``ValueError`` when either
+        label is not a node.
         """
-        reg = obs.registry()
-        src, dst = tuple(src), tuple(dst)
-        if src == dst:
-            reg.incr("routing.superip.routes")
-            reg.observe("routing.superip.hops", 0)
-            return [src]
-        blocks = self.split(src)
-        dst_blocks = self.split(dst)
-        if self.symmetric:
-            schedule, d_map = self._symmetric_plan(blocks, dst_blocks)
-        else:
-            schedule = self._schedule
-            d_map = self._final_positions(schedule)
-
-        path = [src]
-        perms = self.sgs.perms()
-        # arrangement: arr[pos] = initial slot currently at pos
-        arr = tuple(range(self.l))
-        sorted_slots: set[int] = set()
-
-        def sort_front_to(slot: int):
-            target = dst_blocks[d_map[slot]]
+        blocks = self._blocks_of(src, "source")
+        target = self._blocks_of(dst, "destination")
+        join = self._label_of
+        path = [join(blocks)]
+        if blocks != target:
+            nodes, hops = self._nodes, self._hops
             if self.symmetric:
-                states = self._sort_front_sym(blocks, target)
+                # slot i must end where the destination holds its color
+                slot_of = {b // nodes: i for i, b in enumerate(blocks)}
+                steps = self._programs[tuple(slot_of[b // nodes] for b in target)]
             else:
-                states = self._sort_front(blocks, target)
-            for st in states:
-                blocks[:] = st
-                path.append(self.join(blocks))
-            sorted_slots.add(slot)
-
-        sort_front_to(arr[0])
-        for gi in schedule:
-            p = perms[gi]
-            new_blocks = list(p(tuple(blocks)))
-            new_arr = p(arr)
-            if new_blocks != blocks:
-                blocks[:] = new_blocks
-                path.append(self.join(blocks))
-            else:
-                blocks[:] = new_blocks
-            arr = new_arr
-            slot = arr[0]
-            if slot not in sorted_slots:
-                sort_front_to(slot)
-        if path[-1] != dst:
-            raise RuntimeError("sorting router failed to reach destination")
+                steps = self._program
+            for gather, pos in steps:
+                if gather is not None:
+                    moved = [blocks[i] for i in gather]
+                    if moved != blocks:
+                        blocks = moved
+                        path.append(join(blocks))
+                if pos >= 0:
+                    base = blocks[0] - blocks[0] % nodes
+                    u, t = blocks[0] - base, target[pos] - base
+                    row = hops[t]
+                    while u != t:
+                        u = int(row[u])
+                        blocks[0] = base + u
+                        path.append(join(blocks))
+            if blocks != target:
+                raise RuntimeError("sorting router failed to reach destination")
+        reg = obs.registry()
         reg.incr("routing.superip.routes")
         reg.observe("routing.superip.hops", len(path) - 1)
         return path
 
-    def _sort_front_sym(self, blocks: list[tuple], target_block: tuple) -> list[list[tuple]]:
-        """Symmetric-variant front sorting: operate on normalized symbols."""
-        cur = blocks[0]
-        c = self._color(cur)
-        if self._color(target_block) != c:
-            raise RuntimeError("color mismatch during symmetric routing")
-        offset = c * self.m
-        cur_n = tuple(s - offset for s in cur)
-        tgt_n = tuple(s - offset for s in target_block)
-        dst_node = self._nuc_index[tgt_n]
-        table = self._next_gen_table(dst_node)
-        states = []
-        while cur_n != tgt_n:
-            gi = table[self._nuc_index[cur_n]]
-            cur_n = self._nuc_gens[gi](cur_n)
-            states.append([tuple(s + offset for s in cur_n)] + blocks[1:])
-        return states
-
-    def _final_positions(self, schedule: list[int]) -> dict[int, int]:
-        """``d_map[slot] = final position`` of the block initially at
-        ``slot`` after applying ``schedule``."""
-        perms = self.sgs.perms()
-        arr = tuple(range(self.l))
-        for gi in schedule:
-            arr = perms[gi](arr)
-        return {slot: pos for pos, slot in enumerate(arr)}
-
-    def _symmetric_plan(self, blocks: list[tuple], dst_blocks: list[tuple]):
-        """Pick the schedule realizing the arrangement the destination's
-        colors demand, and the matching ``d_map``."""
-        src_colors = [self._color(b) for b in blocks]
-        dst_pos_of_color = {self._color(b): i for i, b in enumerate(dst_blocks)}
-        # required: slot i must end at dst position of its color
-        required_d = {i: dst_pos_of_color[c] for i, c in enumerate(src_colors)}
-        # as an arrangement: arr[pos] = slot  =>  arr[required_d[i]] = i
-        arr = [0] * self.l
-        for slot, pos in required_d.items():
-            arr[pos] = slot
-        key = tuple(arr)
-        schedule = self._schedules.get(key)
-        if schedule is None:
-            raise ValueError("destination arrangement unreachable (invalid label?)")
-        return schedule, required_d
-
     def route_nodes(self, graph: IPGraph, src: int, dst: int) -> list[int]:
-        """Route between node ids of a built graph; returns node-id path."""
-        labels = self.route_labels(graph.labels[src], graph.labels[dst])
+        """Route between node ids of a built graph; returns node-id path.
+
+        Raises ``ValueError`` naming an id outside ``0..N-1``.
+        """
+        labels = self.route_labels(graph.label_of(src), graph.label_of(dst))
         return [graph.index[lab] for lab in labels]
 
     def next_hop_function(self, graph: IPGraph):
@@ -352,7 +241,30 @@ class SuperIPRouter:
 
     def max_route_length(self) -> int:
         """The Theorem 4.1/4.3 bound ``l·D_G + t``."""
-        return self.l * self.nucleus.diameter() + self.t
+        return self.l * self._nucleus_diameter + self.t
+
+
+class ExplicitSuperIPRouter(SuperIPRouter):
+    """Sorting router for :func:`~repro.networks.hier.explicit_super_graph`
+    outputs (e.g. cyclic Petersen networks, whose nucleus is not a Cayley
+    graph): labels are tuples of ``l`` nucleus node ids, one per block.
+
+    Parameters
+    ----------
+    nucleus:
+        The explicit nucleus network used to build the graph.
+    sgs:
+        The same super-generator set.
+    """
+
+    def __init__(self, nucleus: Network, sgs: SuperGeneratorSet):
+        self.nucleus = nucleus
+        keys = [(v,) for v in range(nucleus.num_nodes)]
+        self._setup(nucleus, sgs, False, keys, 1)
+
+    def _label_of(self, blocks: list[int]) -> Label:
+        # block b's key is (b,), so the label is the block tuple itself
+        return tuple(blocks)
 
 
 def verify_route(graph: IPGraph, path: list[int]) -> bool:

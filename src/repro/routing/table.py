@@ -15,7 +15,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.network import Network, RoutingError
-from repro.metrics.distances import multi_source_bfs
+from repro.metrics.distances import _BATCH, multi_source_bfs
 
 __all__ = ["shortest_path", "NextHopTable"]
 
@@ -58,7 +58,8 @@ class NextHopTable:
     shortest path to ``dst`` (or ``u`` itself when ``u == dst``).  Memory
     is ``O(N^2)``; construction runs the bit-parallel BFS of
     :func:`repro.metrics.distances.multi_source_bfs` from each batch of
-    destinations, then one sweep over neighbor slots per batch.  This is
+    64 destinations (one ``uint64`` word), then one sweep over neighbor
+    slots per batch.  This is
     what the packet simulator uses to route — deterministic, minimal, and
     family-agnostic.
 
@@ -66,11 +67,6 @@ class NextHopTable:
     ----------
     net:
         The topology.
-    chunk:
-        Destinations per BFS batch (memory/speed trade-off during
-        construction).  Each batch packs 64 destinations per machine
-        word, so multiples of 64 leave no lane idle; the table is the
-        same for every ``chunk >= 1``.
     with_distances:
         Keep the full hop-distance matrix (``O(N^2)`` int32 extra) so
         :meth:`next_hops` / :meth:`distance` work.  Required by the
@@ -87,15 +83,9 @@ class NextHopTable:
     def __init__(
         self,
         net: Network,
-        chunk: int = 64,
         with_distances: bool = False,
         allow_unreachable: bool = False,
     ):
-        chunk = int(chunk)
-        if chunk < 1:
-            raise ValueError(
-                f"chunk must be a positive BFS batch size, got {chunk}"
-            )
         n = net.num_nodes
         csr = net.adjacency_csr()
         indptr, indices = csr.indptr, csr.indices
@@ -105,7 +95,7 @@ class NextHopTable:
         self.dist: np.ndarray | None = (
             np.empty((n, n), dtype=np.int32) if with_distances else None
         )
-        with obs.span("routing.table.build", n=n, chunk=chunk):
+        with obs.span("routing.table.build", n=n):
             self.table = np.empty((n, n), dtype=np.int32)
             degree = np.diff(indptr)
             if n > 1 and not allow_unreachable and (degree == 0).any():
@@ -128,8 +118,8 @@ class NextHopTable:
             # the sweep gathers empty slots from a sentinel row n whose
             # value no node's "one step closer" distance can equal
             slot = np.where(hop < 0, n, hop)
-            for start in range(0, n, chunk):
-                dsts = np.arange(start, min(start + chunk, n))
+            for start in range(0, n, _BATCH):
+                dsts = np.arange(start, min(start + _BATCH, n))
                 hops = multi_source_bfs(net, dsts)  # (n, r): FROM each dst
                 unreached = hops < 0
                 if not allow_unreachable and unreached.any():

@@ -183,8 +183,6 @@ class RouteService:
         cls,
         net: "Network",
         shards: int = 1,
-        with_distances: bool = True,
-        chunk: int = 64,
         cache: "ArtifactCache | None" = None,
     ) -> "RouteService":
         """Open (building on first use) the mmap-shared service for ``net``.
@@ -192,10 +190,11 @@ class RouteService:
         Requires an artifact cache and a registry-stamped ``cache_key`` on
         the network to share tables; without either this degrades to an
         in-memory build (documented fallback, ``source == "memory"``).
-        Each shard's row block is exported once as an uncompressed spill
-        keyed by ``cache_key("serve.shard", graph=<registry key>, ...)``;
-        later opens — including every :mod:`repro.parallel` worker — map
-        the same files read-only.
+        Each shard's row block of the table and of the distance matrix is
+        exported once as an uncompressed spill keyed by
+        ``cache_key("serve.shard", graph=<registry key>, ...)``; later
+        opens — including every :mod:`repro.parallel` worker — map the
+        same files read-only.
         """
         from repro.cache import cache_key, cached_next_hop_table, get_cache
         from repro.routing.table import NextHopTable
@@ -204,51 +203,35 @@ class RouteService:
         net_key = getattr(net, "cache_key", None)
         reg = obs.registry()
         if cache is None or net_key is None:
-            table = NextHopTable(net, chunk=chunk, with_distances=with_distances)
+            table = NextHopTable(net, with_distances=True)
             reg.incr("serve.open.memory")
             return cls.from_table(table)
         n = net.num_nodes
         row_starts = shard_row_starts(n, shards)
         nblocks = len(row_starts) - 1
-        # `chunk` is a BFS batching knob: it sets peak memory of the build,
-        # not the table's contents, so shards are shared across chunk sizes
         keys = [
-            cache_key(  # repro: noqa[RPR012]
-                "serve.shard",
-                graph=net_key,
-                shard=i,
-                shards=nblocks,
-                with_distances=with_distances,
-            )
+            cache_key("serve.shard", graph=net_key, shard=i, shards=nblocks)
             for i in range(nblocks)
         ]
-        names = ("table", "dist") if with_distances else ("table",)
+        names = ("table", "dist")
         missing = [
             i
             for i, k in enumerate(keys)
             if any(not cache.mmap_path(k, nm).exists() for nm in names)
         ]
         if missing:
-            # one chunked build (or .npz reload) feeds every missing shard
-            table = cached_next_hop_table(
-                net, chunk=chunk, with_distances=with_distances, cache=cache
-            )
+            # one build (or .npz reload) feeds every missing shard
+            table = cached_next_hop_table(net, with_distances=True, cache=cache)
+            assert table.dist is not None
             for i in missing:
                 lo, hi = row_starts[i], row_starts[i + 1]
-                arrays = {"table": table.table[lo:hi]}
-                if with_distances:
-                    assert table.dist is not None
-                    arrays["dist"] = table.dist[lo:hi]
-                cache.export_mmap(keys[i], arrays)
+                cache.export_mmap(
+                    keys[i], {"table": table.table[lo:hi], "dist": table.dist[lo:hi]}
+                )
         blocks = [cache.load_mmap(k, "table") for k in keys]
-        dist_blocks = (
-            [cache.load_mmap(k, "dist") for k in keys] if with_distances else None
-        )
-        loaded = blocks + (dist_blocks or [])
-        if any(b is None for b in loaded):  # corrupt spill: rebuild in memory
-            table = cached_next_hop_table(
-                net, chunk=chunk, with_distances=with_distances, cache=cache
-            )
+        dist_blocks = [cache.load_mmap(k, "dist") for k in keys]
+        if any(b is None for b in blocks + dist_blocks):  # corrupt spill
+            table = cached_next_hop_table(net, with_distances=True, cache=cache)
             reg.incr("serve.open.memory")
             return cls.from_table(table)
         svc = cls(net.name, n, blocks, row_starts, dist_blocks, source="mmap")
@@ -257,11 +240,7 @@ class RouteService:
             num_nodes=n,
             row_starts=row_starts,
             table_paths=tuple(str(cache.mmap_path(k, "table")) for k in keys),
-            dist_paths=(
-                tuple(str(cache.mmap_path(k, "dist")) for k in keys)
-                if with_distances
-                else None
-            ),
+            dist_paths=tuple(str(cache.mmap_path(k, "dist")) for k in keys),
         )
         reg.incr("serve.open.mmap")
         reg.gauge_max("serve.shards", nblocks)

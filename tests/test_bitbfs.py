@@ -5,8 +5,8 @@ The production kernel packs 64 BFS sources per machine word and derives
 next hops with a neighbor-slot sweep over compact (int8/int16) distances;
 every case here must reproduce the oracle's ``table``, ``dist`` and
 ``bfs_distances`` output exactly — including lane padding (N < 64, N not a
-multiple of 64), degenerate graphs, unreachable pairs, chunking, duplicate
-sources and distances too large for int8.
+multiple of 64), several 64-destination batches, degenerate graphs,
+unreachable pairs, duplicate sources and distances too large for int8.
 """
 
 import re
@@ -41,8 +41,8 @@ def _edges(n, edges):
     return Network.from_edge_list([(i,) for i in range(n)], edges)
 
 
-def _assert_table_matches_oracle(net, chunk=64):
-    table = NextHopTable(net, chunk=chunk, with_distances=True, allow_unreachable=True)
+def _assert_table_matches_oracle(net):
+    table = NextHopTable(net, with_distances=True, allow_unreachable=True)
     want_table, want_dist = oracle_next_hop_table(net)
     assert table.table.dtype == np.int32 and table.dist.dtype == np.int32
     np.testing.assert_array_equal(table.table, want_table)
@@ -136,8 +136,7 @@ def test_disconnected_graph():
     # order is dst 0, u 40 — found in the first 64-lane batch
     edges = [(i, i + 1) for i in range(39)] + [(i, i + 1) for i in range(40, 99)]
     net = _edges(100, edges)
-    for chunk in (1, 64):
-        _assert_table_matches_oracle(net, chunk=chunk)
+    _assert_table_matches_oracle(net)
     with pytest.raises(RoutingError) as err:
         NextHopTable(net)
     assert str(err.value) == (
@@ -145,17 +144,6 @@ def test_disconnected_graph():
         "(and possibly others); pass allow_unreachable=True to route "
         "within components"
     )
-
-
-@pytest.mark.parametrize("family,params", [("hsn", {"l": 2, "n": 3}), ("star", {"n": 5})])
-def test_tables_identical_across_chunk_sizes(family, params):
-    net = nw.build(family, **params)
-    base = NextHopTable(net, chunk=64, with_distances=True)
-    for chunk in (1, 7, 100):
-        other = NextHopTable(net, chunk=chunk, with_distances=True)
-        np.testing.assert_array_equal(other.table, base.table)
-        np.testing.assert_array_equal(other.dist, base.dist)
-    _assert_table_matches_oracle(net, chunk=7)
 
 
 def test_bfs_many_and_duplicate_sources():

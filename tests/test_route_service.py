@@ -1,7 +1,7 @@
 """Tests for the route-serving layer (repro.serve) and the NextHopTable
 query-path hardening that shipped with it: batched-vs-scalar bit-identity,
 mmap round-trips and shard routing, multi-worker shared-table determinism,
-and the id/chunk/shape validation bugfixes pinned by exact message.
+and the id/shape validation bugfixes pinned by exact message.
 """
 
 from __future__ import annotations
@@ -93,20 +93,6 @@ def test_negative_id_no_longer_wraps_around():
     t = NextHopTable(networks.ring(8))
     with pytest.raises(ValueError, match="out of range"):
         t.path(2, -1)
-
-
-def test_nonpositive_chunk_rejected_exact_message():
-    g = networks.ring(8)
-    with pytest.raises(
-        ValueError, match="chunk must be a positive BFS batch size, got -1"
-    ):
-        NextHopTable(g, chunk=-1)
-    with pytest.raises(
-        ValueError, match="chunk must be a positive BFS batch size, got 0"
-    ):
-        NextHopTable(g, chunk=0)
-    # chunk=1 is the smallest legal batch and must build a correct table
-    assert np.array_equal(NextHopTable(g, chunk=1).table, NextHopTable(g).table)
 
 
 def test_from_arrays_validates_dist_shape_exact_message():

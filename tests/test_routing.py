@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import networks as nw
-from repro.core.superip import SuperGeneratorSet, build_super_ip_graph
+from repro.core.superip import SuperGeneratorSet, build_super_ip_graph, reachable_arrangements
 from repro.metrics.distances import bfs_distances, single_source_distances
+from repro.networks.hier import explicit_super_graph
 from repro.routing import (
+    ExplicitSuperIPRouter,
     NextHopTable,
     SuperIPRouter,
     debruijn_route,
@@ -18,6 +20,8 @@ from repro.routing import (
     star_route_length_bound,
     verify_route,
 )
+
+from . import superip_oracle as oracle
 
 FAMILIES = {
     "transpositions": SuperGeneratorSet.transpositions,
@@ -92,6 +96,21 @@ class TestSuperIPRouter:
             path = r.route_nodes(g, int(s), int(d))
             assert verify_route(g, path)
             assert path[-1] == d
+
+    def test_symmetric_router_with_twelve_symbol_nucleus(self):
+        """The symmetric seed renumbers nucleus symbols in ``repr`` order
+        (``0, 1, 10, 11, 2, ...`` for Q6's 12 symbols), so a colored block
+        is not the nucleus label plus an offset.  The scalar router assumed
+        it was and raised ``KeyError`` here."""
+        nuc = nw.hypercube_nucleus(6)
+        sgs = SuperGeneratorSet.transpositions(2)
+        g = build_super_ip_graph(nuc, sgs, symmetric=True)
+        r = SuperIPRouter(nuc, sgs, symmetric=True)
+        pairs = np.random.default_rng(6).integers(0, g.num_nodes, size=(50, 2))
+        for s, d in pairs.tolist():
+            path = r.route_nodes(g, s, d)
+            assert path[0] == s and path[-1] == d
+            assert verify_route(g, path) and len(path) - 1 <= r.max_route_length()
 
     def test_route_labels_direct(self):
         nuc = nw.hypercube_nucleus(1)
@@ -239,3 +258,194 @@ class TestDirectedCNRouting:
         g = nw.directed_cn(3, nuc)
         d = int(eccentricities(g).max())
         assert d == diameter_formula(nuc.diameter(), SuperGeneratorSet.directed_ring(3))
+
+
+def _super_hops(labels: list[tuple], m: int) -> list[int]:
+    """Positions of super-generator hops on a label path.  A nucleus move
+    changes only the leftmost block; a super-generator permutes blocks, and
+    a permutation that keeps blocks 1..l-1 keeps block 0 as well."""
+    return [i for i, (a, b) in enumerate(zip(labels, labels[1:])) if a[m:] != b[m:]]
+
+
+def _assert_same_walk(ours, theirs, m):
+    assert len(ours) == len(theirs)
+    assert ours[0] == theirs[0] and ours[-1] == theirs[-1]
+    assert _super_hops(ours, m) == _super_hops(theirs, m)
+
+
+class TestRouterOracle:
+    """The one block walker against the scalar routers it replaced
+    (``tests/superip_oracle.py``)."""
+
+    @pytest.mark.parametrize("fam", list(FAMILIES))
+    @pytest.mark.parametrize("sym", [False, True])
+    def test_ip_router_all_pairs(self, fam, sym):
+        nuc = nw.hypercube_nucleus(1 if sym else 2)
+        sgs = FAMILIES[fam](3)
+        g = build_super_ip_graph(nuc, sgs, symmetric=sym)
+        r = SuperIPRouter(nuc, sgs, symmetric=sym)
+        want = oracle.SuperIPRouter(nuc, sgs, symmetric=sym)
+        assert (r.t, r.max_route_length()) == (want.t, want.max_route_length())
+        bound = r.max_route_length()
+        for s in range(g.num_nodes):
+            for d in range(g.num_nodes):
+                path = r.route_nodes(g, s, d)
+                assert verify_route(g, path) and len(path) - 1 <= bound
+                _assert_same_walk(
+                    [g.labels[v] for v in path],
+                    want.route_labels(g.labels[s], g.labels[d]),
+                    nuc.m,
+                )
+
+    def test_ip_router_hsn_4_q4_seeded(self):
+        nuc = nw.hypercube_nucleus(4)
+        sgs = SuperGeneratorSet.transpositions(4)
+        g = build_super_ip_graph(nuc, sgs)
+        assert g.num_nodes == 65_536
+        r = SuperIPRouter(nuc, sgs)
+        want = oracle.SuperIPRouter(nuc, sgs)
+        bound = r.max_route_length()
+        pairs = np.random.default_rng(41).integers(0, g.num_nodes, size=(2000, 2))
+        for s, d in pairs.tolist():
+            path = r.route_nodes(g, s, d)
+            assert verify_route(g, path) and len(path) - 1 <= bound
+            _assert_same_walk(
+                [g.labels[v] for v in path],
+                want.route_labels(g.labels[s], g.labels[d]),
+                nuc.m,
+            )
+
+    def test_symmetric_ip_router_hsn_4_q4_seeded_labels(self):
+        """Symmetric HSN(4,Q4) has 24·16⁴ nodes, too many to build here, so
+        labels are drawn directly and every hop is checked to be one
+        generator application."""
+        from repro.core.permutation import block_permutation, lift_to_block
+
+        nuc = nw.hypercube_nucleus(4)
+        sgs = SuperGeneratorSet.transpositions(4)
+        r = SuperIPRouter(nuc, sgs, symmetric=True)
+        want = oracle.SuperIPRouter(nuc, sgs, symmetric=True)
+        m, l = nuc.m, sgs.l
+        gens = [lift_to_block(p, l, m, block=0) for p in nuc.perms]
+        gens += [block_permutation(p.img, m) for p in sgs.perms()]
+        gens += [p.inverse() for p in gens]
+        blocks = nuc.build().labels
+        arrangements = sorted(reachable_arrangements(sgs))
+        rng = np.random.default_rng(43)
+
+        def draw():
+            colors = arrangements[rng.integers(len(arrangements))]
+            return tuple(
+                c * m + s for c in colors for s in blocks[rng.integers(len(blocks))]
+            )
+
+        for _ in range(2000):
+            src, dst = draw(), draw()
+            path = r.route_labels(src, dst)
+            assert len(path) - 1 <= r.max_route_length()
+            assert all(any(p(a) == b for p in gens) for a, b in zip(path, path[1:]))
+            _assert_same_walk(path, want.route_labels(src, dst), m)
+
+    def test_explicit_router_all_pairs_ring_cn_2_petersen(self):
+        nuc = nw.petersen()
+        sgs = SuperGeneratorSet.ring(2)
+        g = explicit_super_graph(nuc, sgs)
+        r = ExplicitSuperIPRouter(nuc, sgs)
+        want = oracle.ExplicitSuperIPRouter(nuc, sgs)
+        assert (r.t, r.max_route_length()) == (want.t, want.max_route_length())
+        for s in range(g.num_nodes):
+            for d in range(g.num_nodes):
+                assert r.route_nodes(g, s, d) == want.route_nodes(g, s, d)
+
+    def test_explicit_router_ring_cn_3_petersen_seeded(self):
+        nuc = nw.petersen()
+        sgs = SuperGeneratorSet.ring(3)
+        g = explicit_super_graph(nuc, sgs)
+        assert g.num_nodes == 1000
+        r = ExplicitSuperIPRouter(nuc, sgs)
+        want = oracle.ExplicitSuperIPRouter(nuc, sgs)
+        pairs = np.random.default_rng(47).integers(0, g.num_nodes, size=(2000, 2))
+        for s, d in pairs.tolist():
+            path = r.route_nodes(g, s, d)
+            assert path == want.route_nodes(g, s, d)
+            assert verify_route(g, path) and len(path) - 1 <= r.max_route_length()
+
+    def test_explicit_router_next_hop_function(self):
+        nuc = nw.petersen()
+        sgs = SuperGeneratorSet.transpositions(2)
+        g = explicit_super_graph(nuc, sgs)
+        r = ExplicitSuperIPRouter(nuc, sgs)
+        hop = r.next_hop_function(g)
+        for s, d in [(0, 99), (37, 5), (12, 12)]:
+            walk = [s]
+            while walk[-1] != d:
+                walk.append(hop(walk[-1], d))
+            assert verify_route(g, walk) and len(walk) - 1 <= r.max_route_length()
+
+
+class TestRouterValidation:
+    """Bad ids and labels fail fast with a message naming the bad value and
+    the valid range; they never wrap around or raise a bare ``KeyError``."""
+
+    @pytest.fixture(scope="class")
+    def hsn22(self):
+        nuc = nw.hypercube_nucleus(2)
+        sgs = SuperGeneratorSet.transpositions(2)
+        return build_super_ip_graph(nuc, sgs), SuperIPRouter(nuc, sgs)
+
+    @pytest.mark.parametrize("src,dst,bad", [(-1, 0, -1), (0, 16, 16)])
+    def test_ip_router_rejects_node_id(self, hsn22, src, dst, bad):
+        g, r = hsn22
+        with pytest.raises(ValueError) as err:
+            r.route_nodes(g, src, dst)
+        assert str(err.value) == (
+            f"node id {bad} is out of range for 'transpositions(l=2,Q2)' "
+            f"(valid ids: 0..15)"
+        )
+
+    def test_ip_router_rejects_wrong_length(self, hsn22):
+        g, r = hsn22
+        with pytest.raises(ValueError) as err:
+            r.route_labels((0, 1, 2), g.labels[0])
+        assert str(err.value) == (
+            "source label (0, 1, 2) has 3 symbols, expected 8 (2 blocks of 4)"
+        )
+
+    def test_ip_router_rejects_out_of_alphabet_symbol(self, hsn22):
+        g, r = hsn22
+        with pytest.raises(ValueError) as err:
+            r.route_labels(g.labels[0], (0, 1, 2, 3, 0, 1, 2, 9))
+        assert str(err.value) == (
+            "destination label (0, 1, 2, 3, 0, 1, 2, 9) is not a node: block 1 "
+            "(0, 1, 2, 9) is not one of the 4 valid blocks "
+            "(0, 1, 2, 3) .. (1, 0, 3, 2)"
+        )
+
+    def test_symmetric_router_rejects_unreachable_colors(self):
+        nuc = nw.hypercube_nucleus(1)
+        sgs = SuperGeneratorSet.ring(3)  # rotations only: 3 arrangements
+        r = SuperIPRouter(nuc, sgs, symmetric=True)
+        with pytest.raises(ValueError) as err:
+            r.route_labels((2, 3, 0, 1, 4, 5), (0, 1, 2, 3, 4, 5))
+        assert str(err.value) == (
+            "source label (2, 3, 0, 1, 4, 5) is not a node: its block colors "
+            "(1, 0, 2) are not one of the 3 arrangements the super-generators "
+            "reach"
+        )
+
+    def test_explicit_router_rejects_id_and_label(self):
+        nuc = nw.petersen()
+        sgs = SuperGeneratorSet.ring(2)
+        g = explicit_super_graph(nuc, sgs)
+        r = ExplicitSuperIPRouter(nuc, sgs)
+        with pytest.raises(ValueError) as err:
+            r.route_nodes(g, 0, -1)
+        assert str(err.value) == (
+            f"node id -1 is out of range for {g.name!r} (valid ids: 0..99)"
+        )
+        with pytest.raises(ValueError) as err:
+            r.route_labels((3, 10), (0, 0))
+        assert str(err.value) == (
+            "source label (3, 10) is not a node: block 1 (10,) is not one of "
+            "the 10 valid blocks (0,) .. (9,)"
+        )

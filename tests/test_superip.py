@@ -10,6 +10,7 @@ from repro.core.superip import (
     SuperGeneratorSet,
     build_super_ip_graph,
     diameter_formula,
+    fronting_schedules,
     min_supergen_steps,
     min_supergen_steps_symmetric,
     reachable_arrangements,
@@ -29,6 +30,8 @@ from repro.networks.nuclei import (
     shuffle_exchange_nucleus,
     star_nucleus,
 )
+
+from . import superip_oracle as oracle
 
 FAMILIES = {
     "transpositions": SuperGeneratorSet.transpositions,
@@ -117,6 +120,58 @@ class TestSuperGeneratorSets:
         sgs = SuperGeneratorSet("stuck", 3, (("fix", transposition(3, 1, 2)),))
         with pytest.raises(ValueError):
             min_supergen_steps(sgs)
+
+
+ORACLE_SETS = [
+    pytest.param(factory(l), id=f"{fam}-{l}")
+    for fam, factory in {**FAMILIES, "directed_ring": SuperGeneratorSet.directed_ring}.items()
+    for l in (2, 3, 4, 5)
+]
+
+
+class TestFrontingSearchOracle:
+    """``t`` / ``t_S`` from the one fronting-schedule search equal the two
+    BFS bodies they replaced (``tests/superip_oracle.py``)."""
+
+    @pytest.mark.parametrize("sgs", ORACLE_SETS)
+    def test_t_and_t_s_equal_oracle(self, sgs):
+        assert min_supergen_steps(sgs) == oracle.min_supergen_steps(sgs)
+        assert min_supergen_steps_symmetric(sgs) == oracle.min_supergen_steps_symmetric(sgs)
+
+    @pytest.mark.parametrize("sgs", ORACLE_SETS)
+    def test_schedules_are_shortest_and_front_every_block(self, sgs):
+        perms = sgs.perms()
+        found = list(fronting_schedules(sgs))
+        assert {arr for arr, _ in found} == reachable_arrangements(sgs)
+        assert len(found[0][1]) == min_supergen_steps(sgs)
+        lengths = [len(seq) for _, seq in found]
+        assert lengths == sorted(lengths)  # BFS order
+        for end, seq in found:
+            arr = tuple(range(sgs.l))
+            fronted = {arr[0]}
+            for gi in seq:
+                arr = perms[gi](arr)
+                fronted.add(arr[0])
+            assert arr == end and fronted == set(range(sgs.l))
+
+    @pytest.mark.parametrize(
+        "sgs",
+        [
+            SuperGeneratorSet("stuck", 3, (("fix", transposition(3, 1, 2)),)),
+            SuperGeneratorSet("still", 2, (("id", identity(2)),)),
+        ],
+        ids=["stuck", "identity"],
+    )
+    def test_invalid_set_same_message_as_oracle(self, sgs):
+        for ours, theirs in (
+            (min_supergen_steps, oracle.min_supergen_steps),
+            (min_supergen_steps_symmetric, oracle.min_supergen_steps_symmetric),
+        ):
+            with pytest.raises(ValueError) as want:
+                theirs(sgs)
+            with pytest.raises(ValueError) as got:
+                ours(sgs)
+            assert str(got.value) == str(want.value)
 
 
 class TestArrangements:
