@@ -145,6 +145,9 @@ with tempfile.TemporaryDirectory() as d:
     run1 = json.dumps(fault_sweep(g1, [0, 2], trials=2, cycles=40, jobs=1))
     c1 = obs.report()["counters"]
     assert c1.get("cache.miss", 0) >= 1 and c1.get("cache.store", 0) >= 1, c1
+    # trials share the network's next-hop table: one build without
+    # distances (healthy), one with (faulted), not one per trial
+    assert c1.get("routing.table.builds", 0) <= 2, c1
     obs.reset()
     g2 = networks.build("hsn", l=2, n=3)  # warm: loaded from the cache
     run2 = json.dumps(fault_sweep(g2, [0, 2], trials=2, cycles=40, jobs=2))
@@ -153,7 +156,7 @@ with tempfile.TemporaryDirectory() as d:
     assert run1 == run2, "cached + parallel sweep diverged from cold serial run"
     obs.disable(); obs.reset()
     cache.set_cache(None)
-print("cache hit on rerun; cold-serial and warm-parallel JSON identical")
+print("cache hit on rerun; <= 2 table builds; cold-serial and warm-parallel JSON identical")
 PYEOF
 echo "OK"
 

@@ -28,22 +28,27 @@ def cached_next_hop_table(
 ) -> "NextHopTable":
     """Build (or reload) the next-hop table for ``net``.
 
-    Falls back to a plain :class:`~repro.routing.table.NextHopTable` build
-    when no cache is configured or the network has no ``cache_key`` (i.e.
-    it was not built through the registry with caching enabled).  The
-    distance matrix is stored only when ``with_distances`` is requested.
+    Falls back to the network's in-memory table
+    (:func:`~repro.routing.table.shared_table`, or a plain build when
+    ``allow_unreachable``) when no cache is configured or the network has
+    no ``cache_key`` (i.e. it was not built through the registry with
+    caching enabled).  The distance matrix is stored only when
+    ``with_distances`` is requested.  A reloaded complete table replaces
+    the one the network holds, like a build would, so a build followed
+    by a reload keeps one copy in memory, not two.
     """
     from repro import obs
-    from repro.routing.table import NextHopTable
+    from repro.routing.table import NextHopTable, _record, shared_table
 
     cache = cache if cache is not None else get_cache()
     net_key = getattr(net, "cache_key", None)
     if cache is None or net_key is None or net.num_nodes < cache.min_nodes:
-        table = NextHopTable(
-            net,
-            with_distances=with_distances,
-            allow_unreachable=allow_unreachable,
-        )
+        if allow_unreachable:
+            table = NextHopTable(
+                net, with_distances=with_distances, allow_unreachable=True
+            )
+        else:
+            table = shared_table(net, with_distances=with_distances)
         if obs.artifact_sink() is not None:
             obs.artifact("routing.next_hop_table", table.to_arrays())
         return table
@@ -56,9 +61,12 @@ def cached_next_hop_table(
     arrays = cache.load_arrays(key)
     if arrays is not None:
         obs.artifact("routing.next_hop_table", arrays)
-        return NextHopTable.from_arrays(
+        table = NextHopTable.from_arrays(
             net, table=arrays["table"], dist=arrays.get("dist")
         )
+        if not allow_unreachable:
+            _record(net, table.table, table.dist)
+        return table
     table = NextHopTable(
         net,
         with_distances=with_distances,

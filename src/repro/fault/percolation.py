@@ -45,7 +45,7 @@ from repro import obs
 from repro.core.network import Network
 from repro.parallel import run_tasks
 from repro.sim.simulator import PacketSimulator
-from repro.sim.workloads import uniform_random
+from repro.sim.workloads import uniform_random_array
 
 from .plan import FaultPlan, _undirected_edges
 
@@ -328,7 +328,7 @@ def _traffic_point(ctx: dict, p: float) -> dict:
         for e in sorted(np.nonzero(u >= p)[0].tolist()):
             plan.fail_link(0, *edges[e].tolist())
     workload_rng = np.random.default_rng([ctx["seed"], 104_729])
-    injections = uniform_random(net, ctx["rate"], cycles, workload_rng)
+    injections = uniform_random_array(net, ctx["rate"], cycles, workload_rng)
     sim = PacketSimulator(net, faults=plan)
     stats = sim.run(injections, max_cycles=cycles * ctx["max_cycles_factor"])
     return {

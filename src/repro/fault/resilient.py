@@ -36,7 +36,7 @@ from collections import OrderedDict
 from repro import obs
 from repro.core.network import Network
 from repro.routing.disjoint import NodeDisjointPaths, SurvivorMask
-from repro.routing.table import NextHopTable
+from repro.routing.table import NextHopTable, shared_table
 
 from .plan import FaultTimeline
 from .view import FaultyNetwork
@@ -63,7 +63,8 @@ class ResilientRouter:
     table:
         Optional pre-built :class:`NextHopTable`; must have been built with
         ``with_distances=True`` (needed to enumerate alternate minimal
-        hops).  Built on demand otherwise.
+        hops).  Defaults to the network's
+        :func:`~repro.routing.table.shared_table`.
     use_disjoint:
         Allow the stage-3 survivor-path fallback (on by default).
     path_cache_size:
@@ -87,7 +88,7 @@ class ResilientRouter:
         orbit_cache=None,
     ):
         if table is None:
-            table = NextHopTable(net, with_distances=True)
+            table = shared_table(net, with_distances=True)
         elif table.dist is None:
             raise ValueError(
                 "ResilientRouter needs a NextHopTable built with "

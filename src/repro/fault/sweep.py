@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.network import Network
 from repro.parallel import run_tasks
 from repro.sim.simulator import PacketSimulator
-from repro.sim.workloads import uniform_random
+from repro.sim.workloads import uniform_random_array
 
 from .plan import FaultPlan
 
@@ -53,8 +53,8 @@ def _fault_trial(ctx: dict, task: tuple[int, int]) -> dict | None:
     faults, trial = task
     seed, cycles = ctx["seed"], ctx["cycles"]
     workload_rng = np.random.default_rng([seed, 1_000_003, trial])
-    injections = uniform_random(net, ctx["rate"], cycles, workload_rng)
-    if not injections:
+    injections = uniform_random_array(net, ctx["rate"], cycles, workload_rng)
+    if not len(injections):
         return None
     plan = None
     if faults:

@@ -42,7 +42,7 @@ from repro.core.superip import (
     reachable_arrangements,
 )
 from repro.metrics.distances import diameter
-from repro.routing.table import NextHopTable
+from repro.routing.table import shared_table
 
 __all__ = ["ExplicitSuperIPRouter", "SuperIPRouter", "verify_route"]
 
@@ -109,7 +109,7 @@ class SuperIPRouter:
         self._keys = keys
         self._encode = {key: b for b, key in enumerate(keys)}
         self._nodes = nuc_graph.num_nodes
-        self._hops = NextHopTable(nuc_graph).table
+        self._hops = shared_table(nuc_graph).table
         self._nucleus_diameter = diameter(nuc_graph)
         perms = sgs.perms()
         if symmetric:

@@ -5,6 +5,11 @@ family-specific routers (Theorem 4.1 sorting router, e-cube, ...) are tested
 against.  The table can optionally retain the full distance matrix, which is
 what the fault-aware :class:`repro.fault.ResilientRouter` uses to enumerate
 *alternate* minimal next hops when the preferred one has failed.
+
+The table is a pure function of the network, so a complete build is
+recorded on the network and :func:`shared_table` hands it to every later
+consumer (simulators, resilient routers, sweep trials) without another
+all-pairs BFS.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from repro import obs
 from repro.core.network import Network, RoutingError
 from repro.metrics.distances import _BATCH, multi_source_bfs
 
-__all__ = ["shortest_path", "NextHopTable"]
+__all__ = ["shortest_path", "NextHopTable", "shared_table"]
 
 
 def shortest_path(net: Network, src: int, dst: int) -> list[int]:
@@ -55,13 +60,20 @@ class NextHopTable:
     """All-pairs next-hop table for shortest-path routing.
 
     ``next_hop[dst, u]`` is the smallest-id neighbor of ``u`` on a
-    shortest path to ``dst`` (or ``u`` itself when ``u == dst``).  Memory
-    is ``O(N^2)``; construction runs the bit-parallel BFS of
+    shortest path to ``dst`` (or ``u`` itself when ``u == dst``), and
+    ``dist[dst, u]`` is the hop distance from ``u`` to ``dst``.  On a
+    directed network both follow arc direction: the next hop is an
+    out-neighbor and the distance counts arcs from ``u`` to ``dst``.
+    Memory is ``O(N^2)``; construction runs the bit-parallel BFS of
     :func:`repro.metrics.distances.multi_source_bfs` from each batch of
-    64 destinations (one ``uint64`` word), then one sweep over neighbor
-    slots per batch.  This is
-    what the packet simulator uses to route — deterministic, minimal, and
-    family-agnostic.
+    64 destinations (one ``uint64`` word; over reversed arcs when the
+    network is directed), then one sweep over neighbor slots per batch.
+    This is what the packet simulator uses to route — deterministic,
+    minimal, and family-agnostic.
+
+    A build with ``allow_unreachable=False`` records its arrays on the
+    network (read-only from then on), where :func:`shared_table` finds
+    them; a table without distances never replaces one with them.
 
     Parameters
     ----------
@@ -89,6 +101,9 @@ class NextHopTable:
         n = net.num_nodes
         csr = net.adjacency_csr()
         indptr, indices = csr.indptr, csr.indices
+        # BFS from each destination over reversed arcs reaches u at
+        # dist(u -> dst); an undirected network is its own reverse
+        toward = csr.T.tocsr() if net.directed else net
         self.net = net
         self._indptr = indptr
         self._indices = indices
@@ -120,7 +135,7 @@ class NextHopTable:
             slot = np.where(hop < 0, n, hop)
             for start in range(0, n, _BATCH):
                 dsts = np.arange(start, min(start + _BATCH, n))
-                hops = multi_source_bfs(net, dsts)  # (n, r): FROM each dst
+                hops = multi_source_bfs(toward, dsts)  # (n, r): TO each dst
                 unreached = hops < 0
                 if not allow_unreachable and unreached.any():
                     col = int(np.argmax(unreached.any(axis=0)))
@@ -145,6 +160,8 @@ class NextHopTable:
                 nh = hop.take(code + hop_row)
                 nh[dsts, np.arange(len(dsts))] = dsts
                 self.table[dsts] = nh.T
+        if not allow_unreachable:
+            _record(net, self.table, self.dist)
         reg = obs.registry()
         reg.incr("routing.table.builds")
         reg.incr("routing.table.nodes", n)
@@ -180,12 +197,6 @@ class NextHopTable:
                 f"next-hop table shape {table.shape} does not match "
                 f"{net.name!r} ({n} nodes)"
             )
-        self = cls.__new__(cls)
-        csr = net.adjacency_csr()
-        self.net = net
-        self._indptr = csr.indptr
-        self._indices = csr.indices
-        self.table = table
         if dist is not None:
             dist = np.asarray(dist, dtype=np.int32)
             if dist.shape != (n, n):
@@ -193,10 +204,23 @@ class NextHopTable:
                     f"distance matrix shape {dist.shape} does not match "
                     f"{net.name!r} ({n} nodes)"
                 )
-        self.dist = dist
         reg = obs.registry()
         reg.incr("routing.table.loads")
         reg.incr("routing.table.nodes", n)
+        return cls._wrap(net, table, dist)
+
+    @classmethod
+    def _wrap(
+        cls, net: Network, table: np.ndarray, dist: np.ndarray | None
+    ) -> "NextHopTable":
+        """A table over ``net`` holding these arrays (no checks, no BFS)."""
+        self = cls.__new__(cls)
+        csr = net.adjacency_csr()
+        self.net = net
+        self._indptr = csr.indptr
+        self._indices = csr.indices
+        self.table = table
+        self.dist = dist
         return self
 
     def _check_node(self, v: int, role: str) -> int:
@@ -280,3 +304,48 @@ class NextHopTable:
         reg.incr("routing.routes")
         reg.observe("routing.hops", len(out) - 1)
         return out
+
+
+def _record(net: Network, table: np.ndarray, dist: np.ndarray | None) -> None:
+    """Store a complete build's arrays on ``net`` for :func:`shared_table`.
+
+    Plain arrays, not the table: the table holds ``net``, and a
+    network-table cycle would outlive ``del`` (refcounting cannot free
+    it, and numpy buffers do not trigger the cyclic GC).
+    """
+    held = net._next_hops
+    if dist is None and held is not None and held[1] is not None:
+        return  # never trade a table with distances for one without
+    for arr in (table, dist):
+        if arr is not None:
+            arr.flags.writeable = False  # shared by every later consumer
+    net._next_hops = (table, dist)
+
+
+def shared_table(net: Network, with_distances: bool = False) -> NextHopTable:
+    """The complete next-hop table of ``net``, built at most once per need.
+
+    Wraps the arrays the last complete :class:`NextHopTable` build on
+    ``net`` recorded, without BFS, and counts the reuse as
+    ``routing.table.shared``.  Builds (and so records) a new table only
+    when nothing is stored, or when ``with_distances`` asks for
+    distances the stored table lacks.  The result equals a fresh
+    ``NextHopTable(net, with_distances)``; its arrays are read-only,
+    since every consumer of the network shares them.  Raises
+    :class:`~repro.core.network.RoutingError` on a disconnected network,
+    like the constructor.
+    """
+    table = _held_table(net, with_distances)
+    if table is None:
+        return NextHopTable(net, with_distances=with_distances)
+    return table
+
+
+def _held_table(net: Network, with_distances: bool) -> NextHopTable | None:
+    """:func:`shared_table` without the build: ``None`` when ``net`` holds
+    no complete table (with distances, if asked)."""
+    held = net._next_hops
+    if held is None or (with_distances and held[1] is None):
+        return None
+    obs.registry().incr("routing.table.shared")
+    return NextHopTable._wrap(net, held[0], held[1] if with_distances else None)

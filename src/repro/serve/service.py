@@ -188,22 +188,26 @@ class RouteService:
         """Open (building on first use) the mmap-shared service for ``net``.
 
         Requires an artifact cache and a registry-stamped ``cache_key`` on
-        the network to share tables; without either this degrades to an
-        in-memory build (documented fallback, ``source == "memory"``).
+        the network to share tables; without either this degrades to the
+        network's in-memory :func:`~repro.routing.table.shared_table`
+        (documented fallback, ``source == "memory"``).
         Each shard's row block of the table and of the distance matrix is
-        exported once as an uncompressed spill keyed by
+        exported once — from the table the network already holds (see
+        :func:`~repro.routing.table.shared_table`) when it has distances,
+        else from one build or ``.npz`` reload — as an uncompressed spill
+        keyed by
         ``cache_key("serve.shard", graph=<registry key>, ...)``; later
         opens — including every :mod:`repro.parallel` worker — map the
         same files read-only.
         """
         from repro.cache import cache_key, cached_next_hop_table, get_cache
-        from repro.routing.table import NextHopTable
+        from repro.routing.table import _held_table, shared_table
 
         cache = cache if cache is not None else get_cache()
         net_key = getattr(net, "cache_key", None)
         reg = obs.registry()
         if cache is None or net_key is None:
-            table = NextHopTable(net, with_distances=True)
+            table = shared_table(net, with_distances=True)
             reg.incr("serve.open.memory")
             return cls.from_table(table)
         n = net.num_nodes
@@ -220,8 +224,11 @@ class RouteService:
             if any(not cache.mmap_path(k, nm).exists() for nm in names)
         ]
         if missing:
-            # one build (or .npz reload) feeds every missing shard
-            table = cached_next_hop_table(net, with_distances=True, cache=cache)
+            # one table feeds every missing shard: the one the network
+            # holds (no second copy in memory), else one build or reload
+            table = _held_table(net, with_distances=True)
+            if table is None:
+                table = cached_next_hop_table(net, with_distances=True, cache=cache)
             assert table.dist is not None
             for i in missing:
                 lo, hi = row_starts[i], row_starts[i + 1]

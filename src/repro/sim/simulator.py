@@ -63,7 +63,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.network import Network
-from repro.routing.table import NextHopTable
+from repro.routing.table import NextHopTable, shared_table
 
 if False:  # import for type checkers only — repro.fault imports repro.sim
     from repro.fault.plan import FaultPlan, FaultTimeline  # noqa: F401
@@ -86,10 +86,10 @@ class PacketSimulator:
         aligned with the CSR arc order of ``net.adjacency_csr()`` — use the
         policies in :mod:`repro.sim.policies` to build one.
     next_hop:
-        Routing function ``(u, dst) -> v``.  Defaults to a shortest-path
-        :class:`~repro.routing.table.NextHopTable` (whose table is applied
-        as one vectorized lookup per batch; a custom callable is consulted
-        per packet, in event order).
+        Routing function ``(u, dst) -> v``.  Defaults to the network's
+        shortest-path table from :func:`~repro.routing.table.shared_table`
+        (built once per network, applied as one vectorized lookup per
+        batch; a custom callable is consulted per packet, in event order).
     module_of:
         Optional module ids (for off-module hop accounting in the stats).
     faults:
@@ -155,13 +155,13 @@ class PacketSimulator:
             if self._timeline is not None:
                 from repro.fault.resilient import ResilientRouter
 
-                self._table = NextHopTable(net, with_distances=True)
+                self._table = shared_table(net, with_distances=True)
                 self._router = ResilientRouter(
                     net, self._timeline, table=self._table
                 )
                 self.next_hop = self._table.next_hop
             else:
-                self._table = NextHopTable(net)
+                self._table = shared_table(net)
                 self.next_hop = self._table.next_hop
         else:
             # custom routers stay in charge of hop choice; degraded mode can

@@ -20,7 +20,7 @@ from repro.core.network import Network
 from repro.parallel import run_tasks
 
 from .simulator import PacketSimulator
-from .workloads import uniform_random
+from .workloads import uniform_random_array
 
 __all__ = ["offered_load_sweep", "saturation_rate"]
 
@@ -53,7 +53,7 @@ def _rate_point(ctx: dict, rate: float) -> dict:
     rng = np.random.default_rng(ctx["seed"])
     sim = PacketSimulator(net, delays=ctx["delays"], module_of=ctx["module_of"])
     stats = sim.run(
-        uniform_random(net, rate, cycles, rng),
+        uniform_random_array(net, rate, cycles, rng),
         max_cycles=cycles * ctx["max_cycles_factor"],
     )
     return {

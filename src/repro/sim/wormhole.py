@@ -27,7 +27,7 @@ from collections.abc import Callable, Iterable
 import numpy as np
 
 from repro.core.network import Network
-from repro.routing.table import NextHopTable
+from repro.routing.table import shared_table
 
 from .policies import ChannelIndex
 from .stats import SimStats
@@ -85,7 +85,7 @@ class WormholeSimulator:
         if (self.delays < 1).any():
             raise ValueError("channel delays must be >= 1 cycle")
         if next_hop is None:
-            self._table = NextHopTable(net)
+            self._table = shared_table(net)
             self.next_hop = self._table.next_hop
         else:
             self.next_hop = next_hop

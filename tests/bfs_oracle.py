@@ -6,10 +6,14 @@ These are the sparse-matmul BFS and the ``(rows × arcs)``
 :class:`repro.routing.table.NextHopTable` replaced.  They are kept
 verbatim in behaviour (one level = one sparse matmul; smallest
 one-step-closer neighbor id per node) so the production kernel can be
-compared bit for bit.  One deliberate difference: the next-hop
-``reduceat`` runs over the rows that have arcs only.  The replaced code
+compared bit for bit.  Two deliberate differences: the next-hop
+``reduceat`` runs over the rows that have arcs only (the replaced code
 clamped empty segments' offsets instead, which cut the preceding row's
-segment short when the highest-id node had no arcs.
+segment short when the highest-id node had no arcs), and on a directed
+network the per-destination BFS runs over reversed arcs, so that
+``dist[dst, u]`` is the distance from ``u`` to ``dst`` (the replaced code
+measured it from ``dst`` to ``u``, which picks out-neighbors that are not
+one step closer).
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ def oracle_next_hop_table(net: Network, chunk: int = 64) -> tuple[np.ndarray, np
     n = net.num_nodes
     csr = net.adjacency_csr()
     indptr, indices = csr.indptr, csr.indices
+    toward = csr.T.tocsr() if net.directed else csr  # dist(u -> dst)
     table = np.empty((n, n), dtype=np.int32)
     dist_all = np.empty((n, n), dtype=np.int32)
     arc_counts = np.diff(indptr)
@@ -57,7 +62,7 @@ def oracle_next_hop_table(net: Network, chunk: int = 64) -> tuple[np.ndarray, np
         arc_src = np.repeat(np.arange(n), arc_counts)
     for start in range(0, n, chunk):
         dsts = np.arange(start, min(start + chunk, n))
-        dist = oracle_bfs_distances(csr, dsts)
+        dist = oracle_bfs_distances(toward, dsts)
         dist_all[dsts] = dist
         nh = np.full((len(dsts), n), -1, dtype=np.int32)
         if nnz:
