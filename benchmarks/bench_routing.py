@@ -21,6 +21,15 @@ positions (nucleus ties break differently).  Each engine must keep at
 least ``MIN_ROUTER_RATIO`` of its oracle's routes/s (best of
 ``ROUTER_ROUNDS``, GC parked).
 
+The simulator case (``"bench": "superip_sim"``) runs seeded uniform
+traffic on HSN(3,Q3) (N=512) through
+``PacketSimulator(routing=router.backend(g))`` and through the default
+shortest-path table.  Every packet must be delivered, along its
+``route_nodes`` path up to its first arrival at the destination (the hop
+totals must agree), and every such route must be within
+``max_route_length()``.  It reports packets/s for each (best of
+``ROUTER_ROUNDS``, interleaved, GC parked); no ratio is gated.
+
 Run it directly (exits non-zero on a mismatch or a missed budget; prints
 one JSON record per case, appended to ``$REPRO_BENCH_TRAJECTORY`` when
 set)::
@@ -42,6 +51,7 @@ from repro.core.superip import SuperGeneratorSet, build_super_ip_graph
 from repro.metrics.distances import bfs_distances
 from repro.networks.hier import explicit_super_graph
 from repro.routing import ExplicitSuperIPRouter, NextHopTable, SuperIPRouter, verify_route
+from repro.sim import PacketSimulator, uniform_random_array
 
 from conftest import print_table
 
@@ -54,6 +64,8 @@ TABLE_ROUNDS = 3
 MIN_ROUTER_RATIO = 0.9
 ROUTER_ROUNDS = 3
 ROUTER_PAIRS = 2000
+SIM_RATE = 0.2  # packets per node per cycle
+SIM_CYCLES = 100
 
 
 @pytest.fixture(scope="module")
@@ -240,8 +252,54 @@ def router_case() -> dict:
     return record
 
 
+def sim_case() -> dict:
+    """HSN(3,Q3) traffic through the Theorem-4.1 backend and the table."""
+    nuc = nw.hypercube_nucleus(3)
+    sgs = SuperGeneratorSet.transpositions(3)
+    g = build_super_ip_graph(nuc, sgs)
+    r = SuperIPRouter(nuc, sgs)
+    w = uniform_random_array(g, SIM_RATE, SIM_CYCLES, np.random.default_rng(23))
+    bound = r.max_route_length()
+    route_hops = over_bound = 0
+    for _, s, d in w.tolist():
+        route = r.route_nodes(g, s, d)
+        route_hops += route.index(d)  # delivered at its first arrival
+        over_bound += len(route) - 1 > bound
+    sims = {"backend": PacketSimulator(g, routing=r.backend(g)), "table": PacketSimulator(g)}
+    best = dict.fromkeys(sims, float("inf"))
+    stats = {}
+    for _ in range(ROUTER_ROUNDS):  # interleaved, best of each
+        for name, sim in sims.items():
+            best[name] = min(best[name], _timed(lambda: stats.__setitem__(name, sim.run(w))))
+    ours, table = stats["backend"], stats["table"]
+    return {
+        "bench": "superip_sim",
+        "network": g.name,
+        "nodes": g.num_nodes,
+        "packets": len(w),
+        "route_bound": bound,
+        "backend_pkts_per_s": round(len(w) / best["backend"]),
+        "table_pkts_per_s": round(len(w) / best["table"]),
+        "backend_mean_hops": round(ours.mean_hops, 3),
+        "table_mean_hops": round(table.mean_hops, 3),
+        "undelivered": (len(w) - ours.delivered) + (len(w) - table.delivered),
+        "routes_over_bound": over_bound,
+        "hops_match_routes": round(ours.mean_hops * ours.delivered) == route_hops,
+    }
+
+
 def main() -> int:
     ok = True
+    sim = sim_case()
+    obs.emit_record(sim)
+    if sim["undelivered"] or sim["routes_over_bound"] or not sim["hops_match_routes"]:
+        print(
+            f"FAIL: superip_sim: {sim['undelivered']} packets undelivered, "
+            f"{sim['routes_over_bound']} routes over the bound, hop totals "
+            f"{'match' if sim['hops_match_routes'] else 'differ from'} the routes",
+            file=sys.stderr,
+        )
+        ok = False
     router = router_case()
     obs.emit_record(router)
     if router["mismatches"]:

@@ -17,7 +17,8 @@ make million-packet load sweeps routine; this bench holds it to that:
 
 Methodology mirrors ``bench_obs_overhead.py``: GC parked during timing,
 best-of-``ROUNDS`` for the fast engine (the slow oracle runs once — it
-dominates wall time).  Results are printed as JSON; set
+dominates wall time); the degraded trial alternates the two engines
+round by round and keeps the best of each, so host drift hits both.  Results are printed as JSON; set
 ``REPRO_BENCH_TRAJECTORY=<path>`` to append the record to a JSONL
 trajectory file for tracking across commits.
 
@@ -97,24 +98,28 @@ def degraded_case() -> dict:
         finally:
             spent[0] += time.perf_counter() - t0
 
-    def rounds(cls):
-        best_run = best_engine = float("inf")
-        stats = []
-        for _ in range(ROUNDS):
-            sim = cls(net, faults=plan)  # fresh router: no cached detours
-            spent[0] = 0.0
-            dt = _timed(lambda: stats.append(sim.run(w, max_cycles=DEG_CYCLES * 50)))
-            best_run = min(best_run, dt)
-            best_engine = min(best_engine, dt - spent[0])
+    def one_round(cls):
+        sim = cls(net, faults=plan)  # fresh router: no cached detours
+        spent[0] = 0.0
+        out = []
+        dt = _timed(lambda: out.append(sim.run(w, max_cycles=DEG_CYCLES * 50)))
         r = sim._router
-        return stats[-1], (r.reroutes, r.deroutes, r.unreachable), best_run, best_engine
+        return out[0], (r.reroutes, r.deroutes, r.unreachable), dt, dt - spent[0]
 
+    engines = (PacketSimulator, ReferencePacketSimulator)
+    runs = {cls: [] for cls in engines}
     ResilientRouter._compute_survivor_path = timed_kernel
     try:
-        ev_stats, ev_counts, ev_run, ev_engine = rounds(PacketSimulator)
-        ref_stats, ref_counts, ref_run, ref_engine = rounds(ReferencePacketSimulator)
+        for _ in range(ROUNDS):  # interleaved, so host drift hits both engines
+            for cls in engines:
+                runs[cls].append(one_round(cls))
     finally:
         ResilientRouter._compute_survivor_path = kernel
+    (ev_stats, ev_counts, _, _), (ref_stats, ref_counts, _, _) = (
+        runs[cls][-1] for cls in engines
+    )
+    ev_run, ref_run = (min(r[2] for r in runs[cls]) for cls in engines)
+    ev_engine, ref_engine = (min(r[3] for r in runs[cls]) for cls in engines)
     return {
         "degraded_network": net.name,
         "degraded_faults": DEG_FAULTS,

@@ -36,7 +36,7 @@ from collections import OrderedDict
 from repro import obs
 from repro.core.network import Network
 from repro.routing.disjoint import NodeDisjointPaths, SurvivorMask
-from repro.routing.table import NextHopTable, shared_table
+from repro.routing.table import shared_table
 
 from .plan import FaultTimeline
 from .view import FaultyNetwork
@@ -56,15 +56,11 @@ class ResilientRouter:
     Parameters
     ----------
     net:
-        The intact topology (the table is built fault-free; faults are
-        masked per query).
+        The intact topology.  Routes on its fault-free
+        :func:`~repro.routing.table.shared_table` with distances (needed
+        to enumerate alternate minimal hops); faults are masked per query.
     timeline:
         Compiled fault schedule consulted at query time.
-    table:
-        Optional pre-built :class:`NextHopTable`; must have been built with
-        ``with_distances=True`` (needed to enumerate alternate minimal
-        hops).  Defaults to the network's
-        :func:`~repro.routing.table.shared_table`.
     use_disjoint:
         Allow the stage-3 survivor-path fallback (on by default).
     path_cache_size:
@@ -82,18 +78,10 @@ class ResilientRouter:
         self,
         net: Network,
         timeline: FaultTimeline,
-        table: NextHopTable | None = None,
         use_disjoint: bool = True,
         path_cache_size: int = 4096,
         orbit_cache=None,
     ):
-        if table is None:
-            table = shared_table(net, with_distances=True)
-        elif table.dist is None:
-            raise ValueError(
-                "ResilientRouter needs a NextHopTable built with "
-                "with_distances=True (alternate minimal hops require distances)"
-            )
         if path_cache_size < 1:
             raise ValueError(
                 f"path_cache_size must be >= 1, got {path_cache_size}"
@@ -101,7 +89,7 @@ class ResilientRouter:
         self.net = net
         self._n = net.num_nodes
         self.timeline = timeline
-        self.table = table
+        self.table = shared_table(net, with_distances=True)
         self.use_disjoint = use_disjoint
         self.reroutes = 0
         self.deroutes = 0

@@ -8,7 +8,7 @@ from .families import (
     star_route_length_bound,
 )
 from .superip import ExplicitSuperIPRouter, SuperIPRouter, verify_route
-from .table import NextHopTable, shared_table, shortest_path
+from .table import NextHopTable, RoutingBackend, shared_table, shortest_path
 
 __all__ = [
     "debruijn_route",
@@ -18,6 +18,7 @@ __all__ = [
     "NextHopTable",
     "node_disjoint_paths",
     "path_diversity",
+    "RoutingBackend",
     "shared_table",
     "shortest_path",
     "star_route",

@@ -28,6 +28,10 @@ in symmetric variants), schedules come from
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
+import numpy as np
+
 from repro import obs
 from repro.core.ipgraph import IPGraph
 from repro.core.network import Label, Network
@@ -44,7 +48,7 @@ from repro.core.superip import (
 from repro.metrics.distances import diameter
 from repro.routing.table import shared_table
 
-__all__ = ["ExplicitSuperIPRouter", "SuperIPRouter", "verify_route"]
+__all__ = ["ExplicitSuperIPRouter", "SuperIPBackend", "SuperIPRouter", "verify_route"]
 
 #: one walker step: the block gather of a super-generator (``None`` before
 #: the first one) and the destination position the new front block sorts
@@ -75,8 +79,13 @@ class SuperIPRouter:
 
     The router works purely on labels — it never searches the (potentially
     huge) network graph; the nucleus next-hop table (size ``O(M²)``) is
-    the only precomputation.
+    the only precomputation.  :meth:`backend` binds it to a built graph
+    for the packet simulator.
     """
+
+    #: ``(index, generator)`` of the first nucleus generator whose inverse
+    #: is not a generator: its arcs are one-way in a directed super graph
+    _one_way: tuple[int, Permutation] | None = None
 
     def __init__(
         self, nucleus: NucleusSpec, sgs: SuperGeneratorSet, symmetric: bool = False
@@ -90,6 +99,10 @@ class SuperIPRouter:
             keys = [
                 tuple(c * m + sym[s] for s in lab) for c in range(sgs.l) for lab in keys
             ]
+        perms = nucleus.perms
+        self._one_way = next(
+            ((i, p) for i, p in enumerate(perms) if p.inverse() not in perms), None
+        )
         self._setup(nuc_graph, sgs, symmetric, keys, nucleus.m)
 
     def _setup(
@@ -109,19 +122,24 @@ class SuperIPRouter:
         self._keys = keys
         self._encode = {key: b for b, key in enumerate(keys)}
         self._nodes = nuc_graph.num_nodes
-        self._hops = shared_table(nuc_graph).table
+        self._hops = shared_table(nuc_graph).table.tolist()
         self._nucleus_diameter = diameter(nuc_graph)
         perms = sgs.perms()
+        # one program per final arrangement a route may need; a symmetric
+        # route picks it by the destination's block colors
+        self._program_of: dict[tuple, int] | None = None
         if symmetric:
             self.t = min_supergen_steps_symmetric(sgs)
             self._arrangements = reachable_arrangements(sgs)
-            self._programs = {
-                arr: _program(perms, seq, arr) for arr, seq in fronting_schedules(sgs)
-            }
+            self._programs = []
+            self._program_of = {}
+            for arr, seq in fronting_schedules(sgs):
+                self._program_of[arr] = len(self._programs)
+                self._programs.append(_program(perms, seq, arr))
         else:
             self.t = min_supergen_steps(sgs)
             arr, seq = next(fronting_schedules(sgs))
-            self._program = _program(perms, seq, arr)
+            self._programs = [_program(perms, seq, arr)]
 
     # ------------------------------------------------------------------
     # label plumbing
@@ -158,9 +176,60 @@ class SuperIPRouter:
     def _label_of(self, blocks: list[int]) -> Label:
         return sum(map(self._keys.__getitem__, blocks), ())
 
+    def _check_orientation(self, graph: Network) -> None:
+        """``ValueError`` when ``graph`` is directed and a nucleus generator
+        has no inverse: sorting a block could then take a reverse arc."""
+        if graph.directed and self._one_way is not None:
+            i, gen = self._one_way
+            raise ValueError(
+                f"cannot route on directed {graph.name!r}: nucleus generator "
+                f"{i} {gen!r} of {self.nucleus.name!r} has no inverse among "
+                f"the nucleus generators, so sorting a block may need a "
+                f"reverse arc (one-way nuclei are not supported)"
+            )
+
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
+    def _program_index(self, blocks: list[int], target: list[int]) -> int:
+        """The program of a route from ``blocks`` to ``target``: in a
+        symmetric graph, slot i must end where the destination holds its
+        color."""
+        if self._program_of is None:
+            return 0
+        nodes = self._nodes
+        slot_of = {b // nodes: i for i, b in enumerate(blocks)}
+        return self._program_of[tuple(slot_of[b // nodes] for b in target)]
+
+    def _walk(
+        self,
+        blocks: list[int],
+        target: list[int],
+        steps: list[_Step],
+        k: int = 0,
+        gathered: bool = False,
+    ) -> Iterator[int]:
+        """The one block walker: run ``steps`` toward ``target`` from step
+        ``k`` (whose gather is already done when ``gathered``), rewriting
+        ``blocks`` in place, and yield the step index after each hop."""
+        nodes, hops = self._nodes, self._hops
+        for k in range(k, len(steps)):
+            gather, pos = steps[k]
+            if gather is not None and not gathered:
+                moved = [blocks[i] for i in gather]
+                if moved != blocks:
+                    blocks[:] = moved
+                    yield k
+            gathered = False
+            if pos >= 0:
+                base = blocks[0] - blocks[0] % nodes
+                u, t = blocks[0] - base, target[pos] - base
+                row = hops[t]
+                while u != t:
+                    u = row[u]
+                    blocks[0] = base + u
+                    yield k
+
     def route_labels(self, src: Label, dst: Label) -> list[Label]:
         """Full node-label path from ``src`` to ``dst`` (inclusive).
 
@@ -173,27 +242,9 @@ class SuperIPRouter:
         join = self._label_of
         path = [join(blocks)]
         if blocks != target:
-            nodes, hops = self._nodes, self._hops
-            if self.symmetric:
-                # slot i must end where the destination holds its color
-                slot_of = {b // nodes: i for i, b in enumerate(blocks)}
-                steps = self._programs[tuple(slot_of[b // nodes] for b in target)]
-            else:
-                steps = self._program
-            for gather, pos in steps:
-                if gather is not None:
-                    moved = [blocks[i] for i in gather]
-                    if moved != blocks:
-                        blocks = moved
-                        path.append(join(blocks))
-                if pos >= 0:
-                    base = blocks[0] - blocks[0] % nodes
-                    u, t = blocks[0] - base, target[pos] - base
-                    row = hops[t]
-                    while u != t:
-                        u = int(row[u])
-                        blocks[0] = base + u
-                        path.append(join(blocks))
+            steps = self._programs[self._program_index(blocks, target)]
+            for _ in self._walk(blocks, target, steps):
+                path.append(join(blocks))
             if blocks != target:
                 raise RuntimeError("sorting router failed to reach destination")
         reg = obs.registry()
@@ -204,40 +255,22 @@ class SuperIPRouter:
     def route_nodes(self, graph: IPGraph, src: int, dst: int) -> list[int]:
         """Route between node ids of a built graph; returns node-id path.
 
-        Raises ``ValueError`` naming an id outside ``0..N-1``.
+        Raises ``ValueError`` naming an id outside ``0..N-1``, or the
+        nucleus generator without an inverse when ``graph`` is directed
+        over a one-way nucleus.
         """
+        self._check_orientation(graph)
         labels = self.route_labels(graph.label_of(src), graph.label_of(dst))
         return [graph.index[lab] for lab in labels]
 
-    def next_hop_function(self, graph: IPGraph):
-        """A ``(u, dst) -> v`` callable for the packet simulator that follows
-        this router's (distributed, table-free) paths instead of global
-        shortest paths.
-
-        Hops are memoized per ``(node, dst)`` taking each node's successor
-        at its *last* occurrence on the computed route.  That makes the
-        per-destination hop map loop-free: within one route the last-
-        occurrence rule strictly advances along the path, and a later
-        route's fresh nodes can never be re-entered by chains cached
-        earlier (they were unknown then), so every chain terminates at
-        ``dst``.
-        """
-        cache: dict[tuple[int, int], int] = {}
-
-        def next_hop(u: int, dst: int) -> int:
-            if u == dst:
-                return dst
-            key = (u, dst)
-            hop = cache.get(key)
-            if hop is None:
-                path = self.route_nodes(graph, u, dst)
-                # reversed + setdefault == keep the last-occurrence hop
-                for a, b in reversed(list(zip(path, path[1:]))):
-                    cache.setdefault((a, dst), b)
-                hop = cache[key]
-            return hop
-
-        return next_hop
+    def backend(self, graph: IPGraph) -> "SuperIPBackend":
+        """This router bound to ``graph`` as a
+        :class:`~repro.routing.table.RoutingBackend`: under
+        ``PacketSimulator(graph, routing=router.backend(graph))`` every
+        packet follows :meth:`route_nodes` hop for hop.  Raises like
+        :meth:`route_nodes` on a directed graph over a one-way nucleus,
+        and names the first label that is not a node of this router."""
+        return SuperIPBackend(self, graph)
 
     def max_route_length(self) -> int:
         """The Theorem 4.1/4.3 bound ``l·D_G + t``."""
@@ -265,6 +298,50 @@ class ExplicitSuperIPRouter(SuperIPRouter):
     def _label_of(self, blocks: list[int]) -> Label:
         # block b's key is (b,), so the label is the block tuple itself
         return tuple(blocks)
+
+
+class SuperIPBackend:
+    """A :class:`SuperIPRouter` bound to one built graph: the
+    :class:`~repro.routing.table.RoutingBackend` of its routes.
+
+    A packet's state is 0 before its first hop and ``1 + p·S + k`` after
+    a hop of step ``k`` of program ``p`` (``S`` steps in the longest
+    program), so each :meth:`step` resumes the walker where the packet's
+    last hop left it.  A packet therefore follows
+    :meth:`SuperIPRouter.route_nodes` hop for hop, in any event order,
+    and restarts its program when retransmitted (state 0 again).
+    """
+
+    def __init__(self, router: SuperIPRouter, graph: IPGraph):
+        router._check_orientation(graph)
+        self.router = router
+        self.graph = graph
+        self._blocks = [tuple(router._blocks_of(lab, "node")) for lab in graph.labels]
+        self._span = max(map(len, router._programs))
+
+    def step(
+        self, nodes: np.ndarray, dsts: np.ndarray, state: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Next node and state of each packet (one walker hop each)."""
+        router, blocks_of, span = self.router, self._blocks, self._span
+        index, join, walk = self.graph.index, router._label_of, router._walk
+        nxt = np.empty(len(nodes), dtype=np.int64)
+        new = np.empty(len(nodes), dtype=np.int64)
+        for i, (u, d, s) in enumerate(zip(nodes.tolist(), dsts.tolist(), state.tolist())):
+            blocks, target = list(blocks_of[u]), blocks_of[d]
+            if s:
+                p, k = divmod(s - 1, span)
+            else:
+                p, k = router._program_index(blocks, target), 0
+            k = next(walk(blocks, target, router._programs[p], k, s != 0), None)
+            if k is None:
+                raise RuntimeError(
+                    f"sorting router ran past its program at node {u} "
+                    f"toward node {d} (state {s})"
+                )
+            nxt[i] = index[join(blocks)]
+            new[i] = 1 + p * span + k
+        return nxt, new
 
 
 def verify_route(graph: IPGraph, path: list[int]) -> bool:

@@ -9,12 +9,14 @@ what the fault-aware :class:`repro.fault.ResilientRouter` uses to enumerate
 The table is a pure function of the network, so a complete build is
 recorded on the network and :func:`shared_table` hands it to every later
 consumer (simulators, resilient routers, sweep trials) without another
-all-pairs BFS.
+all-pairs BFS.  It is also the default :class:`RoutingBackend` of the
+packet simulator.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Protocol
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from repro import obs
 from repro.core.network import Network, RoutingError
 from repro.metrics.distances import _BATCH, multi_source_bfs
 
-__all__ = ["shortest_path", "NextHopTable", "shared_table"]
+__all__ = ["shortest_path", "NextHopTable", "RoutingBackend", "shared_table"]
 
 
 def shortest_path(net: Network, src: int, dst: int) -> list[int]:
@@ -54,6 +56,27 @@ def shortest_path(net: Network, src: int, dst: int) -> list[int]:
         f"no path from node {src} to node {dst} in {net.name!r}: "
         f"they lie in different connected components"
     )
+
+
+class RoutingBackend(Protocol):
+    """Batched hop choice: the one contract through which
+    :class:`~repro.sim.simulator.PacketSimulator` asks for hops
+    (``routing=``), implemented by :class:`NextHopTable` (a gather) and
+    :meth:`repro.routing.SuperIPRouter.backend` (from labels alone).
+
+    ``step(nodes, dsts, state)`` gets aligned int64 arrays: packets at
+    ``nodes[i]`` (never their destination) heading for ``dsts[i]``, with
+    one opaque int64 ``state[i]`` per packet.  It returns each packet's
+    next node and new state.  The simulator sets a packet's state to 0 at
+    injection and at every retransmission and never reads its meaning;
+    a stateless backend passes it through.
+    """
+
+    def step(
+        self, nodes: np.ndarray, dsts: np.ndarray, state: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Next node and new state of each packet."""
+        ...  # pragma: no cover
 
 
 class NextHopTable:
@@ -289,6 +312,13 @@ class NextHopTable:
             return []
         nbrs = self._indices[self._indptr[u] : self._indptr[u + 1]]
         return [int(v) for v in nbrs if d[v] == d[u] - 1]
+
+    def step(
+        self, nodes: np.ndarray, dsts: np.ndarray, state: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:class:`RoutingBackend` hop: the gather ``table[dsts, nodes]``
+        (int64), with ``state`` passed through.  Ids are not validated."""
+        return self.table[dsts, nodes].astype(np.int64), state
 
     def path(self, src: int, dst: int) -> list[int]:
         """Full shortest path from ``src`` to ``dst``."""

@@ -13,8 +13,9 @@ this core must match bit for bit):
 * one directed *channel* per simple arc; a channel serves one packet at a
   time with a per-channel integer service delay (``delay[c]`` cycles), so
   bandwidth is ``1/delay`` packets/cycle and queueing is FIFO;
-* packets follow a deterministic next-hop routing function (shortest-path
-  table by default, or any custom router such as the Theorem-4.1 sorter).
+* packets follow a deterministic routing backend (the shortest-path table
+  by default, or any :class:`~repro.routing.table.RoutingBackend` such as
+  the Theorem-4.1 sorter's), asked once per bucket for every packet's hop.
 
 **Engine shape.**  Packets live in contiguous NumPy arrays (``src`` /
 ``dst`` / ``pos`` / ``t_inject`` / ``hops`` / ...), one slot per packet —
@@ -22,7 +23,9 @@ a packet has at most one pending event, so the arrays *are* the event
 records.  Events sit in a calendar queue (a bucket of packet ids per
 integer cycle; service delays are >= 1, so every new event lands strictly
 in the future).  A whole bucket is retired per step: route lookups are one
-fancy-indexing pass over the next-hop table, channel resolution is one
+``step(nodes, dsts, state)`` call on the backend (for the table, one
+fancy-indexing pass; each packet carries one int64 routing state, zero at
+injection and at every retransmission), channel resolution is one
 ``searchsorted`` over the CSR arc keys, and contention resolves per
 channel group as ``base + k·delay`` without touching individual packets.
 
@@ -42,14 +45,15 @@ retransmission and fault-aware rerouting follow the oracle's semantics
 (see ``tests/sim_oracle.py``).  The same bucket loop runs: a decision
 stage checks the whole bucket against the compiled fault timeline's
 interval arrays (in-flight link deaths, dead nodes, delivery, the hop
-guard, dead destinations, the table's primary hop) and only the residue —
-pinned survivor detours, dead primary hops that need the resilient
-router, custom-router hops — is decided one packet at a time, in creation
-order.  Every decision depends only on the packet, the timeline and the
-cycle, never on the channels, so deciding first and contending after
-reproduces the per-event order.  Drops and retransmissions are scheduled
-in bulk, merged with the forwarded packets in creation order.  With no
-plan — or an empty one — the decision stage is skipped.
+guard, dead destinations, the backend's hop and whether it is alive).  A
+passed backend's dead hop is a drop, decided in bulk; with the default
+table only the residue — pinned survivor detours and dead primary hops
+that need the resilient router — is decided one packet at a time, in
+creation order.  Every decision depends only on the packet, the timeline
+and the cycle, never on the channels, so deciding first and contending
+after reproduces the per-event order.  Drops and retransmissions are
+scheduled in bulk, merged with the forwarded packets in creation order.
+With no plan — or an empty one — the decision stage is skipped.
 """
 
 from __future__ import annotations
@@ -57,13 +61,13 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 
 import numpy as np
 
 from repro import obs
 from repro.core.network import Network
-from repro.routing.table import NextHopTable, shared_table
+from repro.routing.table import NextHopTable, RoutingBackend, shared_table
 
 if False:  # import for type checkers only — repro.fault imports repro.sim
     from repro.fault.plan import FaultPlan, FaultTimeline  # noqa: F401
@@ -85,11 +89,13 @@ class PacketSimulator:
         Per-channel service delay.  Either an int (uniform), or an array
         aligned with the CSR arc order of ``net.adjacency_csr()`` — use the
         policies in :mod:`repro.sim.policies` to build one.
-    next_hop:
-        Routing function ``(u, dst) -> v``.  Defaults to the network's
-        shortest-path table from :func:`~repro.routing.table.shared_table`
-        (built once per network, applied as one vectorized lookup per
-        batch; a custom callable is consulted per packet, in event order).
+    routing:
+        A :class:`~repro.routing.table.RoutingBackend`, asked
+        ``step(nodes, dsts, state)`` once per event bucket; it is in charge
+        of hop choice, and under faults its dead hops are drops (no
+        rerouting).  ``None`` (default) routes on the network's
+        :func:`~repro.routing.table.shared_table` (built once per network),
+        with a :class:`~repro.fault.ResilientRouter` under faults.
     module_of:
         Optional module ids (for off-module hop accounting in the stats).
     faults:
@@ -110,7 +116,7 @@ class PacketSimulator:
         self,
         net: Network,
         delays: int | np.ndarray = 1,
-        next_hop: Callable[[int, int], int] | None = None,
+        routing: RoutingBackend | None = None,
         module_of: np.ndarray | None = None,
         faults: "FaultPlan | None" = None,
         retransmit_timeout: int = 16,
@@ -150,23 +156,19 @@ class PacketSimulator:
         if self._timeline is not None and self._timeline.empty:
             self._timeline = None
         self._router = None
+        # the default table: read scalar in tiny buckets, rerouted around
+        # faults; a passed backend is asked in bulk on every bucket
         self._table: NextHopTable | None = None
-        if next_hop is None:
+        if routing is None:
             if self._timeline is not None:
                 from repro.fault.resilient import ResilientRouter
 
-                self._table = shared_table(net, with_distances=True)
-                self._router = ResilientRouter(
-                    net, self._timeline, table=self._table
-                )
-                self.next_hop = self._table.next_hop
+                self._router = ResilientRouter(net, self._timeline)
+                self._table = self._router.table
             else:
                 self._table = shared_table(net)
-                self.next_hop = self._table.next_hop
-        else:
-            # custom routers stay in charge of hop choice; degraded mode can
-            # still drop on dead links, but cannot reroute for them
-            self.next_hop = next_hop
+            routing = self._table
+        self.routing = routing
         self.module_of = (
             None if module_of is None else np.asarray(module_of, dtype=np.int64)
         )
@@ -308,6 +310,7 @@ class PacketSimulator:
         pos = src.copy()
         hops = np.zeros(npkt, dtype=np.int64)
         offh = np.zeros(npkt, dtype=np.int64)
+        state = np.zeros(npkt, dtype=np.int64)  # the backend's, per packet
         t_deliver = np.full(npkt, -1, dtype=np.int64)
 
         buckets, times = self._inject(t_inject)
@@ -316,14 +319,14 @@ class PacketSimulator:
         delays = self.delays
         mod = self.module_of
         table = self._table.table if self._table is not None else None
+        step = self.routing.step
         lookup_many = self.channels.lookup_many
         amap = self.channels.arc_map()
-        nh = self.next_hop
         n = self.net.num_nodes
         guard = 4 * self.net.num_nodes + 64
         faults = (
             None if self._timeline is None
-            else _Degraded(self, t_inject, src, dst, pos, hops, offh)
+            else _Degraded(self, t_inject, src, dst, pos, hops, offh, state)
         )
         horizon = 0
         events_processed = 0
@@ -344,10 +347,11 @@ class PacketSimulator:
             events_processed += pids.size
             buckets_processed += 1
             pending -= pids.size
-            if pids.size <= 48:
-                # tiny buckets (drain tails, light loads): the vectorized
-                # pipeline's fixed per-bucket cost dominates, so walk the
-                # events scalar — same math, same order, same results
+            if pids.size <= 48 and table is not None:
+                # tiny buckets (drain tails, light loads) on the default
+                # table: the vectorized pipeline's fixed per-bucket cost
+                # dominates, so walk the events scalar — same math, same
+                # order, same results
                 for pid in pids.tolist():  # repro: noqa[RPR020] — intentional ≤48-event scalar fast path
                     node = int(pos[pid])
                     dstv = int(dst[pid])
@@ -366,10 +370,8 @@ class PacketSimulator:
                         nxt = None  # lost on arrival, or livelocked: a drop
                     elif faults is not None:
                         nxt = faults.route_one(tcur, pid, node, dstv)
-                    elif table is not None:
-                        nxt = int(table[dstv, node])
                     else:
-                        nxt = int(nh(node, dstv))
+                        nxt = int(table[dstv, node])
                     if nxt is None:
                         fin = faults.drop_one(tcur, pid)
                         if fin < 0:
@@ -417,15 +419,7 @@ class PacketSimulator:
                     raise RuntimeError(
                         f"packet {bad} exceeded the hop guard — routing loop?"
                     )
-                dsts = dst[act]
-                if table is not None:
-                    nxt = table[dsts, nodes].astype(np.int64)
-                else:
-                    nxt = np.fromiter(
-                        (nh(int(u), int(d)) for u, d in zip(nodes, dsts)),
-                        dtype=np.int64,
-                        count=act.size,
-                    )
+                nxt, state[act] = step(nodes, dst[act], state[act])
             else:
                 fwd, nxt, at_dst, drop = faults.decide(tcur, pids)
                 act = pids[fwd]
@@ -569,19 +563,21 @@ class PacketSimulator:
 class _Degraded:
     """Degraded-mode state of one run, and its drop / route decisions.
 
-    Shares the run's packet arrays (``pos``/``hops``/``offh``) and adds
+    Shares the run's packet arrays (``pos``/``hops``/``offh`` and the
+    backend's ``state``, reset at each retransmission) and adds
     what faults need: the channel a packet arrived on and when its
     transmission started (to drop it if that link died in flight), retry
     and detour counts, and pinned survivor detours.  Every query goes to
     the compiled timeline's interval arrays.
     """
 
-    def __init__(self, sim, t_inject, src, dst, pos, hops, offh):
+    def __init__(self, sim, t_inject, src, dst, pos, hops, offh, state):
         npkt = len(t_inject)
         self.tl = sim._timeline
         self.router = sim._router
-        self.table = sim._table.table if sim._router is not None else None
-        self.next_hop = sim.next_hop
+        self.step = sim.routing.step
+        self.missing = sim.channels._missing
+        self.n = sim.net.num_nodes
         self.delays = sim.delays
         self.arc_src = sim._arc_sources
         self.arc_dst = sim._indices
@@ -590,7 +586,7 @@ class _Degraded:
         self.max_deroutes = sim.max_deroutes
         self.rto = sim.retransmit_timeout
         self.src, self.dst = src, dst
-        self.pos, self.hops, self.offh = pos, hops, offh
+        self.pos, self.hops, self.offh, self.state = pos, hops, offh, state
         self.retries = np.zeros(npkt, dtype=np.int64)
         self.deroutes = np.zeros(npkt, dtype=np.int64)
         self.chan_in = np.full(npkt, -1, dtype=np.int64)  # channel arrived on
@@ -609,8 +605,10 @@ class _Degraded:
 
         Returns masks over ``pids`` — packets that move on (``fwd``), that
         are delivered, that are dropped — and the next hops of the ``fwd``
-        packets.  Only the residue (pinned detours, dead primary hops,
-        custom-router hops) is decided per packet.
+        packets.  One backend ``step`` gives every free packet its hop; a
+        passed backend's dead hop is a drop.  With the default table only
+        the residue (pinned detours, dead primary hops) is decided per
+        packet, by the resilient router.
         """
         tl = self.tl
         nodes = self.pos[pids]
@@ -632,23 +630,31 @@ class _Degraded:
             go &= ~over
         fwd = np.zeros(pids.size, dtype=bool)
         nxt = np.full(pids.size, -1, dtype=np.int64)
-        if self.router is not None:
-            free = go & ~self.pinned[pids]
-            if tl.node_down:
-                dead_dst = free & ~tl.nodes_up_at(dsts, t)
-                if dead_dst.any():  # route_next's verdict for these, in bulk
-                    self.router.unreachable += int(dead_dst.sum())
-                    drop |= dead_dst
-                    go &= ~dead_dst
-                    free &= ~dead_dst
-            fi = np.flatnonzero(free)
-            prim = self.table[dsts[fi], nodes[fi]]
-            # the primary hop, where it exists (-1: unreachable) and is alive
-            alive = (prim >= 0) & tl.hops_alive(nodes[fi], prim, t)
+        router = self.router
+        free = go & ~self.pinned[pids]
+        if router is not None and tl.node_down:
+            dead_dst = free & ~tl.nodes_up_at(dsts, t)
+            if dead_dst.any():  # route_next's verdict for these, in bulk
+                router.unreachable += int(dead_dst.sum())
+                drop |= dead_dst
+                go &= ~dead_dst
+                free &= ~dead_dst
+        fi = np.flatnonzero(free)
+        if fi.size:
+            hop, st = self.step(nodes[fi], dsts[fi], self.state[pids[fi]])
+            bad = (hop < 0) | (hop >= self.n)
+            if bad.any():  # an out-of-range id would alias a timeline slot
+                j = int(np.flatnonzero(bad)[0])
+                raise self.missing(int(nodes[fi[j]]), int(hop[j]))
+            alive = tl.hops_alive(nodes[fi], hop, t)
             ok = fi[alive]
-            nxt[ok] = prim[alive]
+            nxt[ok] = hop[alive]
             fwd[ok] = True
-        for i in np.flatnonzero(go & ~fwd).tolist():  # repro: noqa[RPR020] — scalar residue: detours, dead primaries and custom-router hops, ~1% of a faulted run's events
+            self.state[pids[ok]] = st[alive]
+            if router is None:  # a passed backend cannot reroute: drop
+                drop[fi[~alive]] = True
+                go[fi[~alive]] = False
+        for i in np.flatnonzero(go & ~fwd).tolist():  # repro: noqa[RPR020] — scalar residue of the default table: pinned detours and dead primary hops, ~1% of a faulted run's events
             v = self.route_one(t, int(pids[i]), int(nodes[i]), int(dsts[i]))
             if v is None:
                 drop[i] = True
@@ -669,16 +675,11 @@ class _Degraded:
         return not tl.node_up_at(node, t)
 
     def route_one(self, t: int, pid: int, u: int, d: int) -> int | None:
-        """Next hop of one packet at ``u`` toward ``d``, or ``None`` to drop
-        it: follow its pinned detour while alive, else ask the resilient
-        router (reroute / deroute / unreachable); a custom router's hop is
-        taken as is and dropped if dead."""
+        """Next hop of one packet at ``u`` toward ``d`` on the default
+        table, or ``None`` to drop it: follow its pinned detour while
+        alive, else ask the resilient router (primary / reroute / deroute /
+        unreachable)."""
         router = self.router
-        if router is None:
-            v = int(self.next_hop(u, d))
-            if self.tl.link_up_at(u, v, t) and self.tl.node_up_at(v, t):
-                return v
-            return None
         if self.pinned[pid]:
             rt = self.routes[pid]
             if router.hop_alive(u, rt[0], t):
@@ -708,6 +709,7 @@ class _Degraded:
             return -1
         self.retries[pid] += 1
         self.hops[pid] = self.offh[pid] = self.deroutes[pid] = 0
+        self.state[pid] = 0
         at = t + (self.rto << (int(self.retries[pid]) - 1))
         self.pos[pid] = self.src[pid]
         self.chan_in[pid] = -1
@@ -733,6 +735,7 @@ class _Degraded:
         self.hops[rp] = 0
         self.offh[rp] = 0
         self.deroutes[rp] = 0
+        self.state[rp] = 0
         at = t + (self.rto << (self.retries[rp] - 1))
         self.pos[rp] = self.src[rp]
         self.chan_in[rp] = -1

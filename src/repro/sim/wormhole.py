@@ -22,7 +22,7 @@ serialization term is dominated by the slowest channel — which is why slow
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -59,16 +59,16 @@ class Message:
 class WormholeSimulator:
     """Simulate pipelined (virtual cut-through) messages.
 
-    Same construction interface as
-    :class:`~repro.sim.simulator.PacketSimulator`; ``run`` takes
-    ``(t, src, dst)`` injections plus a message ``length`` in flits.
+    Routes on the network's :func:`~repro.routing.table.shared_table`:
+    its per-event heap loop asks one hop at a time, so it takes no
+    batched routing backend.  ``run`` takes ``(t, src, dst)`` injections
+    plus a message ``length`` in flits.
     """
 
     def __init__(
         self,
         net: Network,
         delays: int | np.ndarray = 1,
-        next_hop: Callable[[int, int], int] | None = None,
         module_of: np.ndarray | None = None,
     ):
         self.net = net
@@ -84,11 +84,7 @@ class WormholeSimulator:
                 raise ValueError("delays must have one entry per directed arc")
         if (self.delays < 1).any():
             raise ValueError("channel delays must be >= 1 cycle")
-        if next_hop is None:
-            self._table = shared_table(net)
-            self.next_hop = self._table.next_hop
-        else:
-            self.next_hop = next_hop
+        self._table = shared_table(net)
         self.module_of = (
             None if module_of is None else np.asarray(module_of, dtype=np.int64)
         )
@@ -125,6 +121,7 @@ class WormholeSimulator:
         busy_time = np.zeros(len(self._indices), dtype=np.int64)
         horizon = 0
         mod = self.module_of
+        table = self._table.table
 
         while events:
             t, _, mid, node, tail = heapq.heappop(events)
@@ -139,7 +136,7 @@ class WormholeSimulator:
                 raise RuntimeError(
                     f"message {m.mid} exceeded the hop guard — routing loop?"
                 )
-            nxt = self.next_hop(node, m.dst)
+            nxt = int(table[m.dst, node])
             c = (
                 amap.get(node * n + nxt) if 0 <= nxt < n else None
             )  # range check first: a negative id would alias a key

@@ -16,6 +16,10 @@ event core's :class:`~repro.sim.stats.SimStats` is **bit-identical** to
 this engine's on any workload, fault-free or degraded.  Keep the two in
 lockstep — a semantic change here without the mirror change in the event
 core (or vice versa) is a bug, and the randomized suite will say so.
+
+The oracle takes a scalar ``next_hop=(u, dst) -> v`` callable; the event
+core takes a batched routing backend.  :class:`HopFunction` is the one
+adapter that hands such a callable to the event core.
 """
 
 from __future__ import annotations
@@ -34,6 +38,20 @@ from repro.sim.stats import SimStats
 
 if False:  # import for type checkers only — repro.fault imports repro.sim
     from repro.fault.plan import FaultPlan, FaultTimeline  # noqa: F401
+
+
+class HopFunction:
+    """A scalar ``(u, dst) -> v`` callable as a batched routing backend:
+    ``PacketSimulator(net, routing=HopFunction(fn))`` asks ``fn`` once per
+    packet of each bucket, in bucket order, and passes the state through."""
+
+    def __init__(self, next_hop: Callable[[int, int], int]):
+        self.next_hop = next_hop
+
+    def step(self, nodes, dsts, state):
+        hop = self.next_hop
+        nxt = [hop(u, d) for u, d in zip(nodes.tolist(), dsts.tolist())]
+        return np.array(nxt, dtype=np.int64), state
 
 
 class Packet:
@@ -123,9 +141,7 @@ class ReferencePacketSimulator:
                 from repro.fault.resilient import ResilientRouter
 
                 self._table = NextHopTable(net, with_distances=True)
-                self._router = ResilientRouter(
-                    net, self._timeline, table=self._table
-                )
+                self._router = ResilientRouter(net, self._timeline)
                 self.next_hop = self._table.next_hop
             else:
                 self._table = NextHopTable(net)

@@ -17,6 +17,8 @@ from repro.sim import (
     unit_offmodule_capacity,
 )
 
+from .sim_oracle import HopFunction
+
 
 class TestExplicitRouter:
     @pytest.mark.parametrize("sgs_factory,l", [
@@ -188,7 +190,7 @@ class TestRouterDrivenSimulation:
 
         rng = np.random.default_rng(0)
         injections = uniform_random(g, 0.05, 100, rng)
-        sorter = PacketSimulator(g, next_hop=r.next_hop_function(g)).run(injections)
+        sorter = PacketSimulator(g, routing=r.backend(g)).run(injections)
         shortest = PacketSimulator(g).run(injections)
         assert sorter.undelivered == 0
         assert sorter.delivered == shortest.delivered
@@ -204,6 +206,6 @@ class TestRouterDrivenSimulation:
         def bad_next_hop(u, dst):
             return (u + 1) % 6 if u != 3 else 2  # 2 <-> 3 ping-pong
 
-        sim = PacketSimulator(r, next_hop=bad_next_hop)
+        sim = PacketSimulator(r, routing=HopFunction(bad_next_hop))
         with _pytest.raises(RuntimeError, match="hop guard"):
             sim.run([(0, 2, 5)])

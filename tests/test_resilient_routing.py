@@ -160,12 +160,6 @@ class TestResilientRouter:
         r = self._router(g, FaultPlan().fail_link(0, 0, 1), use_disjoint=False)
         assert r.route_next(0, 1, 0)[1] == "unreachable"
 
-    def test_table_without_distances_rejected(self):
-        g = nw.ring(6)
-        table = NextHopTable(g)
-        with pytest.raises(ValueError, match="with_distances"):
-            ResilientRouter(g, FaultPlan().compile(g), table=table)
-
     def test_survivor_path_cache_by_epoch(self):
         g = nw.hypercube(3)
         r = self._router(g, FaultPlan().fail_link(0, 0, 1))

@@ -370,16 +370,20 @@ class TestRouterOracle:
             assert path == want.route_nodes(g, s, d)
             assert verify_route(g, path) and len(path) - 1 <= r.max_route_length()
 
-    def test_explicit_router_next_hop_function(self):
+    def test_explicit_router_backend(self):
         nuc = nw.petersen()
         sgs = SuperGeneratorSet.transpositions(2)
         g = explicit_super_graph(nuc, sgs)
         r = ExplicitSuperIPRouter(nuc, sgs)
-        hop = r.next_hop_function(g)
-        for s, d in [(0, 99), (37, 5), (12, 12)]:
-            walk = [s]
+        backend = r.backend(g)
+        for s, d in [(0, 99), (37, 5), (12, 3)]:
+            walk, state = [s], np.zeros(1, dtype=np.int64)
             while walk[-1] != d:
-                walk.append(hop(walk[-1], d))
+                nxt, state = backend.step(np.array([walk[-1]]), np.array([d]), state)
+                walk.append(int(nxt[0]))
+            # the packet's walk is the route up to its first arrival at d
+            route = r.route_nodes(g, s, d)
+            assert walk == route[: route.index(d) + 1]
             assert verify_route(g, walk) and len(walk) - 1 <= r.max_route_length()
 
 

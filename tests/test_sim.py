@@ -20,6 +20,8 @@ from repro.sim import (
     unit_offmodule_capacity,
 )
 
+from .sim_oracle import HopFunction
+
 
 class TestSimulatorBasics:
     def test_single_packet_latency_is_path_delay(self):
@@ -99,7 +101,7 @@ class TestSimulatorBasics:
             bit = (diff & -diff).bit_length() - 1
             return u ^ (1 << bit)
 
-        sim = PacketSimulator(q, next_hop=nh)
+        sim = PacketSimulator(q, routing=HopFunction(nh))
         stats = sim.run([(0, 0, 7)])
         assert stats.mean_hops == 3
 

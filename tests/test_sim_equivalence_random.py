@@ -78,6 +78,17 @@ def _case_params():
     return cases
 
 
+def _custom_routing(cls, net):
+    """The table of ``net`` as a custom router (``None``: the default):
+    a ``next_hop`` callable for the oracle, a backend for the event core."""
+    if net is None:
+        return {}
+    table = NextHopTable(net)
+    if cls is ReferencePacketSimulator:
+        return {"next_hop": table.next_hop}
+    return {"routing": table}
+
+
 def _build(case, cls):
     net = FAMILIES[case["family"]]()
     n = net.num_nodes
@@ -102,11 +113,10 @@ def _build(case, cls):
             faults = FaultPlan.random_node_faults(
                 net, count, frng, horizon=case["cycles"], mttr=mttr
             )
-    next_hop = NextHopTable(net).next_hop if case["custom_router"] else None
     sim = cls(
         net,
         delays=delays,
-        next_hop=next_hop,
+        **_custom_routing(cls, net if case["custom_router"] else None),
         module_of=module_of,
         faults=faults,
         retransmit_timeout=case["retransmit_timeout"],
@@ -150,11 +160,10 @@ BIG_CASES = {
 
 @pytest.fixture(scope="module")
 def hsn512():
-    net = nw.build("hsn", l=3, n=3)
-    return net, NextHopTable(net)
+    return nw.build("hsn", l=3, n=3)
 
 
-def _run_big(cls, net, table, case, seed):
+def _run_big(cls, net, case, seed):
     rng = np.random.default_rng([seed, 0xFA])
     model = (
         FaultPlan.random_link_faults if case["kind"] == "link"
@@ -165,7 +174,7 @@ def _run_big(cls, net, table, case, seed):
     sim = cls(
         net,
         delays=delays,
-        next_hop=table.next_hop if case.get("custom") else None,
+        **_custom_routing(cls, net if case.get("custom") else None),
         module_of=np.arange(net.num_nodes) // 64,
         faults=plan,
         retransmit_timeout=case.get("retransmit_timeout", 16),
@@ -177,9 +186,10 @@ def _run_big(cls, net, table, case, seed):
 
 @pytest.mark.parametrize("name", sorted(BIG_CASES))
 def test_batched_fault_stage_matches_reference_at_scale(name, hsn512, monkeypatch):
+    from repro import obs
     from repro.sim.simulator import _Degraded
 
-    net, table = hsn512
+    net = hsn512
     case = BIG_CASES[name]
     sizes = []
     decide = _Degraded.decide
@@ -191,9 +201,20 @@ def test_batched_fault_stage_matches_reference_at_scale(name, hsn512, monkeypatc
     monkeypatch.setattr(_Degraded, "decide", spy)
     for seed in (3, 4):
         sizes.clear()
-        ev, a = _run_big(PacketSimulator, net, table, case, seed)
-        ref, b = _run_big(ReferencePacketSimulator, net, table, case, seed)
-        assert sizes and min(sizes) > 48  # the batched stage did the work
+        obs.reset()
+        obs.enable()
+        try:
+            ev, a = _run_big(PacketSimulator, net, case, seed)
+            events = obs.report()["counters"]["sim.events"]
+        finally:
+            obs.disable()
+            obs.reset()
+        ref, b = _run_big(ReferencePacketSimulator, net, case, seed)
+        if case.get("custom"):
+            # a passed backend takes the batched stage on every bucket
+            assert sum(sizes) == events
+        else:
+            assert sizes and min(sizes) > 48  # the batched stage did the work
         assert a.as_dict() == pytest.approx(b.as_dict(), abs=0, rel=0, nan_ok=True)
         assert a == b
         assert (a.dropped, a.retransmitted, a.rerouted) == (
@@ -210,9 +231,9 @@ def test_batched_fault_stage_matches_reference_at_scale(name, hsn512, monkeypatc
 def test_big_cases_exercise_the_fault_paths(hsn512):
     """The N=512 cases drop, retransmit, abandon, reroute, deroute and find
     dead destinations — not just the primary hop."""
-    net, table = hsn512
+    net = hsn512
     runs = {
-        name: _run_big(PacketSimulator, net, table, case, 3)
+        name: _run_big(PacketSimulator, net, case, 3)
         for name, case in BIG_CASES.items()
     }
     stats = [s for _, s in runs.values()]

@@ -25,7 +25,7 @@ from repro.sim import (
 )
 from repro.sim import sweeps
 
-from .sim_oracle import Packet, ReferencePacketSimulator
+from .sim_oracle import HopFunction, Packet, ReferencePacketSimulator
 
 
 class TestFifoTieBreak:
@@ -331,7 +331,7 @@ class TestValidationParity:
             # the destination: trips the hop guard identically in both engines
             return (u + 1) % 8 if (u + 1) % 8 != dst else (u - 1) % 8
 
-        sim = PacketSimulator(net, next_hop=orbit)
+        sim = PacketSimulator(net, routing=HopFunction(orbit))
         ref = ReferencePacketSimulator(net, next_hop=orbit)
         with pytest.raises(RuntimeError) as a:
             sim.run([(0, 0, 4), (0, 1, 5)])

@@ -11,7 +11,7 @@ from repro.routing.table import NextHopTable
 from repro.sim.simulator import PacketSimulator
 from repro.sim.workloads import uniform_random
 
-from .sim_oracle import ReferencePacketSimulator
+from .sim_oracle import HopFunction, ReferencePacketSimulator
 
 
 class TestNoFaultEquivalence:
@@ -82,7 +82,7 @@ class TestDegradedMode:
         table = NextHopTable(r4)
         plan = FaultPlan().fail_link(5, 0, 1).repair_link(50, 0, 1)
         s = PacketSimulator(
-            r4, delays=10, next_hop=table.next_hop, faults=plan
+            r4, delays=10, routing=table, faults=plan
         ).run([(0, 0, 1)])
         assert s.delivered == 1
         assert s.dropped == 2
@@ -119,7 +119,7 @@ class TestDegradedMode:
         table = NextHopTable(r4)
         sim = PacketSimulator(
             r4,
-            next_hop=table.next_hop,
+            routing=table,
             faults=FaultPlan().fail_link(0, 0, 1),
             max_retries=1,
         )
@@ -153,18 +153,18 @@ class TestDegradedMode:
 class TestChannelAndValidation:
     def test_channel_raises_routing_error_on_non_neighbor(self):
         r4 = nw.ring(4)
-        sim = PacketSimulator(r4, next_hop=lambda u, dst: (u + 2) % 4)
+        sim = PacketSimulator(r4, routing=HopFunction(lambda u, dst: (u + 2) % 4))
         with pytest.raises(RoutingError, match="non-neighbor next hop"):
             sim.run([(0, 0, 2)])
 
     @pytest.mark.parametrize("hop", [lambda u, dst: (u + 2) % 4, lambda u, dst: -1])
     def test_non_neighbor_hop_raises_under_fault_plan(self, hop):
-        # the degraded (per-event) loop resolves channels through the same
-        # arc map as the batched loop and must keep the same error
+        # the fault decision stage checks a passed backend's hops and must
+        # keep the healthy loop's error, out-of-range ids included
         r4 = nw.ring(4)
         bad = hop(0, 2)
         sim = PacketSimulator(
-            r4, next_hop=hop, faults=FaultPlan().fail_link(50, 1, 2)
+            r4, routing=HopFunction(hop), faults=FaultPlan().fail_link(50, 1, 2)
         )
         with pytest.raises(
             RoutingError,
@@ -176,7 +176,12 @@ class TestChannelAndValidation:
     def test_wormhole_non_neighbor_hop_raises(self):
         from repro.sim.wormhole import WormholeSimulator
 
-        sim = WormholeSimulator(nw.ring(4), next_hop=lambda u, dst: (u + 2) % 4)
+        # a corrupt shared table: node 0 "routes" to its antipode
+        r4 = nw.ring(4)
+        bad = NextHopTable(r4).table.copy()
+        bad[2, 0] = 2
+        r4._next_hops = (bad, None)
+        sim = WormholeSimulator(r4)
         with pytest.raises(
             RoutingError,
             match=r"^no channel 0->2 in 'ring\(4\)': the router "
