@@ -12,7 +12,8 @@ This module provides:
   constructors for the paper's three families (transpositions → HSN,
   cyclic shifts → CN, prefix flips → super-flip networks);
 * :func:`build_super_ip_graph` — materialize a (possibly symmetric) super-IP
-  graph through the generic IP engine;
+  graph through the digit-code closure :func:`_super_closure`, which
+  :func:`repro.networks.hier.explicit_super_graph` shares;
 * exact computation of the quantities ``t`` and ``t_S`` of Theorems 4.1/4.3
   by search over block-arrangement states, and the resulting diameter
   formulas (Corollary 4.2);
@@ -24,13 +25,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro import obs
 from repro.cache.memory import memoize_lru
 
-from .ipgraph import NUCLEUS, SUPER, Generator, IPGraph, build_ip_graph
+from .ipgraph import NUCLEUS, SUPER, Generator, IPGraph, _arc_table, _report_closure, build_ip_graph
 from .permutation import (
     Permutation,
     block_permutation,
@@ -215,23 +220,98 @@ class SuperGeneratorSet:
 # ----------------------------------------------------------------------
 # construction
 # ----------------------------------------------------------------------
-def _symmetric_seed(nucleus: NucleusSpec, l: int) -> tuple:
-    """Seed ``S_1 S_2 ... S_l`` with disjoint symbol ranges per block.
+def _arrangements(perms: Sequence[Permutation], l: int) -> tuple[list[tuple], np.ndarray]:
+    """The block arrangements ``perms`` reach from the identity, in BFS
+    order, and the ``(|A|, len(perms))`` index table of their moves."""
+    arrs = [tuple(range(l))]
+    at = {arrs[0]: 0}
+    moves = []
+    for arr in arrs:  # grows while walked: a BFS
+        row = [p(arr) for p in perms]
+        for nxt in row:
+            if nxt not in at:
+                at[nxt] = len(arrs)
+                arrs.append(nxt)
+        moves.append([at[nxt] for nxt in row])
+    return arrs, np.array(moves, dtype=np.int64)
 
-    Follows Section 3.5: block ``i`` uses symbols offset by ``i * m`` so that
-    no symbol repeats, turning the super-IP graph into a Cayley graph.
-    Requires a distinct-symbol nucleus seed.
-    """
+
+def _block_keys(nucleus: NucleusSpec, nuc: IPGraph, l: int, symmetric: bool) -> list[tuple]:
+    """Label symbols of block ``b = color·M + nucleus id``: the nucleus
+    label or, when ``symmetric`` (Section 3.5), its symbols renumbered in
+    ``repr`` order plus ``color·m``, so that no symbol repeats across
+    blocks and the super-IP graph is a Cayley graph."""
+    if not symmetric:
+        return list(nuc.labels)
     if not nucleus.has_distinct_symbols():
+        raise ValueError("symmetric variant requires a nucleus seed with distinct symbols")
+    sym = {s: j for j, s in enumerate(sorted(set(nucleus.seed), key=repr))}
+    return [tuple(c * nucleus.m + sym[s] for s in lab) for c in range(l) for lab in nuc.labels]
+
+
+def _super_closure(
+    succ: np.ndarray,
+    keys: Sequence[tuple],
+    perms: Sequence[Permutation],
+    symmetric: bool,
+    max_nodes: int,
+    name: str,
+) -> tuple[list[tuple], np.ndarray]:
+    """BFS closure of a super graph on digit codes ``a·M^l + Σ d_i·M^i``.
+
+    ``d_i`` is the nucleus state at block position ``i`` (0 = front) and
+    ``a`` the arrangement index (0 unless ``symmetric``).  Generator
+    ``k < s`` moves ``d_0`` through column ``k`` of the ``(M, s)`` table
+    ``succ`` (``-1``: no arc); generator ``s + j`` gathers the blocks by
+    ``perms[j]``.  A direct-address ``id_of_code`` array dedups, and new
+    codes are numbered by their first ``(node, generator)`` arc, as
+    :func:`~repro.core.ipgraph.build_ip_graph` numbers nodes.  Returns
+    the labels (each the concatenated ``keys`` of its blocks ``color·M +
+    d_i``) and the node-major ``(E, 3)`` arcs ``(src, dst, gen)``; raises
+    ``ValueError`` naming ``|A|·M^l`` when it exceeds ``max_nodes``.
+    """
+    (M, s), l = succ.shape, perms[0].size
+    if symmetric:
+        arrs, arr_moves = _arrangements(perms, l)
+    else:  # one arrangement, every block of color 0
+        arrs, arr_moves = [(0,) * l], np.zeros((1, len(perms)), dtype=np.int64)
+    base = M**l
+    if len(arrs) * base > max_nodes:
         raise ValueError(
-            "symmetric variant requires a nucleus seed with distinct symbols"
+            f"super graph address space |A|·M^l = {len(arrs)}·{M}^{l} = "
+            f"{len(arrs) * base} exceeds max_nodes={max_nodes}"
         )
-    m = nucleus.m
-    sym_index = {s: j for j, s in enumerate(sorted(set(nucleus.seed), key=repr))}
-    seed: list = []
-    for b in range(l):
-        seed.extend(b * m + sym_index[s] for s in nucleus.seed)
-    return tuple(seed)
+    weight = M ** np.arange(l, dtype=np.int64)
+    gathers = np.array([p.img for p in perms], dtype=np.int64)
+    ngen = s + len(perms)
+    with obs.span("closure.build.fast", name=name, generators=ngen) as sp:
+        t0 = time.perf_counter()
+        # a spare last entry maps the -1 pads to -1
+        id_of_code = np.full(len(arrs) * base + 1, -1, dtype=np.int64)
+        id_of_code[0] = 0
+        codes, dsts, levels = [np.zeros(1, dtype=np.int64)], [], []
+        total = 1
+        while len(front := codes[-1]):
+            a, digits = np.divmod(front, base)
+            digits = digits[:, None] // weight % M
+            nuc = succ[digits[:, 0]]
+            nuc = np.where(nuc < 0, -1, (front - digits[:, 0])[:, None] + nuc)
+            moves = np.hstack([nuc, arr_moves[a] * base + digits[:, gathers] @ weight]).ravel()
+            unseen = moves[(id_of_code[moves] < 0) & (moves >= 0)]
+            fresh, first = np.unique(unseen, return_index=True)
+            codes.append(fresh[np.argsort(first)])
+            id_of_code[codes[-1]] = np.arange(total, total + len(fresh))
+            total += len(fresh)
+            dsts.append(id_of_code[moves])
+            levels.append((len(front), int(np.count_nonzero(moves >= 0)), len(fresh)))
+        a, digits = np.divmod(np.concatenate(codes), base)
+        blocks = digits[:, None] // weight % M + np.array(arrs, dtype=np.int64)[a] * M
+        table = np.fromiter(keys, dtype=object, count=len(keys))
+        labels = [sum(parts, ()) for parts in zip(*(table[b].tolist() for b in blocks.T))]
+        dst = np.concatenate(dsts)
+        edges = _arc_table(dst, ngen)[dst >= 0]
+        _report_closure(sp, t0, levels, len(edges))
+    return labels, edges
 
 
 def build_super_ip_graph(
@@ -264,13 +344,15 @@ def build_super_ip_graph(
     IPGraph
         Nucleus-generator arcs carry kind :data:`~repro.core.ipgraph.NUCLEUS`,
         super-generator arcs kind :data:`~repro.core.ipgraph.SUPER` — the
-        inter-cluster metrics rely on this attribution.
+        inter-cluster metrics rely on this attribution.  The graph equals
+        :func:`~repro.core.ipgraph.build_ip_graph` on the lifted seed and
+        generators; ``ValueError`` when ``|A|·M^l`` exceeds ``max_nodes``.
     """
     l, m = sgs.l, nucleus.m
-    if symmetric:
-        seed = _symmetric_seed(nucleus, l)
-    else:
-        seed = tuple(nucleus.seed) * l
+    nuc = _nucleus_graph_cached(nucleus, max_nodes)
+    keys = _block_keys(nucleus, nuc, l, symmetric)
+    # nucleus node 0 is the nucleus seed; seed block i has color i
+    seed = sum(keys[:: nuc.num_nodes], ()) if symmetric else tuple(nucleus.seed) * l
     gens: list[Generator] = [
         Generator(lift_to_block(p, l, m, block=0), name=f"n{i}", kind=NUCLEUS)
         for i, p in enumerate(nucleus.perms)
@@ -303,7 +385,9 @@ def build_super_ip_graph(
             hit.cache_key = key
             return hit
 
-    graph = build_ip_graph(seed, gens, name=name, max_nodes=max_nodes, directed=directed)
+    succ = nuc.edges_dst.reshape(nuc.num_nodes, -1)
+    labels, edges = _super_closure(succ, keys, sgs.perms(), symmetric, max_nodes, name)
+    graph = IPGraph(labels, gens, edges, name=name, seed=seed, directed=directed)
     if cache is not None and key is not None:
         cache.store_network(key, graph)
         graph.cache_key = key
@@ -327,18 +411,7 @@ def reachable_arrangements(sgs: SuperGeneratorSet) -> set[tuple[int, ...]]:
     For transposition and flip super-generators this is all ``l!``
     arrangements; for cyclic shifts only the ``l`` rotations.
     """
-    start = tuple(range(sgs.l))
-    seen = {start}
-    queue = deque([start])
-    perms = sgs.perms()
-    while queue:
-        cur = queue.popleft()
-        for p in perms:
-            nxt = p(cur)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
+    return set(_arrangements(sgs.perms(), sgs.l)[0])
 
 
 def symmetric_super_ip_size(nucleus_size: int, sgs: SuperGeneratorSet) -> int:

@@ -1,33 +1,25 @@
 """Explicit construction of (symmetric) super-graphs over any nucleus.
 
-The IP-graph engine (:func:`repro.core.superip.build_super_ip_graph`) needs
-an IP representation of the nucleus.  This module builds the *same* graphs
-directly from an explicit nucleus :class:`~repro.core.network.Network`:
-
-* node = tuple of nucleus states, one per block position (block 0 leftmost);
-* nucleus edges change the block-0 state to a nucleus neighbor;
-* super-generator edges permute the blocks.
-
-This works for nuclei with no convenient IP representation (e.g. the
-Petersen graph, which is vertex-transitive but not a Cayley graph — used in
-the paper's cyclic Petersen networks), and it cross-validates the IP engine:
-for IP-representable nuclei the two constructions are isomorphic (tested).
-
-The symmetric variant (Section 3.5) additionally carries a *color* per
-block; super-generators permute (color, state) pairs and the node count
-becomes ``|A| · M^l``, with ``A`` the arrangement group.
+:func:`explicit_super_graph` builds the graphs of
+:func:`repro.core.superip.build_super_ip_graph` from an explicit nucleus
+:class:`~repro.core.network.Network`, on the same digit-code closure: a
+node is a tuple of nucleus states, one per block position (block 0
+leftmost); nucleus edges change the block-0 state to a nucleus neighbor,
+super-generator edges permute the blocks.  This serves nuclei with no
+convenient IP representation (e.g. the Petersen graph, vertex-transitive
+but not a Cayley graph, in the paper's cyclic Petersen networks).  The
+symmetric variant (Section 3.5) carries a *color* per block, so the node
+count becomes ``|A| · M^l``, with ``A`` the arrangement group.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
 from repro.core.ipgraph import IPGraph, Generator, NUCLEUS, SUPER
 from repro.core.network import Network
-from repro.core.permutation import block_permutation, lift_to_block, identity
-from repro.core.superip import SuperGeneratorSet
+from repro.core.permutation import block_permutation, identity
+from repro.core.superip import SuperGeneratorSet, _super_closure
 
 __all__ = ["explicit_super_graph"]
 
@@ -41,73 +33,29 @@ def explicit_super_graph(
 ) -> IPGraph:
     """Build a (symmetric) super-graph over an explicit nucleus network.
 
-    Returns an :class:`~repro.core.ipgraph.IPGraph` whose labels are tuples
-    of nucleus node ids (non-symmetric) or of ``(color, state)`` pairs
-    (symmetric), and whose arc attribution distinguishes nucleus from
-    super-generator moves — so all inter-cluster metrics work unchanged.
-
-    The graph is produced by BFS closure from the canonical seed, exactly
-    mirroring the IP-graph definition.
+    Labels are tuples of nucleus node ids (non-symmetric) or of ``(color,
+    state)`` pairs (symmetric), all plain ``int``; arcs are attributed to
+    nucleus and super-generator moves, so all inter-cluster metrics work
+    unchanged.  The closure starts at every block in state 0; nucleus
+    generator ``k`` moves the front state to its ``k``-th sorted neighbor,
+    if it has one.  Raises ``ValueError`` when ``|A|·M^l`` exceeds
+    ``max_nodes``.  The tuple-state BFS this replaced is the test oracle
+    ``tests/hier_oracle.py``.
     """
     l = sgs.l
-    if symmetric:
-        seed = tuple((b, 0) for b in range(l))
-    else:
-        seed = tuple(0 for _ in range(l))
+    if name is None:
+        prefix = "sym-" if symmetric else ""
+        name = f"{prefix}{sgs.name}(l={l},{nucleus.name})*"
+    nbrs = [nucleus.neighbors(v) for v in range(nucleus.num_nodes)]
+    max_slots = max(map(len, nbrs), default=0)
+    # neighbor slot table, -1 past each state's degree
+    succ = np.array([nb + [-1] * (max_slots - len(nb)) for nb in nbrs], dtype=np.int64)
+    states = range(nucleus.num_nodes)
+    keys = [((c, v),) for c in range(l) for v in states] if symmetric else [(v,) for v in states]
+    labels, edges = _super_closure(succ, keys, sgs.perms(), symmetric, max_nodes, name)
 
-    nuc_neighbors = [nucleus.neighbors(v) for v in range(nucleus.num_nodes)]
-    block_perms = sgs.perms()
-
-    labels = [seed]
-    index = {seed: 0}
-    srcs: list[int] = []
-    dsts: list[int] = []
-    gids: list[int] = []
-    # generator ids: 0..max_nuc-1 are synthetic per-neighbor-slot nucleus
-    # moves; we use a single id space where nucleus arcs get gen id equal to
-    # the neighbor slot and super arcs follow after the largest slot count.
-    max_slots = max((len(nb) for nb in nuc_neighbors), default=0)
-    queue: deque[int] = deque([0])
-    while queue:
-        u = queue.popleft()
-        lab = labels[u]
-        front = lab[0][1] if symmetric else lab[0]
-        # nucleus moves on block 0
-        for slot, w in enumerate(nuc_neighbors[front]):
-            if symmetric:
-                nxt = ((lab[0][0], w),) + lab[1:]
-            else:
-                nxt = (w,) + lab[1:]
-            v = index.get(nxt)
-            if v is None:
-                v = len(labels)
-                if v >= max_nodes:
-                    raise ValueError(f"super graph exceeds max_nodes={max_nodes}")
-                index[nxt] = v
-                labels.append(nxt)
-                queue.append(v)
-            srcs.append(u)
-            dsts.append(v)
-            gids.append(slot)
-        # super-generator moves permute blocks
-        for si, p in enumerate(block_perms):
-            nxt = p(lab)
-            v = index.get(nxt)
-            if v is None:
-                v = len(labels)
-                if v >= max_nodes:
-                    raise ValueError(f"super graph exceeds max_nodes={max_nodes}")
-                index[nxt] = v
-                labels.append(nxt)
-                queue.append(v)
-            srcs.append(u)
-            dsts.append(v)
-            gids.append(max_slots + si)
-
-    # synthesize Generator records so edge_kinds() and nucleus_modules()
-    # work; nucleus "slot" generators have no global permutation semantics
-    # (the move depends on the current state), so they carry the identity
-    # permutation as a placeholder and must not be used via apply_generator.
+    # nucleus "slot" moves depend on the front state, so they have no
+    # global permutation: the identity stands in for one
     gens = [
         Generator(identity(l), name=f"nslot{i}", kind=NUCLEUS) for i in range(max_slots)
     ]
@@ -115,14 +63,4 @@ def explicit_super_graph(
         Generator(block_permutation(p.img, 1), name=gname, kind=SUPER)
         for gname, p in sgs.block_perms
     ]
-    edges = np.column_stack(
-        [
-            np.asarray(srcs, dtype=np.int64),
-            np.asarray(dsts, dtype=np.int64),
-            np.asarray(gids, dtype=np.int64),
-        ]
-    )
-    if name is None:
-        prefix = "sym-" if symmetric else ""
-        name = f"{prefix}{sgs.name}(l={l},{nucleus.name})*"
-    return IPGraph(labels, gens, edges, name=name, seed=seed)
+    return IPGraph(labels, gens, edges, name=name)  # seed: node 0, every block in state 0

@@ -39,7 +39,7 @@ from repro.core.permutation import Permutation
 from repro.core.superip import (
     NucleusSpec,
     SuperGeneratorSet,
-    _symmetric_seed,
+    _block_keys,
     fronting_schedules,
     min_supergen_steps,
     min_supergen_steps_symmetric,
@@ -92,13 +92,7 @@ class SuperIPRouter:
     ):
         self.nucleus = nucleus
         nuc_graph = nucleus.build()
-        keys = list(nuc_graph.labels)
-        if symmetric:
-            m = nucleus.m
-            sym = dict(zip(nucleus.seed, _symmetric_seed(nucleus, 1)))
-            keys = [
-                tuple(c * m + sym[s] for s in lab) for c in range(sgs.l) for lab in keys
-            ]
+        keys = _block_keys(nucleus, nuc_graph, sgs.l, symmetric)
         perms = nucleus.perms
         self._one_way = next(
             ((i, p) for i, p in enumerate(perms) if p.inverse() not in perms), None
@@ -233,9 +227,10 @@ class SuperIPRouter:
     def route_labels(self, src: Label, dst: Label) -> list[Label]:
         """Full node-label path from ``src`` to ``dst`` (inclusive).
 
-        Guaranteed length ≤ ``l·D_G + t`` (non-symmetric) or
-        ``l·D_G + t_S`` (symmetric).  Raises ``ValueError`` when either
-        label is not a node.
+        The walk stops at its first arrival at ``dst``, which may come
+        before the end of its program.  Guaranteed length ≤ ``l·D_G + t``
+        (non-symmetric) or ``l·D_G + t_S`` (symmetric).  Raises
+        ``ValueError`` when either label is not a node.
         """
         blocks = self._blocks_of(src, "source")
         target = self._blocks_of(dst, "destination")
@@ -245,7 +240,9 @@ class SuperIPRouter:
             steps = self._programs[self._program_index(blocks, target)]
             for _ in self._walk(blocks, target, steps):
                 path.append(join(blocks))
-            if blocks != target:
+                if blocks == target:
+                    break
+            else:
                 raise RuntimeError("sorting router failed to reach destination")
         reg = obs.registry()
         reg.incr("routing.superip.routes")

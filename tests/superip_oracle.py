@@ -13,11 +13,14 @@ searches that :mod:`repro.routing.superip` and
   labels, nucleus moves read a :class:`~repro.routing.table.NextHopTable`.
 
 The contract, enforced by ``tests/test_routing.py`` and
-``tests/test_superip.py``: the production ``t`` / ``t_S`` equal these;
-explicit-router paths are identical; IP-router paths have the same
-length and the same super-generator hop positions (the production
-router breaks nucleus ties by smallest node id, this one by generator
-order, so the nucleus hops in between may differ).
+``tests/test_superip.py``: the production ``t`` / ``t_S`` equal these.
+These routers run their whole program; the production router stops at
+its first arrival at the destination.  Explicit-router paths equal these
+cut there.  The production IP router's :func:`whole_walk` has the same
+length and the same super-generator hop positions as these (the
+production router breaks nucleus ties by smallest node id, this one by
+generator order, so the nucleus hops in between, and hence the first
+arrival, may differ).
 """
 
 from __future__ import annotations
@@ -30,6 +33,18 @@ from repro.core.network import Label, Network
 from repro.core.superip import NucleusSpec, SuperGeneratorSet, reachable_arrangements
 from repro.metrics.distances import diameter as _diameter
 from repro.routing.table import NextHopTable
+
+
+def whole_walk(router, src: Label, dst: Label) -> list[Label]:
+    """The label path of a production router's walker through its whole
+    program; its ``route_labels`` is this path cut at the first ``dst``."""
+    blocks = router._blocks_of(src, "source")
+    target = router._blocks_of(dst, "destination")
+    path = [router._label_of(blocks)]
+    if blocks != target:
+        steps = router._programs[router._program_index(blocks, target)]
+        path += [router._label_of(blocks) for _ in router._walk(blocks, target, steps)]
+    return path
 
 
 def min_supergen_steps(sgs: SuperGeneratorSet) -> int:

@@ -1,8 +1,12 @@
-"""Cross-validation: every family built two independent ways must agree.
+"""Cross-validation: every family built two ways must agree.
 
-The IP-graph engine (label closure) and the explicit constructions
-(textbook definitions / tuple-state closure) are entirely separate code
-paths; isomorphism between them validates both.
+The IP-graph engine (label closure) and the explicit textbook
+constructions are separate code paths; isomorphism between them validates
+both.  ``build_super_ip_graph`` and ``explicit_super_graph`` share one
+digit-code closure, so their agreement below checks the two front-ends
+(label encodings, nucleus move tables); the independent paths for that
+closure are the oracles in ``tests/closure_oracle.py`` and
+``tests/hier_oracle.py`` (``tests/test_super_engine.py``).
 """
 
 import networkx as nx
@@ -65,7 +69,7 @@ class TestHCNEquivalence:
 
 
 class TestExplicitSuperGraph:
-    """IP engine vs tuple-state closure over an explicit nucleus."""
+    """IP-labelled vs explicit-nucleus front-ends of the super closure."""
 
     @pytest.mark.parametrize("fam", ["transpositions", "ring", "complete-shifts", "flips"])
     @pytest.mark.parametrize("l", [2, 3])

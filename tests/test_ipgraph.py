@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core.ipgraph import GENERIC, NUCLEUS, SUPER, Generator, build_ip_graph
+from repro.core.network import Network
 from repro.core.permutation import (
     cyclic_shift_left,
     from_cycles,
     identity,
     transposition,
 )
+from repro.core.superip import SuperGeneratorSet
+from repro.networks.classic import petersen
+from repro.networks.hier import explicit_super_graph
 
 
 class TestPaperExamples:
@@ -109,11 +113,24 @@ class TestEngine:
             assert g.node_of(g.label_of(i)) == i
 
     def test_apply_generator_matches_edges(self):
-        g = build_ip_graph(self.seed, self.gens)
-        for u in range(g.num_nodes):
-            for k in range(len(g.generators)):
-                v = g.apply_generator(u, k)
-                assert v in g.neighbors(u) or v == u
+        # nucleus slot generators of an explicit graph: the move depends
+        # on the front state, not on a permutation of the label
+        explicit = explicit_super_graph(petersen(), SuperGeneratorSet.ring(2))
+        assert explicit.labels[explicit.apply_generator(5, 0)] == (1, 0)
+        for g in (build_ip_graph(self.seed, self.gens), explicit):
+            arcs = zip(g.edges_src.tolist(), g.edges_dst.tolist(), g.edges_gen.tolist())
+            for u, v, k in arcs:
+                assert g.apply_generator(u, k) == v
+
+    def test_apply_generator_rejects_missing_slot(self):
+        path3 = Network.from_edge_list([(0,), (1,), (2,)], [(0, 1), (1, 2)], name="P3")
+        g = explicit_super_graph(path3, SuperGeneratorSet.transpositions(2))
+        assert g.apply_generator(1, 1) == g.node_of((2, 0))
+        with pytest.raises(ValueError) as exc:
+            g.apply_generator(0, 1)  # state 0 has one neighbor
+        assert str(exc.value) == (
+            "node 0 of 'transpositions(l=2,P3)*' has no arc for generator 1 (nslot1)"
+        )
 
     @pytest.mark.parametrize(
         "node, gen, message",

@@ -112,6 +112,19 @@ class TestSuperIPRouter:
             assert path[0] == s and path[-1] == d
             assert verify_route(g, path) and len(path) - 1 <= r.max_route_length()
 
+    def test_route_ends_at_first_arrival(self):
+        """The walk stops when the blocks equal the destination's, so no
+        route passes through ``dst`` before its last node (all pairs of
+        HSN(3,Q2), where a whole program often does)."""
+        nuc = nw.hypercube_nucleus(2)
+        sgs = SuperGeneratorSet.transpositions(3)
+        g = build_super_ip_graph(nuc, sgs)
+        r = SuperIPRouter(nuc, sgs)
+        for s in range(g.num_nodes):
+            for d in range(g.num_nodes):
+                path = r.route_nodes(g, s, d)
+                assert path[-1] == d and d not in path[:-1]
+
     def test_route_labels_direct(self):
         nuc = nw.hypercube_nucleus(1)
         sgs = SuperGeneratorSet.transpositions(2)
@@ -267,10 +280,22 @@ def _super_hops(labels: list[tuple], m: int) -> list[int]:
     return [i for i, (a, b) in enumerate(zip(labels, labels[1:])) if a[m:] != b[m:]]
 
 
-def _assert_same_walk(ours, theirs, m):
-    assert len(ours) == len(theirs)
-    assert ours[0] == theirs[0] and ours[-1] == theirs[-1]
-    assert _super_hops(ours, m) == _super_hops(theirs, m)
+def _first_arrival(path: list) -> list:
+    """``path`` cut at its first arrival at its destination: the scalar
+    oracles run their whole program, the walker stops there."""
+    return path[: path.index(path[-1]) + 1]
+
+
+def _assert_same_walk(r, ours, theirs, m):
+    """``ours`` is the walker's whole-program walk cut at its first arrival,
+    and that walk has the oracle's length and super-generator hop positions.
+    Nucleus ties break differently, so the two walks may first reach the
+    destination at different hops: the oracle's path is not cut."""
+    whole = oracle.whole_walk(r, ours[0], ours[-1])
+    assert ours == _first_arrival(whole)
+    assert len(whole) == len(theirs)
+    assert whole[0] == theirs[0] and whole[-1] == theirs[-1]
+    assert _super_hops(whole, m) == _super_hops(theirs, m)
 
 
 class TestRouterOracle:
@@ -292,6 +317,7 @@ class TestRouterOracle:
                 path = r.route_nodes(g, s, d)
                 assert verify_route(g, path) and len(path) - 1 <= bound
                 _assert_same_walk(
+                    r,
                     [g.labels[v] for v in path],
                     want.route_labels(g.labels[s], g.labels[d]),
                     nuc.m,
@@ -310,6 +336,7 @@ class TestRouterOracle:
             path = r.route_nodes(g, s, d)
             assert verify_route(g, path) and len(path) - 1 <= bound
             _assert_same_walk(
+                r,
                 [g.labels[v] for v in path],
                 want.route_labels(g.labels[s], g.labels[d]),
                 nuc.m,
@@ -344,7 +371,7 @@ class TestRouterOracle:
             path = r.route_labels(src, dst)
             assert len(path) - 1 <= r.max_route_length()
             assert all(any(p(a) == b for p in gens) for a, b in zip(path, path[1:]))
-            _assert_same_walk(path, want.route_labels(src, dst), m)
+            _assert_same_walk(r, path, want.route_labels(src, dst), m)
 
     def test_explicit_router_all_pairs_ring_cn_2_petersen(self):
         nuc = nw.petersen()
@@ -355,7 +382,7 @@ class TestRouterOracle:
         assert (r.t, r.max_route_length()) == (want.t, want.max_route_length())
         for s in range(g.num_nodes):
             for d in range(g.num_nodes):
-                assert r.route_nodes(g, s, d) == want.route_nodes(g, s, d)
+                assert r.route_nodes(g, s, d) == _first_arrival(want.route_nodes(g, s, d))
 
     def test_explicit_router_ring_cn_3_petersen_seeded(self):
         nuc = nw.petersen()
@@ -367,7 +394,7 @@ class TestRouterOracle:
         pairs = np.random.default_rng(47).integers(0, g.num_nodes, size=(2000, 2))
         for s, d in pairs.tolist():
             path = r.route_nodes(g, s, d)
-            assert path == want.route_nodes(g, s, d)
+            assert path == _first_arrival(want.route_nodes(g, s, d))
             assert verify_route(g, path) and len(path) - 1 <= r.max_route_length()
 
     def test_explicit_router_backend(self):
@@ -381,9 +408,8 @@ class TestRouterOracle:
             while walk[-1] != d:
                 nxt, state = backend.step(np.array([walk[-1]]), np.array([d]), state)
                 walk.append(int(nxt[0]))
-            # the packet's walk is the route up to its first arrival at d
-            route = r.route_nodes(g, s, d)
-            assert walk == route[: route.index(d) + 1]
+            # the packet's walk is the route, which ends at its first arrival
+            assert walk == r.route_nodes(g, s, d)
             assert verify_route(g, walk) and len(walk) - 1 <= r.max_route_length()
 
 

@@ -63,11 +63,11 @@ def routed(request):
 
 
 def _route_hops(g, r, src: int, dst: int) -> int:
-    """Hops of a packet along ``route_nodes(src, dst)``: it is delivered
-    at its first arrival at ``dst`` (a route may pass through it early)."""
+    """Hops of a packet along ``route_nodes(src, dst)``, which ends at
+    its first arrival at ``dst``, where the packet is delivered."""
     route = r.route_nodes(g, src, dst)
     assert verify_route(g, route) and len(route) - 1 <= r.max_route_length()
-    return route.index(dst)
+    return len(route) - 1
 
 
 def _hop_total(stats) -> int:
@@ -94,10 +94,9 @@ def _resumed_route(g, r):
     for s in range(g.num_nodes):
         for d in range(g.num_nodes):
             route = r.route_nodes(g, s, d)
-            h = route.index(d)
-            lead = route[:h]
+            lead = route[:-1]
             if any(g.labels[a][m:] != g.labels[b][m:] for a, b in zip(lead, lead[1:])):
-                return s, d, route[: h + 1]
+                return s, d, route
     raise AssertionError("no route with a super-generator hop before its last")
 
 
