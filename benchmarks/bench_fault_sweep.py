@@ -28,6 +28,7 @@ from repro.fault import ResilientRouter, fault_sweep
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.disjoint_oracle import OracleNodeDisjointPaths  # noqa: E402
+from tests.fault_view import FaultyNetwork  # noqa: E402
 
 MIN_SPEEDUP = 3.0
 ROUNDS = 3
@@ -36,15 +37,18 @@ SEED = 1
 
 
 def _oracle_survivor_path(router, epoch, u, dst, t):
-    """The replaced detour: networkx on the epoch's survivor graph, its
-    flow structures built once per router and epoch."""
-    view = router._view(epoch, t)
-    if u == dst or not (view.is_node_up(u) and view.is_node_up(dst)):
-        return None
+    """The replaced detour: networkx on the epoch's survivor graph, the
+    view and its flow structures built once per router and epoch."""
     cached = getattr(router, "_oracle", None)
     if cached is None or cached[0] != epoch:
-        cached = router._oracle = (epoch, OracleNodeDisjointPaths(view.to_network()))
-    paths = cached[1](u, dst)
+        view = FaultyNetwork.at(router.net, router.timeline, t)
+        cached = router._oracle = (
+            epoch, view, OracleNodeDisjointPaths(view.to_network())
+        )
+    _, view, oracle = cached
+    if u == dst or not (view.is_node_up(u) and view.is_node_up(dst)):
+        return None
+    paths = oracle(u, dst)
     return tuple(min(paths, key=len)) if paths else None
 
 

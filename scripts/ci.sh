@@ -88,7 +88,7 @@ python -m repro faults percolation --smoke > /dev/null
 echo "OK"
 
 echo
-echo "== IP-graph closure (>=5x vs per-label oracle, bit-identical, HSN(4,Q4) N=65536) =="
+echo "== IP-graph closure (HSN(4,Q4) N=65536, bit-identical: closure_build >=5x and super_ip_build >=5x vs per-label oracle, explicit_super_build >=3x vs tuple-state oracle) =="
 python benchmarks/bench_closure.py
 
 echo

@@ -1,4 +1,4 @@
-"""Fault injection: fault models, degraded views, resilient routing, sweeps.
+"""Fault injection: fault models, resilient routing, sweeps.
 
 The subsystem behind the paper's graceful-degradation story:
 
@@ -6,10 +6,9 @@ The subsystem behind the paper's graceful-degradation story:
   declarative schedules of permanent/transient node and link failures
   (explicit events or seeded random models) compiled into queryable
   down-interval timelines (:mod:`repro.fault.plan`);
-* :class:`FaultyNetwork` — a zero-copy mask over a network with stable node
-  ids (:mod:`repro.fault.view`);
 * :class:`ResilientRouter` — primary → alternate-minimal → survivor-path
-  adaptive routing with bounded per-epoch caches
+  adaptive routing on undirected networks, reading the timeline directly
+  and keeping one bounded detour record per fault epoch
   (:mod:`repro.fault.resilient`);
 * :func:`fault_sweep` / :func:`fault_comparison` — Monte-Carlo resilience
   curves, exposed as the ``faults`` CLI subcommand
@@ -21,9 +20,9 @@ The subsystem behind the paper's graceful-degradation story:
   degraded-traffic probes around the threshold
   (:mod:`repro.fault.percolation`);
 * :func:`exhaustive_fault_sweep` / :func:`brute_force_fault_sweep` /
-  :func:`fault_signature` / :class:`OrbitDetourCache` — symmetry-collapsed
-  exhaustive certification of all ``k``-fault patterns, one evaluation
-  per automorphism orbit (:mod:`repro.fault.orbits`).
+  :func:`fault_signature` — symmetry-collapsed exhaustive certification
+  of all ``k``-fault patterns, one evaluation per automorphism orbit
+  (:mod:`repro.fault.orbits`).
 
 Pass a :class:`FaultPlan` to :class:`repro.sim.PacketSimulator` to simulate
 in degraded mode; an empty plan is bit-identical to the fault-free
@@ -31,7 +30,6 @@ simulator.
 """
 
 from .orbits import (
-    OrbitDetourCache,
     brute_force_fault_sweep,
     cached_automorphism_group,
     exhaustive_fault_sweep,
@@ -48,7 +46,6 @@ from .percolation import (
 from .plan import FaultEvent, FaultPlan, FaultTimeline
 from .resilient import ResilientRouter
 from .sweep import default_resilience_cases, fault_comparison, fault_sweep
-from .view import FaultyNetwork
 
 __all__ = [
     "brute_force_fault_sweep",
@@ -63,9 +60,7 @@ __all__ = [
     "fault_signature",
     "fault_sweep",
     "FaultTimeline",
-    "FaultyNetwork",
     "masked_components",
-    "OrbitDetourCache",
     "percolation_comparison",
     "percolation_sweep",
     "ResilientRouter",

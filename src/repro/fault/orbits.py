@@ -24,11 +24,7 @@ Machinery:
   survivor graph once, and expand with multiplicity weights;
   :func:`brute_force_fault_sweep` is the uncollapsed twin used to prove
   exact agreement (integer connectivity sums make the equality exact,
-  not approximate);
-* :class:`OrbitDetourCache` — a canonicalizing survivor-path cache for
-  :class:`~repro.fault.resilient.ResilientRouter`: symmetric fault
-  patterns share detour entries by mapping queries through the
-  automorphism that canonicalizes them.
+  not approximate).
 
 Representative evaluation fans out over :mod:`repro.parallel`
 (bit-identical at any ``--jobs``); the ``orbits.collapse_ratio`` obs
@@ -38,7 +34,6 @@ gauge records the achieved compression.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from itertools import combinations
 
 import numpy as np
@@ -56,7 +51,6 @@ __all__ = [
     "fault_signature",
     "exhaustive_fault_sweep",
     "brute_force_fault_sweep",
-    "OrbitDetourCache",
 ]
 
 
@@ -424,126 +418,3 @@ def brute_force_fault_sweep(
             {"pattern": p, "weight": 1, **v} for p, v in zip(patterns, verdicts)
         ],
     }
-
-
-# ----------------------------------------------------------------------
-# orbit-canonical detour cache
-# ----------------------------------------------------------------------
-#: sentinel distinguishing "no cached entry" from a cached "no path exists"
-_MISS = object()
-
-
-class OrbitDetourCache:
-    """Survivor-path cache shared across automorphic fault configurations.
-
-    The stage-3 fallback of :class:`~repro.fault.resilient.ResilientRouter`
-    computes a shortest live path on the survivor graph — the most
-    expensive routing operation in degraded mode.  On a symmetric
-    network, the survivor graph under fault pattern ``F`` is isomorphic
-    to the one under ``g(F)`` for every automorphism ``g``, so their
-    detours are the same paths up to relabeling.  This cache
-    canonicalizes each query ``(dead nodes, dead links, src, dst)`` to
-    the lexicographically smallest automorphic image, stores paths in
-    canonical coordinates, and maps hits back through the inverse
-    automorphism — queries under symmetric fault patterns share entries.
-
-    Entries are LRU-bounded (``maxsize``); ``cache_info()`` reports hits,
-    misses, and current size.  One cache instance may serve many routers
-    over the same topology (that is the point).
-    """
-
-    def __init__(
-        self,
-        net: Network,
-        group: np.ndarray | None = None,
-        maxsize: int = 4096,
-    ):
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.net = net
-        self.group = group if group is not None else cached_automorphism_group(net)
-        self.n = net.num_nodes
-        # inverse permutations: inv[g][group[g][v]] = v
-        self.inv = np.empty_like(self.group)
-        rows = np.arange(self.group.shape[0])[:, None]
-        self.inv[rows, self.group] = np.arange(self.n)[None, :]
-        self.maxsize = int(maxsize)
-        self._entries: OrderedDict[tuple, tuple[int, ...] | None] = OrderedDict()
-        self._stats = {"hits": 0, "misses": 0, "evictions": 0}
-
-    def canonize(self, dead_nodes, dead_links, u: int, dst: int):
-        """Canonical key of a query plus the automorphism index achieving it.
-
-        Returns ``(key, g)``: ``key`` is the lexicographically smallest
-        ``(node image, link image, u image, dst image)`` tuple over the
-        group and ``g`` the row index of an automorphism realizing it
-        (ties broken deterministically by row order).
-        """
-        n = self.n
-        nodes = np.asarray(sorted(int(v) for v in dead_nodes), dtype=np.int64)
-        pairs = sorted(
-            (min(int(a), int(b)), max(int(a), int(b))) for a, b in dead_links
-        )
-        links = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        cols = []
-        if len(nodes):
-            cols.append(np.sort(self.group[:, nodes], axis=1))
-        if len(links):
-            img_u = self.group[:, links[:, 0]]
-            img_v = self.group[:, links[:, 1]]
-            cols.append(
-                np.sort(np.minimum(img_u, img_v) * n + np.maximum(img_u, img_v), axis=1)
-            )
-        cols.append(self.group[:, [u, dst]])
-        mat = np.concatenate(cols, axis=1)  # (G, k_n + k_l + 2)
-        g = int(np.lexsort(mat.T[::-1])[0])
-        return tuple(int(x) for x in mat[g]), g
-
-    def get(self, key: tuple, g: int):
-        """Cached survivor path for a canonical key, mapped back through
-        the query's automorphism — :data:`_MISS` when absent.
-
-        ``None`` is a genuine cached verdict ("no survivor path exists"),
-        distinct from a miss.
-        """
-        if key not in self._entries:
-            self._stats["misses"] += 1
-            return _MISS
-        self._entries.move_to_end(key)
-        self._stats["hits"] += 1
-        obs.registry().incr("routing.resilient.orbit_hits")
-        canonical = self._entries[key]
-        if canonical is None:
-            return None
-        inv = self.inv[g]
-        return tuple(int(inv[x]) for x in canonical)
-
-    def put(self, key: tuple, g: int, path: tuple[int, ...] | None) -> None:
-        """Store a survivor path (or ``None``) under its canonical key."""
-        if path is not None:
-            perm = self.group[g]
-            path = tuple(int(perm[x]) for x in path)
-        self._entries[key] = path
-        self._entries.move_to_end(key)
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self._stats["evictions"] += 1
-
-    def cache_info(self) -> dict:
-        """Hit/miss/eviction counters plus size bounds (memoize_lru style)."""
-        return {
-            **self._stats,
-            "maxsize": self.maxsize,
-            "currsize": len(self._entries),
-        }
-
-    def cache_clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        self._entries.clear()
-
-    def __repr__(self) -> str:
-        info = self.cache_info()
-        return (
-            f"OrbitDetourCache({self.net.name!r}, group={len(self.group)}, "
-            f"entries={info['currsize']}, hits={info['hits']})"
-        )

@@ -363,8 +363,9 @@ class FaultTimeline:
     (``node_up_at``, ``link_up_at``, ``link_down_during``) answer one
     question with a ``bisect``; the array ones (``nodes_up_at``,
     ``hops_alive``, ``links_down_during``) answer a whole batch with one
-    ``searchsorted`` and a gather.  The array queries take in-range node
-    ids and address links by *column* — see :meth:`link_columns`.
+    ``searchsorted`` and a gather.  ``node_up_at`` rejects an id outside
+    ``0..N-1``; the array queries take in-range node ids (unchecked) and
+    address links by *column* — see :meth:`link_columns`.
     """
 
     def __init__(self, net: Network, events: list[FaultEvent]):
@@ -435,8 +436,13 @@ class FaultTimeline:
         return self._link_col.get(u * self._n + v, -1)
 
     def node_up_at(self, v: int, t: int) -> bool:
-        """Is node ``v`` usable at cycle ``t``?"""
-        r = self._node_rank_list[v] if 0 <= v < self._n else -1
+        """Is node ``v`` usable at cycle ``t``?  Raises :class:`ValueError`
+        for an id outside ``0..N-1``."""
+        if not 0 <= v < self._n:
+            raise ValueError(
+                f"node_up_at: node id {v} is outside 0..{self._n - 1}"
+            )
+        r = self._node_rank_list[v]
         return r < 0 or not self._nodes.is_down(r, t)
 
     def link_up_at(self, u: int, v: int, t: int) -> bool:

@@ -15,23 +15,19 @@ on star-graph-class networks exploit path diversity):
    *survivor* graph and pin the packet to the shortest live path found.
    The caller bounds how often a packet may deroute (livelock cap).
 
-The router never mutates the network: fault state comes from a compiled
-:class:`~repro.fault.plan.FaultTimeline`, and survivor-graph path lookups
-are cached per fault epoch.  The max-flow structure behind the detours
-(:class:`~repro.routing.disjoint.NodeDisjointPaths`) is built once per
-router, on its first deroute; a fault epoch only masks it, and that mask
-is cached per epoch as well.  The caches are bounded: entries from stale
-fault epochs are evicted when the timeline advances, and within an
-epoch the path cache is LRU-bounded
-(``path_cache_size``); ``cache_info()`` reports hit/miss/eviction
-counters in the :func:`repro.cache.memoize_lru` style.  Passing an
-:class:`~repro.fault.orbits.OrbitDetourCache` lets symmetric fault
-configurations share survivor paths across routers.
+The router never mutates the network: it reads the compiled
+:class:`~repro.fault.plan.FaultTimeline` directly.  The max-flow structure
+behind the detours (:class:`~repro.routing.disjoint.NodeDisjointPaths`) is
+built once per router, on its first deroute; a fault epoch only masks it.
+The router keeps one record for the fault epoch it last derouted in —
+its survivor mask and its survivor paths, at most :data:`PATH_BOUND` of
+them — and replaces it whenever the epoch changes.
+
+Survivor detours are undirected node-disjoint paths, so the router refuses
+a directed network.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 from repro import obs
 from repro.core.network import Network
@@ -39,7 +35,6 @@ from repro.routing.disjoint import NodeDisjointPaths, SurvivorMask
 from repro.routing.table import shared_table
 
 from .plan import FaultTimeline
-from .view import FaultyNetwork
 
 __all__ = ["ResilientRouter"]
 
@@ -49,6 +44,9 @@ REROUTE = "reroute"
 DEROUTE = "deroute"
 UNREACHABLE = "unreachable"
 
+#: most survivor paths kept for one fault epoch
+PATH_BOUND = 4096
+
 
 class ResilientRouter:
     """Adaptive next-hop router over a faulty network.
@@ -56,60 +54,31 @@ class ResilientRouter:
     Parameters
     ----------
     net:
-        The intact topology.  Routes on its fault-free
+        The intact, undirected topology.  Routes on its fault-free
         :func:`~repro.routing.table.shared_table` with distances (needed
         to enumerate alternate minimal hops); faults are masked per query.
+        A directed network raises :class:`ValueError`.
     timeline:
         Compiled fault schedule consulted at query time.
-    use_disjoint:
-        Allow the stage-3 survivor-path fallback (on by default).
-    path_cache_size:
-        LRU bound on cached survivor paths (per router).  Entries from
-        fault epochs older than the last one queried are evicted eagerly,
-        so the bound only bites within a single epoch.
-    orbit_cache:
-        Optional :class:`~repro.fault.orbits.OrbitDetourCache` consulted
-        before computing a survivor path: automorphic fault
-        configurations then share detours, across routers when the cache
-        instance is shared.
     """
 
-    def __init__(
-        self,
-        net: Network,
-        timeline: FaultTimeline,
-        use_disjoint: bool = True,
-        path_cache_size: int = 4096,
-        orbit_cache=None,
-    ):
-        if path_cache_size < 1:
+    def __init__(self, net: Network, timeline: FaultTimeline):
+        if net.directed:
             raise ValueError(
-                f"path_cache_size must be >= 1, got {path_cache_size}"
+                f"ResilientRouter: {net.name!r} is directed, but survivor "
+                f"detours are undirected node-disjoint paths"
             )
         self.net = net
         self._n = net.num_nodes
         self.timeline = timeline
         self.table = shared_table(net, with_distances=True)
-        self.use_disjoint = use_disjoint
         self.reroutes = 0
         self.deroutes = 0
         self.unreachable = 0
-        self.path_cache_size = int(path_cache_size)
-        self.orbit_cache = orbit_cache
-        self._path_cache: OrderedDict[
-            tuple[int, int, int], tuple[int, ...] | None
-        ] = OrderedDict()
-        self._view_cache: dict[int, FaultyNetwork] = {}
         self._flow: NodeDisjointPaths | None = None  # built on first deroute
-        self._flow_cache: dict[int, SurvivorMask] = {}
-        self._cache_epoch: int | None = None
-        self._cache_stats = {
-            "path_hits": 0,
-            "path_misses": 0,
-            "path_evictions": 0,
-            "view_hits": 0,
-            "view_misses": 0,
-        }
+        # (epoch, survivor mask, paths by (u, dst)) of the last epoch
+        # derouted in; the mask is filled by the epoch's first computed path
+        self._record: tuple[int, SurvivorMask | None, dict] = (-1, None, {})
 
     # ------------------------------------------------------------------
     def hop_alive(self, u: int, v: int, t: int) -> bool:
@@ -150,125 +119,54 @@ class ResilientRouter:
             if v != primary and self.hop_alive(u, v, t):
                 self.reroutes += 1
                 return v, REROUTE, ()
-        if self.use_disjoint:
-            path = self._survivor_path(u, dst, t)
-            if path is not None:
-                self.deroutes += 1
-                return path[1], DEROUTE, path[2:]
+        path = self._survivor_path(u, dst, t)
+        if path is not None:
+            self.deroutes += 1
+            return path[1], DEROUTE, path[2:]
         self.unreachable += 1
         return -1, UNREACHABLE, ()
 
     # ------------------------------------------------------------------
-    def _advance_epoch(self, epoch: int) -> None:
-        """Evict cache entries left over from other fault epochs.
-
-        Fault epochs are visited monotonically in simulation, so entries
-        keyed by a different epoch are dead weight once the timeline
-        moves on — dropping them keeps both caches bounded by one
-        epoch's working set regardless of how many fault events the
-        timeline holds.
-        """
-        if epoch == self._cache_epoch:
-            return
-        stale = [k for k in self._path_cache if k[0] != epoch]
-        for k in stale:
-            del self._path_cache[k]
-        self._cache_stats["path_evictions"] += len(stale)
-        for cache in (self._view_cache, self._flow_cache):
-            for e in [e for e in cache if e != epoch]:
-                del cache[e]
-        self._cache_epoch = epoch
-
-    def _view(self, epoch: int, t: int) -> FaultyNetwork:
-        view = self._view_cache.get(epoch)
-        if view is None:
-            self._cache_stats["view_misses"] += 1
-            view = self._view_cache[epoch] = FaultyNetwork.at(
-                self.net, self.timeline, t
-            )
-        else:
-            self._cache_stats["view_hits"] += 1
-        return view
-
     def _compute_survivor_path(
         self, epoch: int, u: int, dst: int, t: int
     ) -> tuple[int, ...] | None:
-        view = self._view(epoch, t)
-        if u == dst or not (view.is_node_up(u) and view.is_node_up(dst)):
+        """The detour itself: the shortest of a maximum set of
+        node-disjoint ``u -> dst`` paths on the survivor graph of
+        ``epoch`` (the current record's epoch, in force at ``t``)."""
+        tl = self.timeline
+        if u == dst or not (tl.node_up_at(u, t) and tl.node_up_at(dst, t)):
             return None  # no detour to take
         if self._flow is None:
-            # the intact survivor arc order: masking it per epoch gives
-            # each epoch's survivor graph in its own networkx order
-            src, dst_arcs = FaultyNetwork(self.net).survivor_arcs()
+            # the intact arc order, each link once as u < v: masking it
+            # per epoch gives each survivor graph in its networkx order
+            coo = self.net.adjacency_csr().tocoo()
+            upper = coo.row < coo.col
             self._flow = NodeDisjointPaths.from_arcs(
-                self._n, src, dst_arcs, self.net.directed
+                self._n, coo.row[upper], coo.col[upper]
             )
-        mask = self._flow_cache.get(epoch)
+        _, mask, paths = self._record
         if mask is None:
-            mask = self._flow_cache[epoch] = self._flow.mask(
-                view.dead_nodes, view.dead_links
-            )
-        paths = self._flow(u, dst, mask)
-        return tuple(min(paths, key=len)) if paths else None
+            mask = self._flow.mask(tl.dead_nodes_at(t), tl.dead_links_at(t))
+            self._record = (epoch, mask, paths)
+        found = self._flow(u, dst, mask)
+        return tuple(min(found, key=len)) if found else None
 
     def _survivor_path(self, u: int, dst: int, t: int) -> tuple[int, ...] | None:
         """Shortest live ``u -> dst`` path among the node-disjoint set on the
-        survivor graph at ``t`` (cached per fault epoch), or ``None``."""
+        survivor graph at ``t`` (kept in the epoch's record), or ``None``."""
         epoch = self.timeline.epoch(t)
-        self._advance_epoch(epoch)
-        key = (epoch, u, dst)
-        if key in self._path_cache:
-            self._cache_stats["path_hits"] += 1
-            self._path_cache.move_to_end(key)
-            return self._path_cache[key]
-        self._cache_stats["path_misses"] += 1
-        path: tuple[int, ...] | None = None
-        computed = False
-        if self.orbit_cache is not None:
-            from .orbits import _MISS
-
-            dead_nodes = self.timeline.dead_nodes_at(t)
-            dead_links = self.timeline.dead_links_at(t)
-            okey, g = self.orbit_cache.canonize(dead_nodes, dead_links, u, dst)
-            hit = self.orbit_cache.get(okey, g)
-            if hit is not _MISS:
-                path, computed = hit, True
-            else:
-                path = self._compute_survivor_path(epoch, u, dst, t)
-                computed = True
-                self.orbit_cache.put(okey, g, path)
-        if not computed:
-            path = self._compute_survivor_path(epoch, u, dst, t)
-        self._path_cache[key] = path
-        if len(self._path_cache) > self.path_cache_size:
-            self._path_cache.popitem(last=False)
-            self._cache_stats["path_evictions"] += 1
-        reg = obs.registry()
-        reg.incr("routing.resilient.survivor_paths")
+        if self._record[0] != epoch:
+            self._record = (epoch, None, {})
+        paths = self._record[2]
+        key = (u, dst)
+        if key in paths:
+            return paths[key]
+        path = self._compute_survivor_path(epoch, u, dst, t)
+        if len(paths) >= PATH_BOUND:
+            del paths[next(iter(paths))]  # the oldest entry
+        paths[key] = path
+        obs.registry().incr("routing.resilient.survivor_paths")
         return path
-
-    def cache_info(self) -> dict:
-        """Counters for the per-epoch path/view caches (and the shared
-        orbit cache when attached), in the ``memoize_lru`` style."""
-        info = {
-            **self._cache_stats,
-            "path_maxsize": self.path_cache_size,
-            "path_currsize": len(self._path_cache),
-            "view_currsize": len(self._view_cache),
-            # cached per-epoch survivor masks over the one flow structure
-            "flow_currsize": len(self._flow_cache),
-        }
-        if self.orbit_cache is not None:
-            info["orbit"] = self.orbit_cache.cache_info()
-        return info
-
-    def cache_clear(self) -> None:
-        """Drop every cached path, survivor view and survivor mask
-        (counters kept; the intact flow structure stays built)."""
-        self._path_cache.clear()
-        self._view_cache.clear()
-        self._flow_cache.clear()
-        self._cache_epoch = None
 
     def __repr__(self) -> str:
         return (

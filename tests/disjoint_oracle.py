@@ -3,7 +3,7 @@
 This is the networkx engine that :class:`repro.routing.disjoint.NodeDisjointPaths`
 replaced: ``networkx.node_disjoint_paths`` (Edmonds–Karp on the node-split
 auxiliary digraph) on the networkx export of a network, or of a survivor
-graph materialized by :meth:`repro.fault.view.FaultyNetwork.to_network`.
+graph materialized by :meth:`tests.fault_view.FaultyNetwork.to_network`.
 The kernel must return the same path lists, in the same order.
 ``NetworkXNoPath`` maps to ``[]``, the kernel's "no path" answer.
 """
@@ -15,7 +15,8 @@ from networkx.algorithms.connectivity import build_auxiliary_node_connectivity
 from networkx.algorithms.flow import build_residual_network
 
 from repro.core.network import Network
-from repro.fault.view import FaultyNetwork
+
+from .fault_view import FaultyNetwork
 
 
 class OracleNodeDisjointPaths:

@@ -15,11 +15,11 @@ from repro import obs
 from repro.core.network import Network
 from repro.fault import FaultPlan
 from repro.fault.sweep import fault_sweep
-from repro.fault.view import FaultyNetwork
 from repro.routing import disjoint
 from repro.routing.disjoint import NodeDisjointPaths, node_disjoint_paths, path_diversity
 
 from .disjoint_oracle import oracle_node_disjoint_paths, oracle_survivor_paths
+from .fault_view import FaultyNetwork
 
 FAMILIES = {
     "hsn": lambda: nw.build("hsn", l=2, n=3),

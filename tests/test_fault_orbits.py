@@ -15,7 +15,6 @@ import pytest
 
 from repro import cache, networks as nw
 from repro.fault.orbits import (
-    OrbitDetourCache,
     brute_force_fault_sweep,
     cached_automorphism_group,
     exhaustive_fault_sweep,
@@ -212,53 +211,3 @@ class TestValidation:
         with pytest.raises(ValueError, match="kind"):
             brute_force_fault_sweep(self.g, 1, kind="router")
 
-
-class TestOrbitDetourCache:
-    def test_symmetric_queries_share_entries(self):
-        g = nw.hypercube(3)
-        c = OrbitDetourCache(g)
-        key1, g1 = c.canonize([0], [], 1, 7)
-        c.put(key1, g1, (1, 3, 7))
-        # image of the whole query under a non-identity automorphism
-        perm = c.group[5]
-        key2, g2 = c.canonize([int(perm[0])], [], int(perm[1]), int(perm[7]))
-        assert key2 == key1
-        path = c.get(key2, g2)
-        assert path[0] == int(perm[1]) and path[-1] == int(perm[7])
-
-    def test_mapped_path_is_valid_walk(self):
-        g = nw.hypercube(3)
-        c = OrbitDetourCache(g)
-        key1, g1 = c.canonize([], [(0, 1)], 0, 1)
-        c.put(key1, g1, (0, 2, 3, 1))
-        perm = c.group[10]
-        key2, g2 = c.canonize(
-            [], [(int(perm[0]), int(perm[1]))], int(perm[0]), int(perm[1])
-        )
-        path = c.get(key2, g2)
-        for x, y in zip(path, path[1:]):
-            assert y in g.neighbors(x)
-
-    def test_lru_bound_and_info(self):
-        g = nw.ring(8)
-        c = OrbitDetourCache(g, maxsize=2)
-        for dst in (1, 2, 3):
-            key, gi = c.canonize([], [], 0, dst)
-            c.put(key, gi, (0, dst))
-        info = c.cache_info()
-        assert info["currsize"] <= 2
-        assert info["evictions"] >= 1
-
-    def test_none_is_a_cached_verdict(self):
-        from repro.fault.orbits import _MISS
-
-        g = nw.ring(8)
-        c = OrbitDetourCache(g)
-        key, gi = c.canonize([4], [], 0, 4)
-        assert c.get(key, gi) is _MISS
-        c.put(key, gi, None)
-        assert c.get(key, gi) is None
-
-    def test_bad_maxsize_rejected(self):
-        with pytest.raises(ValueError, match="maxsize"):
-            OrbitDetourCache(nw.ring(8), maxsize=0)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro import networks as nw
-from repro.fault import FaultEvent, FaultPlan, FaultyNetwork
+from repro.fault import FaultEvent, FaultPlan
 from repro.fault.plan import _undirected_edges
 
+from .fault_view import FaultyNetwork
 from .test_sim_equivalence_random import FAMILIES
 
 
@@ -330,7 +331,18 @@ class TestArrayQueries:
         tl = FaultPlan().fail_link(0, 1, 5).compile(nw.hypercube(3))
         assert tl.link_columns([1, 0, -1], [5, 13, 5]).tolist() == [0, -1, -1]
         assert not tl.link_up_at(5, 1, 4)
-        assert tl.link_up_at(0, 13, 4) and tl.node_up_at(-1, 4)
+        assert tl.link_up_at(0, 13, 4)
+
+    def test_node_up_at_rejects_bad_ids(self):
+        # a negative id must not wrap around to a real node, nor an id
+        # past the end read as "never faulted"
+        tl = FaultPlan().fail_node(0, 3).compile(nw.hypercube(3))
+        for v in (-5, -1, 8):
+            with pytest.raises(
+                ValueError, match=rf"^node_up_at: node id {v} is outside 0\.\.7$"
+            ):
+                tl.node_up_at(v, 0)
+        assert not tl.node_up_at(3, 0) and tl.node_up_at(7, 0)
 
 
 class TestFaultyNetwork:

@@ -5,9 +5,13 @@ import pytest
 
 from repro import networks as nw
 from repro.core.network import Network, RoutingError
-from repro.fault import FaultPlan, ResilientRouter
+from repro.fault import FaultPlan, ResilientRouter, resilient
 from repro.metrics.distances import bfs_distances
 from repro.routing.table import NextHopTable, shortest_path
+from repro.sim.simulator import PacketSimulator
+from repro.sim.workloads import uniform_random
+
+from .fault_view import FaultyNetwork
 
 
 class TestNextHopTableUpgrades:
@@ -155,10 +159,25 @@ class TestResilientRouter:
         assert r.route_next(0, 1, 0)[1] == "unreachable"
         assert r.unreachable == 1
 
-    def test_disjoint_fallback_can_be_disabled(self):
-        g = nw.hypercube(3)
-        r = self._router(g, FaultPlan().fail_link(0, 0, 1), use_disjoint=False)
-        assert r.route_next(0, 1, 0)[1] == "unreachable"
+    def test_directed_network_rejected(self):
+        g = nw.directed_cn(3, nw.hypercube_nucleus(2))
+        msg = (
+            r"^ResilientRouter: 'directed-CN\(3,Q2\)' is directed, but survivor "
+            r"detours are undirected node-disjoint paths$"
+        )
+        with pytest.raises(ValueError, match=msg):
+            self._router(g, FaultPlan())
+        plan = FaultPlan.random_link_faults(g, 8, np.random.default_rng(1))
+        with pytest.raises(ValueError, match=msg):
+            PacketSimulator(g, faults=plan)  # fails at construction, not mid-run
+
+    def test_directed_faulted_run_on_table_completes(self):
+        g = nw.directed_cn(3, nw.hypercube_nucleus(2))
+        plan = FaultPlan.random_link_faults(g, 8, np.random.default_rng(1))
+        w = uniform_random(g, 0.1, 40, np.random.default_rng(2))
+        stats = PacketSimulator(g, faults=plan, routing=NextHopTable(g)).run(w)
+        assert stats.delivered + stats.undelivered == len(w)
+        assert stats.delivered > 0 and stats.dropped > 0
 
     def test_survivor_path_cache_by_epoch(self):
         g = nw.hypercube(3)
@@ -169,86 +188,26 @@ class TestResilientRouter:
 
 
 class TestBoundedCaches:
-    def _router(self, g, plan, **kw):
-        return ResilientRouter(g, plan.compile(g), **kw)
-
-    def test_cache_info_counts_hits_and_misses(self):
-        g = nw.hypercube(3)
-        r = self._router(g, FaultPlan().fail_link(0, 0, 1))
-        r._survivor_path(0, 1, 0)
-        r._survivor_path(0, 1, 0)
-        info = r.cache_info()
-        assert info["path_misses"] == 1
-        assert info["path_hits"] == 1
-        assert info["path_currsize"] == 1
-        assert info["path_maxsize"] == 4096
-
-    def test_lru_bound_enforced(self):
-        g = nw.hypercube(3)
-        r = self._router(
-            g, FaultPlan().fail_link(0, 0, 1), path_cache_size=2
-        )
-        for dst in (1, 3, 5, 7):
-            r._survivor_path(0, dst, 0)
-        info = r.cache_info()
-        assert info["path_currsize"] <= 2
-        assert info["path_evictions"] >= 2
-
-    def test_epoch_change_evicts_stale_entries(self):
+    def test_record_is_bounded_and_reset_per_epoch(self, monkeypatch):
+        monkeypatch.setattr(resilient, "PATH_BOUND", 2)
         g = nw.hypercube(3)
         plan = FaultPlan().fail_link(0, 0, 1).fail_node(10, 7)
-        r = self._router(g, plan)
-        r._survivor_path(0, 1, 0)
-        r._survivor_path(0, 1, 20)  # later epoch: earlier entry evicted
-        info = r.cache_info()
-        assert info["path_evictions"] >= 1
-        assert info["view_currsize"] == 1
-
-    def test_cache_clear_resets_entries(self):
-        g = nw.hypercube(3)
-        r = self._router(g, FaultPlan().fail_link(0, 0, 1))
-        r._survivor_path(0, 1, 0)
-        r.cache_clear()
-        info = r.cache_info()
-        assert info["path_currsize"] == 0
-        assert info["view_currsize"] == 0
-
-    def test_bad_cache_size_rejected(self):
-        g = nw.ring(6)
-        with pytest.raises(ValueError, match="path_cache_size"):
-            self._router(g, FaultPlan(), path_cache_size=0)
-
-    def test_orbit_cache_shared_across_symmetric_configs(self):
-        from repro.fault import OrbitDetourCache
-
-        g = nw.hypercube(3)
-        oc = OrbitDetourCache(g)
-        r1 = self._router(g, FaultPlan().fail_link(0, 0, 1), orbit_cache=oc)
-        r1._survivor_path(0, 1, 0)
-        # (0, 2) is automorphic to (0, 1): second router hits the shared cache
-        r2 = self._router(g, FaultPlan().fail_link(0, 0, 2), orbit_cache=oc)
-        path = r2._survivor_path(0, 2, 0)
-        assert oc.cache_info()["hits"] >= 1
-        assert path[0] == 0 and path[-1] == 2
-        for x, y in zip(path, path[1:]):
-            assert y in g.neighbors(x)
-            assert {x, y} != {0, 2}  # never uses the dead link
-
-    def test_orbit_cache_result_matches_direct_computation(self):
-        from repro.fault import OrbitDetourCache
-
-        g = nw.hypercube(3)
-        plan = FaultPlan().fail_link(0, 0, 1)
-        direct = self._router(g, plan)._survivor_path(0, 1, 0)
-        cached = self._router(
-            g, plan, orbit_cache=OrbitDetourCache(g)
-        )._survivor_path(0, 1, 0)
-        assert len(cached) == len(direct)
-        assert cached[0] == direct[0] and cached[-1] == direct[-1]
+        r = ResilientRouter(g, plan.compile(g))
+        for dst in (1, 3, 5):
+            r._survivor_path(0, dst, 0)
+        epoch, mask, paths = r._record
+        assert epoch == r.timeline.epoch(0) and mask is not None
+        assert list(paths) == [(0, 3), (0, 5)]  # the oldest entry went
+        r._survivor_path(0, 1, 20)  # later epoch: a fresh record
+        epoch, later_mask, paths = r._record
+        assert epoch == r.timeline.epoch(20) != r.timeline.epoch(0)
+        assert later_mask is not mask
+        assert list(paths) == [(0, 1)]
 
 
 class TestSurvivorFlowReuse:
-    """The per-epoch max-flow structures must not change any detour."""
+    """The epoch record (one flow structure, one mask per epoch) must not
+    change any detour, however the queries move through the epochs."""
 
     @staticmethod
     def _uncached(view, u, dst):
@@ -268,25 +227,31 @@ class TestSurvivorFlowReuse:
     )
     @pytest.mark.parametrize("kind", ["link", "node"])
     def test_every_survivor_path_matches_uncached(self, family, params, kind):
-        from repro.fault.view import FaultyNetwork
-
         g = nw.build(family, **params)
         rng = np.random.default_rng(2024)
         model = FaultPlan.random_link_faults if kind == "link" else FaultPlan.random_node_faults
-        timeline = model(g, 5, rng, horizon=40).compile(g)
-        router = ResilientRouter(g, timeline)
+        permanent = model(g, 5, rng, horizon=40).compile(g)
         pairs = rng.integers(0, g.num_nodes, size=(25, 2))
-        checked = 0
-        for t in (0, 10, 20, 30, 41):
-            view = FaultyNetwork.at(g, timeline, t)
-            for u, dst in pairs.tolist():
-                got = router._survivor_path(u, dst, t)
-                assert got == self._uncached(view, u, dst), (t, u, dst)
-                checked += got is not None
-            assert router.cache_info()["flow_currsize"] <= 1
-        assert checked > 0
-        router.cache_clear()
-        assert router.cache_info()["flow_currsize"] == 0
+        transient = model(g, 8, rng, horizon=30, mttr=6).compile(g)
+        times = sorted(set(transient.change_times))
+        assert len({frozenset(transient.dead_links_at(t)) | frozenset(
+            transient.dead_nodes_at(t)) for t in times}) > 2
+        cases = [
+            (permanent, (0, 10, 20, 30, 41)),
+            # every epoch forward, then back to earlier ones out of order
+            (transient, times + times[::-2] + [0] + times[1::3]),
+        ]
+        for timeline, order in cases:
+            router = ResilientRouter(g, timeline)
+            checked = 0
+            for t in order:
+                view = FaultyNetwork.at(g, timeline, t)
+                for u, dst in pairs.tolist():
+                    got = router._survivor_path(u, dst, t)
+                    assert got == self._uncached(view, u, dst), (t, u, dst)
+                    checked += got is not None
+                assert router._record[0] == timeline.epoch(t)
+            assert checked > 0
 
     def test_solver_matches_plain_networkx(self):
         import networkx as nx
