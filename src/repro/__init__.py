@@ -18,7 +18,6 @@ Quick start::
 from . import (
     algorithms,
     cache,
-    check,
     core,
     embed,
     fault,
@@ -49,7 +48,6 @@ __all__ = [
     "algorithms",
     "BallArrangementGame",
     "cache",
-    "check",
     "build_ip_graph",
     "build_super_ip_graph",
     "core",

@@ -44,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
 
 __all__ = [
     "CACHE_SCHEMA",
+    "RULESET_VERSION",
     "ArtifactCache",
     "cache_key",
     "configure",
@@ -54,6 +55,18 @@ __all__ = [
 
 #: bump to invalidate every existing cache entry (serialization changes)
 CACHE_SCHEMA = 1
+
+#: revision of the static-analysis rule set (``repro.check``), mixed into
+#: every key: an analyzer upgrade that tightens the determinism /
+#: cache-soundness contract invalidates artifacts built under the weaker
+#: one.  Kept here, not in ``repro.check``, so that computing a key
+#: imports no analyzer.  Append-only history:
+#:
+#: 1. lint (RPR001–RPR005) + contracts (CTR001–CTR008)
+#: 2. dataflow tier: RPR010–RPR012 + runtime sanitizer (SAN001–SAN003)
+#: 3. perf tier: RPR020–RPR024 + perf sanitizer (SAN004–SAN005)
+#: 4. shape tier: RPR030–RPR034 + shape sanitizer (SAN006)
+RULESET_VERSION = 4
 
 
 # ----------------------------------------------------------------------
@@ -94,13 +107,13 @@ def cache_key(kind: str, **parts: Any) -> str:
     ``kind`` namespaces the artifact ("registry.build", "superip.build",
     "routing.next_hop_table", ...); ``parts`` are the inputs the artifact
     is a pure function of.  The cache schema version, the engine (package)
-    version, and the :mod:`repro.check` rule-set revision are always mixed
-    in — a rule-set bump marks an analyzer-relevant engine change (e.g. a
-    determinism fix the analyzer now enforces), so artifacts built before
-    it cannot be served after it.
+    version, and the :mod:`repro.check` rule-set revision
+    (:data:`RULESET_VERSION`) are always mixed in — a rule-set bump marks
+    an analyzer-relevant engine change (e.g. a determinism fix the
+    analyzer now enforces), so artifacts built before it cannot be served
+    after it.
     """
     from repro import __version__
-    from repro.check.ruleset import RULESET_VERSION
 
     payload = {
         "schema": CACHE_SCHEMA,

@@ -23,19 +23,17 @@ __all__ = ["cached_next_hop_table"]
 def cached_next_hop_table(
     net: "Network",
     with_distances: bool = False,
-    allow_unreachable: bool = False,
     cache: ArtifactCache | None = None,
 ) -> "NextHopTable":
     """Build (or reload) the next-hop table for ``net``.
 
     Falls back to the network's in-memory table
-    (:func:`~repro.routing.table.shared_table`, or a plain build when
-    ``allow_unreachable``) when no cache is configured or the network has
-    no ``cache_key`` (i.e. it was not built through the registry with
-    caching enabled).  The distance matrix is stored only when
-    ``with_distances`` is requested.  A reloaded complete table replaces
-    the one the network holds, like a build would, so a build followed
-    by a reload keeps one copy in memory, not two.
+    (:func:`~repro.routing.table.shared_table`) when no cache is
+    configured or the network has no ``cache_key`` (i.e. it was not built
+    through the registry with caching enabled).  The distance matrix is
+    stored only when ``with_distances`` is requested.  A reloaded table
+    replaces the one the network holds, like a build would, so a build
+    followed by a reload keeps one copy in memory, not two.
     """
     from repro import obs
     from repro.routing.table import NextHopTable, _record, shared_table
@@ -43,12 +41,7 @@ def cached_next_hop_table(
     cache = cache if cache is not None else get_cache()
     net_key = getattr(net, "cache_key", None)
     if cache is None or net_key is None or net.num_nodes < cache.min_nodes:
-        if allow_unreachable:
-            table = NextHopTable(
-                net, with_distances=with_distances, allow_unreachable=True
-            )
-        else:
-            table = shared_table(net, with_distances=with_distances)
+        table = shared_table(net, with_distances=with_distances)
         if obs.artifact_sink() is not None:
             obs.artifact("routing.next_hop_table", table.to_arrays())
         return table
@@ -56,7 +49,8 @@ def cached_next_hop_table(
         "routing.next_hop_table",
         graph=net_key,
         with_distances=with_distances,
-        allow_unreachable=allow_unreachable,
+        # no longer a choice: kept in the key so tables already on disk hit
+        allow_unreachable=False,
     )
     arrays = cache.load_arrays(key)
     if arrays is not None:
@@ -64,14 +58,9 @@ def cached_next_hop_table(
         table = NextHopTable.from_arrays(
             net, table=arrays["table"], dist=arrays.get("dist")
         )
-        if not allow_unreachable:
-            _record(net, table.table, table.dist)
+        _record(net, table.table, table.dist)
         return table
-    table = NextHopTable(
-        net,
-        with_distances=with_distances,
-        allow_unreachable=allow_unreachable,
-    )
+    table = NextHopTable(net, with_distances=with_distances)
     arrays = table.to_arrays()
     cache.store_arrays(key, arrays)
     if obs.artifact_sink() is not None:

@@ -46,6 +46,8 @@ Run from the command line::
 or as ``python -m repro check ...``.  See DESIGN.md for the rule catalog.
 """
 
+from repro.cache.artifacts import RULESET_VERSION
+
 from .callgraph import CallGraph, FunctionNode, build_callgraph
 from .determinism import DATAFLOW_RULES, dataflow_paths, find_perimeters
 from .findings import Finding, Report
@@ -53,7 +55,6 @@ from .invariants import FAMILY_SPECS, FamilySpec, check_family, check_network, r
 from .lint import RULES, lint_paths, lint_source
 from .perf import HOT_PERIMETER, PERF_RULES, HotKernel, hot_path_perimeter, perf_paths
 from .perfsanitize import PERF_SANITIZE_RULES, perf_sanitize
-from .ruleset import RULESET_VERSION
 from .sanitize import SANITIZE_RULES, sanitize_sweep, sanitize_tasks
 from .shapes import SERVE_SHAPE_ROOTS, SHAPE_RULES, shape_paths
 from .shapesanitize import SHAPE_SANITIZE_RULES, shape_sanitize

@@ -363,14 +363,18 @@ class FaultTimeline:
     (``node_up_at``, ``link_up_at``, ``link_down_during``) answer one
     question with a ``bisect``; the array ones (``nodes_up_at``,
     ``hops_alive``, ``links_down_during``) answer a whole batch with one
-    ``searchsorted`` and a gather.  ``node_up_at`` rejects an id outside
-    ``0..N-1``; the array queries take in-range node ids (unchecked) and
-    address links by *column* — see :meth:`link_columns`.
+    ``searchsorted`` and a gather.  The scalar queries reject an id outside
+    ``0..N-1``, and the link ones a pair that is not an edge; the array
+    queries take in-range node ids (unchecked) and address links by
+    *column* — see :meth:`link_columns`.
     """
 
     def __init__(self, net: Network, events: list[FaultEvent]):
         n = net.num_nodes
-        csr = net.adjacency_csr(directed=False)
+        edges = _undirected_edges(net)
+        # every undirected edge, keyed u·n + v (u < v) -> its column in the
+        # array queries; -1 for a link that never fails
+        self._link_col = dict.fromkeys((edges[:, 0] * n + edges[:, 1]).tolist(), -1)
         node_ev: dict[int, list[tuple[int, str]]] = {}
         link_ev: dict[tuple[int, int], list[tuple[int, str]]] = {}
         for ev in events:
@@ -384,7 +388,7 @@ class FaultTimeline:
                 node_ev.setdefault(v, []).append((ev.t, ev.action))
             else:
                 u, v = _norm_link(ev.ident)
-                if not (0 <= u < n and 0 <= v < n) or not _has_arc(csr, u, v):
+                if not (0 <= u < n and 0 <= v < n) or u * n + v not in self._link_col:
                     raise ValueError(
                         f"fault plan names link ({u}, {v}), which is not an "
                         f"edge of {net.name!r}"
@@ -413,7 +417,7 @@ class FaultTimeline:
         self._nodes = _IntervalIndex([self.node_down[v] for v in down_nodes])
         down_links = sorted(self.link_down)
         link_keys = [u * n + v for u, v in down_links]
-        self._link_col = {k: i for i, k in enumerate(link_keys)}
+        self._link_col.update((k, i) for i, k in enumerate(link_keys))
         # sorted keys plus an int64-max sentinel: searchsorted stays in range
         self._link_keys = np.asarray(link_keys + [_INT64_MAX], dtype=np.int64)
         self._links = _IntervalIndex([self.link_down[k] for k in down_links])
@@ -428,12 +432,18 @@ class FaultTimeline:
     def _down_at(intervals, t) -> bool:
         return any(a <= t < b for a, b in intervals)
 
-    def _link_column(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        if u < 0 or v >= self._n:
-            return -1
-        return self._link_col.get(u * self._n + v, -1)
+    def _link_column(self, query: str, u: int, v: int) -> int:
+        lo, hi = (u, v) if u <= v else (v, u)
+        if lo < 0 or hi >= self._n:
+            raise ValueError(
+                f"{query}: link ({u}, {v}) has a node id outside 0..{self._n - 1}"
+            )
+        col = self._link_col.get(lo * self._n + hi)
+        if col is None:
+            raise ValueError(
+                f"{query}: link ({u}, {v}) is not an edge of {self.net.name!r}"
+            )
+        return col
 
     def node_up_at(self, v: int, t: int) -> bool:
         """Is node ``v`` usable at cycle ``t``?  Raises :class:`ValueError`
@@ -446,13 +456,17 @@ class FaultTimeline:
         return r < 0 or not self._nodes.is_down(r, t)
 
     def link_up_at(self, u: int, v: int, t: int) -> bool:
-        """Is undirected link ``(u, v)`` usable at cycle ``t``?"""
-        return not self._links.is_down(self._link_column(u, v), t)
+        """Is undirected link ``(u, v)`` usable at cycle ``t``?  Raises
+        :class:`ValueError` for an id outside ``0..N-1`` or a non-edge."""
+        col = self._link_column("link_up_at", u, v)
+        return not self._links.is_down(col, t)
 
     def link_down_during(self, u: int, v: int, t0: int, t1: int) -> bool:
         """Did link ``(u, v)`` fail at any point while occupied over the
-        transmission window ``[t0, t1)``?  (Used to drop in-flight packets.)"""
-        return self._links.was_down(self._link_column(u, v), t0, t1)
+        transmission window ``[t0, t1)``?  (Used to drop in-flight packets.)
+        Raises :class:`ValueError` like :meth:`link_up_at`."""
+        col = self._link_column("link_down_during", u, v)
+        return self._links.was_down(col, t0, t1)
 
     # -- batch queries over the flattened intervals ---------------------
     def link_columns(self, u, v) -> np.ndarray:
@@ -500,9 +514,3 @@ class FaultTimeline:
             f"FaultTimeline({len(self.node_down)} nodes, "
             f"{len(self.link_down)} links, {len(self.change_times)} changes)"
         )
-
-
-def _has_arc(csr, u: int, v: int) -> bool:
-    row = csr.indices[csr.indptr[u] : csr.indptr[u + 1]]
-    pos = np.searchsorted(row, v)
-    return bool(pos < len(row) and row[pos] == v)

@@ -113,7 +113,7 @@ class ResilientRouter:
             self.unreachable += 1
             return -1, UNREACHABLE, ()
         primary = int(self.table.table[dst, u])
-        if primary >= 0 and self.hop_alive(u, primary, t):
+        if self.hop_alive(u, primary, t):
             return primary, PRIMARY, ()
         for v in self.table.next_hops(u, dst):
             if v != primary and self.hop_alive(u, v, t):

@@ -6,6 +6,8 @@ The package exposes one process-wide switchboard:
   optionally attaching a JSONL trace sink (see :mod:`repro.obs.trace`);
 * :func:`registry` — the live :class:`~repro.obs.registry.MetricsRegistry`
   when enabled, a shared no-op twin otherwise;
+* :class:`LatencyHistogram` — the one exact histogram behind every
+  reported distribution (registry summaries, simulator latencies);
 * :func:`span` / :func:`timed` — wall-clock timing blocks that feed both
   the registry's timer summaries and (when attached) the trace sink, with
   proper nesting;
@@ -41,7 +43,8 @@ import os
 import time
 from typing import IO
 
-from .registry import NOOP_REGISTRY, MetricsRegistry, NoopRegistry, Summary
+from .histogram import LatencyHistogram
+from .registry import NOOP_REGISTRY, MetricsRegistry, NoopRegistry, Summary, TimerSummary
 from .trace import SpanHandle, TraceSink
 
 __all__ = [
@@ -49,6 +52,8 @@ __all__ = [
     "NoopRegistry",
     "NOOP_REGISTRY",
     "Summary",
+    "TimerSummary",
+    "LatencyHistogram",
     "TraceSink",
     "SpanHandle",
     "enable",

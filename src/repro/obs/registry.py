@@ -1,9 +1,10 @@
-"""Process-wide metrics registry: counters, gauges, and timer/histogram
-summaries.
+"""Process-wide metrics registry: counters, gauges, and timer/value
+summaries, each backed by one exact histogram.
 
-The registry is deliberately simple — plain dicts of python scalars — so a
-snapshot (:meth:`MetricsRegistry.report`) is always JSON-serializable and a
-no-op twin (:class:`NoopRegistry`) can mirror the full API with zero state.
+The registry is deliberately simple — plain dicts of scalars and
+summaries — so a snapshot (:meth:`MetricsRegistry.report`) is always
+JSON-serializable and a no-op twin (:class:`NoopRegistry`) can mirror the
+full API with zero state.
 
 Design rule for hot paths: *accumulate locally, record once*.  Instrumented
 kernels keep per-iteration tallies in local variables and make a handful of
@@ -16,50 +17,66 @@ from __future__ import annotations
 import math
 import time
 
-__all__ = ["Summary", "MetricsRegistry", "NoopRegistry", "NOOP_REGISTRY"]
+import numpy as np
 
-#: cap on per-metric samples retained for percentile estimates
-_MAX_SAMPLES = 4096
+from .histogram import LatencyHistogram
+
+__all__ = ["Summary", "TimerSummary", "MetricsRegistry", "NoopRegistry", "NOOP_REGISTRY"]
 
 
 class Summary:
-    """Streaming summary of an observed value (timer durations, hop counts).
+    """Distribution of one observed metric (hop counts, frontier sizes).
 
-    Tracks count / total / min / max exactly and keeps a bounded sample
-    reservoir (first ``_MAX_SAMPLES`` observations) for percentiles.
+    Count / total / min / max are exact, and percentiles come from an
+    exact :class:`~repro.obs.histogram.LatencyHistogram` over every
+    observation, so they equal ``np.percentile`` of the whole stream.
+    Values must be non-negative ints; anything else raises
+    :class:`ValueError` naming the value.
     """
 
-    __slots__ = ("count", "total", "min", "max", "samples")
+    __slots__ = ("total", "min", "max", "hist")
+
+    #: histogram units per reported unit
+    per_unit = 1
 
     def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
+        self.total = 0
         self.min = math.inf
         self.max = -math.inf
-        self.samples: list[float] = []
+        self.hist = LatencyHistogram()
 
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        if len(self.samples) < _MAX_SAMPLES:
-            self.samples.append(value)
+    @property
+    def count(self) -> int:
+        return self.hist.count
+
+    def observe(self, value: int) -> None:
+        """Record one non-negative int."""
+        self.hist.add(value)
+        value = int(value)
+        self._extend(value, value, value)
+
+    def observe_array(self, values: np.ndarray) -> None:
+        """Record an array of non-negative ints (vectorized, no per-element
+        Python)."""
+        values = np.asarray(values)
+        self.hist.add_array(values)
+        if values.size:
+            self._extend(int(values.sum()), int(values.min()), int(values.max()))
+
+    def _extend(self, total, lo, hi) -> None:
+        self.total += total
+        if lo < self.min:
+            self.min = lo
+        if hi > self.max:
+            self.max = hi
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else float("nan")
 
     def percentile(self, q: float) -> float:
-        """Approximate ``q``-th percentile (exact while under the sample cap)."""
-        if not self.samples:
-            return float("nan")
-        ordered = sorted(self.samples)
-        idx = min(len(ordered) - 1, max(0, round(q / 100.0 * (len(ordered) - 1))))
-        return ordered[idx]
+        """``np.percentile`` of every observation (linear interpolation)."""
+        return self.hist.percentile(q) / self.per_unit
 
     def as_dict(self) -> dict:
         return {
@@ -71,6 +88,24 @@ class Summary:
             "p50": float(self.percentile(50)) if self.count else None,
             "p99": float(self.percentile(99)) if self.count else None,
         }
+
+
+class TimerSummary(Summary):
+    """Summary of durations in seconds.
+
+    Count / total / min / max are exact; the histogram holds whole
+    microseconds, so percentiles are exact to 1 µs.
+    """
+
+    __slots__ = ()
+
+    per_unit = 1_000_000
+
+    def observe(self, seconds: float) -> None:
+        """Record one duration (seconds)."""
+        seconds = float(seconds)
+        self.hist.add(round(seconds * self.per_unit))
+        self._extend(seconds, seconds, seconds)
 
 
 class _TimerContext:
@@ -103,7 +138,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
-        self.timers: dict[str, Summary] = {}
+        self.timers: dict[str, TimerSummary] = {}
         self.values: dict[str, Summary] = {}
 
     # -- recording ------------------------------------------------------
@@ -121,19 +156,17 @@ class MetricsRegistry:
         if cur is None or value > cur:
             self.gauges[name] = value
 
-    def observe(self, name: str, value: float) -> None:
-        """Record ``value`` into the histogram summary ``name``."""
-        s = self.values.get(name)
-        if s is None:
-            s = self.values[name] = Summary()
-        s.observe(value)
+    def observe(self, name: str, value: int) -> None:
+        """Record the non-negative int ``value`` into summary ``name``."""
+        _feed(self.values, Summary, name, Summary.observe, value)
+
+    def observe_array(self, name: str, values: np.ndarray) -> None:
+        """Record an array of non-negative ints into summary ``name``."""
+        _feed(self.values, Summary, name, Summary.observe_array, values)
 
     def observe_timer(self, name: str, seconds: float) -> None:
         """Record a duration (seconds) into timer summary ``name``."""
-        s = self.timers.get(name)
-        if s is None:
-            s = self.timers[name] = Summary()
-        s.observe(seconds)
+        _feed(self.timers, TimerSummary, name, TimerSummary.observe, seconds)
 
     def timer(self, name: str) -> _TimerContext:
         """Context manager timing its body into timer ``name``."""
@@ -156,6 +189,18 @@ class MetricsRegistry:
         self.gauges.clear()
         self.timers.clear()
         self.values.clear()
+
+
+def _feed(table: dict, cls: type, name: str, record, value) -> None:
+    """``record(summary, value)`` into ``table[name]`` (a new ``cls`` if
+    absent); a rejected value's ``ValueError`` names the metric."""
+    s = table.get(name)
+    if s is None:
+        s = table[name] = cls()
+    try:
+        record(s, value)
+    except ValueError as err:
+        raise ValueError(f"metric {name!r}: {err}") from None
 
 
 class _NoopTimerContext:
@@ -192,7 +237,10 @@ class NoopRegistry(MetricsRegistry):
     def gauge_max(self, name: str, value: float) -> None:
         return None
 
-    def observe(self, name: str, value: float) -> None:
+    def observe(self, name: str, value: int) -> None:
+        return None
+
+    def observe_array(self, name: str, values: np.ndarray) -> None:
         return None
 
     def observe_timer(self, name: str, seconds: float) -> None:

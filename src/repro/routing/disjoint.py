@@ -15,6 +15,11 @@ so it returns exactly networkx's path list; ``tests/disjoint_oracle.py``
 keeps the networkx version as the test oracle.  A fault epoch is a
 capacity mask on the intact structure (:meth:`NodeDisjointPaths.mask`),
 so the structure is built once per network, not once per survivor graph.
+
+The exported functions take undirected networks only: on a directed one
+they would count and return paths that run against arcs, so they raise
+:class:`ValueError` naming it (the kernel itself symmetrizes, as the
+resilient router's survivor detours need).
 """
 
 from __future__ import annotations
@@ -30,23 +35,30 @@ __all__ = [
 ]
 
 
-def _nx(net: Network):
-    g = net.to_networkx()
-    return g.to_undirected() if g.is_directed() else g
+def _require_undirected(net: Network, func: str) -> None:
+    if net.directed:
+        raise ValueError(
+            f"{func}: {net.name!r} is directed, but disjoint paths are "
+            f"paths of the undirected graph"
+        )
 
 
 def edge_disjoint_paths(net: Network, s: int, t: int) -> list[list[int]]:
-    """A maximum set of pairwise edge-disjoint s-t paths (max-flow based)."""
+    """A maximum set of pairwise edge-disjoint s-t paths (max-flow based).
+    Raises :class:`ValueError` on a directed network."""
     import networkx as nx
 
+    _require_undirected(net, "edge_disjoint_paths")
     if s == t:
         raise ValueError("s and t must differ")
-    return [list(p) for p in nx.edge_disjoint_paths(_nx(net), s, t)]
+    return [list(p) for p in nx.edge_disjoint_paths(net.to_networkx(), s, t)]
 
 
 def node_disjoint_paths(net: Network, s: int, t: int) -> list[list[int]]:
     """A maximum set of internally node-disjoint s-t paths (``[]`` when
-    ``s`` and ``t`` are disconnected)."""
+    ``s`` and ``t`` are disconnected).  Raises :class:`ValueError` on a
+    directed network."""
+    _require_undirected(net, "node_disjoint_paths")
     return NodeDisjointPaths(net)(s, t)
 
 
@@ -318,8 +330,10 @@ def path_diversity(
 
     Picks ``pairs`` random node pairs and reports the min/mean count of
     disjoint paths and the mean length overhead of the alternative paths
-    versus the shortest one.
+    versus the shortest one.  Raises :class:`ValueError` on a directed
+    network.
     """
+    _require_undirected(net, "path_diversity")
     if kind not in ("node", "edge"):
         raise ValueError("kind must be 'node' or 'edge'")
     solver = NodeDisjointPaths(net) if kind == "node" else None

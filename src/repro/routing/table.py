@@ -94,9 +94,12 @@ class NextHopTable:
     This is what the packet simulator uses to route — deterministic,
     minimal, and family-agnostic.
 
-    A build with ``allow_unreachable=False`` records its arrays on the
-    network (read-only from then on), where :func:`shared_table` finds
-    them; a table without distances never replaces one with them.
+    Every build records its arrays on the network (read-only from then
+    on), where :func:`shared_table` finds them; a table without distances
+    never replaces one with them.  Construction fails with a
+    :class:`~repro.core.network.RoutingError` naming an unreachable pair
+    (or an isolated node) on a disconnected network, so no entry is ever
+    left unset.
 
     Parameters
     ----------
@@ -106,21 +109,9 @@ class NextHopTable:
         Keep the full hop-distance matrix (``O(N^2)`` int32 extra) so
         :meth:`next_hops` / :meth:`distance` work.  Required by the
         fault-aware router's alternate-minimal-hop search.
-    allow_unreachable:
-        Build tables over disconnected graphs (e.g. fault-degraded survivor
-        views).  Unreachable entries are stored as ``-1`` and querying one
-        raises a :class:`~repro.core.network.RoutingError` naming the pair.
-        When False (default), construction itself fails with an error that
-        names an unreachable pair — never let a silent ``-1`` leak
-        downstream.
     """
 
-    def __init__(
-        self,
-        net: Network,
-        with_distances: bool = False,
-        allow_unreachable: bool = False,
-    ):
+    def __init__(self, net: Network, with_distances: bool = False):
         n = net.num_nodes
         csr = net.adjacency_csr()
         indptr, indices = csr.indptr, csr.indices
@@ -136,12 +127,11 @@ class NextHopTable:
         with obs.span("routing.table.build", n=n):
             self.table = np.empty((n, n), dtype=np.int32)
             degree = np.diff(indptr)
-            if n > 1 and not allow_unreachable and (degree == 0).any():
+            if n > 1 and (degree == 0).any():
                 bad = int(np.argmin(degree))
                 raise RoutingError(
                     f"cannot build a next-hop table on {net.name!r}: node {bad} "
-                    f"is isolated (no arcs); pass allow_unreachable=True to "
-                    f"route within components"
+                    f"is isolated (no arcs)"
                 )
             # hop[u, c] is u's neighbor in slot ``width - c`` of its
             # ascending neighbor list, so a larger code names a smaller id;
@@ -160,14 +150,13 @@ class NextHopTable:
                 dsts = np.arange(start, min(start + _BATCH, n))
                 hops = multi_source_bfs(toward, dsts)  # (n, r): TO each dst
                 unreached = hops < 0
-                if not allow_unreachable and unreached.any():
+                if unreached.any():
                     col = int(np.argmax(unreached.any(axis=0)))
                     u = int(np.argmax(unreached[:, col]))
                     raise RoutingError(
                         f"network {net.name!r} is disconnected: node {u} "
                         f"cannot reach node {int(dsts[col])} (and possibly "
-                        f"others); pass allow_unreachable=True to route "
-                        f"within components"
+                        f"others)"
                     )
                 if self.dist is not None:
                     self.dist[dsts] = hops.T
@@ -183,8 +172,7 @@ class NextHopTable:
                 nh = hop.take(code + hop_row)
                 nh[dsts, np.arange(len(dsts))] = dsts
                 self.table[dsts] = nh.T
-        if not allow_unreachable:
-            _record(net, self.table, self.dist)
+        _record(net, self.table, self.dist)
         reg = obs.registry()
         reg.incr("routing.table.builds")
         reg.incr("routing.table.nodes", n)
@@ -261,45 +249,25 @@ class NextHopTable:
     def next_hop(self, u: int, dst: int) -> int:
         """Neighbor of ``u`` on a shortest path to ``dst``.
 
-        Raises :class:`ValueError` when either id is outside ``0..n-1``,
-        and :class:`~repro.core.network.RoutingError` (naming the pair)
-        if ``dst`` is unreachable from ``u`` — only possible on tables built
-        with ``allow_unreachable=True``.
+        Raises :class:`ValueError` when either id is outside ``0..n-1``.
         """
         u = self._check_node(u, "source")
         dst = self._check_node(dst, "destination")
-        v = int(self.table[dst, u])
-        if v < 0:
-            raise RoutingError(
-                f"no route from node {u} to node {dst} in {self.net.name!r}: "
-                f"they lie in different connected components"
-            )
-        return v
+        return int(self.table[dst, u])
 
     def distance(self, u: int, dst: int) -> int:
-        """Hop distance from ``u`` to ``dst`` (needs ``with_distances=True``).
-
-        Raises :class:`~repro.core.network.RoutingError` for unreachable
-        pairs rather than surfacing the internal ``-1`` sentinel.
-        """
+        """Hop distance from ``u`` to ``dst`` (needs ``with_distances=True``)."""
         if self.dist is None:
             raise ValueError("table was built without with_distances=True")
         u = self._check_node(u, "source")
         dst = self._check_node(dst, "destination")
-        d = int(self.dist[dst, u])
-        if d < 0:
-            raise RoutingError(
-                f"no route from node {u} to node {dst} in {self.net.name!r}: "
-                f"they lie in different connected components"
-            )
-        return d
+        return int(self.dist[dst, u])
 
     def next_hops(self, u: int, dst: int) -> list[int]:
         """*All* neighbors of ``u`` on shortest paths to ``dst``, ascending.
 
         The first entry equals :meth:`next_hop`.  Needs
-        ``with_distances=True``; returns ``[]`` when ``dst`` is unreachable
-        and ``[dst]`` when ``u == dst``.
+        ``with_distances=True``; returns ``[dst]`` when ``u == dst``.
         """
         if self.dist is None:
             raise ValueError("table was built without with_distances=True")
@@ -308,8 +276,6 @@ class NextHopTable:
         if u == dst:
             return [dst]
         d = self.dist[dst]
-        if d[u] < 0:
-            return []
         nbrs = self._indices[self._indptr[u] : self._indptr[u + 1]]
         return [int(v) for v in nbrs if d[v] == d[u] - 1]
 

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import obs
+from repro.obs.histogram import LatencyHistogram
 
 from .workers import parallel_resolve
 
@@ -93,7 +94,9 @@ def run_load_test(
     requires an mmap-backed service).  When ``table`` is given, a seeded
     ``verify_sample`` of answers is checked bit-for-bit against the scalar
     walk.  Returns a JSON-serializable report with ``qps``, ``p50_ms``,
-    ``p99_ms``, and verification counts.
+    ``p99_ms`` (percentiles of the batch times, exact to 1 µs), and
+    verification counts.  With obs enabled each batch also lands in the
+    timer ``serve.batch``.
     """
     if queries < 1:
         raise ValueError(f"queries must be >= 1, got {queries}")
@@ -101,7 +104,7 @@ def run_load_test(
         raise ValueError(f"batch must be >= 1, got {batch}")
     src, dst = seeded_queries(service.num_nodes, queries, seed)
     reg = obs.registry()
-    latencies: list[float] = []
+    batch_us = LatencyHistogram()  # whole microseconds
     resolved = 0
     t0 = time.perf_counter()
     for lo in range(0, queries, batch):
@@ -115,11 +118,10 @@ def run_load_test(
                 batch=max(1, -(-len(sb) // max(1, jobs))),
             )
         dt = time.perf_counter() - tb
-        latencies.append(dt)
+        batch_us.add(round(dt * 1e6))
         resolved += len(out)
-        reg.observe("serve.batch_ms", dt * 1e3)
+        reg.observe_timer("serve.batch", dt)
     elapsed = time.perf_counter() - t0
-    lat_ms = np.asarray(latencies) * 1e3
     checked, mismatches = (0, 0)
     if table is not None:
         checked, mismatches = verify_against_scalar(
@@ -134,12 +136,12 @@ def run_load_test(
         "shards": service.shards,
         "jobs": int(jobs),
         "queries": int(resolved),
-        "batches": len(latencies),
+        "batches": batch_us.count,
         "batch": int(batch),
         "elapsed_s": round(elapsed, 4),
         "qps": round(resolved / elapsed, 1) if elapsed else float("inf"),
-        "p50_ms": round(float(np.percentile(lat_ms, 50)), 4),
-        "p99_ms": round(float(np.percentile(lat_ms, 99)), 4),
+        "p50_ms": round(batch_us.percentile(50) / 1e3, 4),
+        "p99_ms": round(batch_us.percentile(99) / 1e3, 4),
         "verified": int(checked),
         "mismatches": int(mismatches),
     }

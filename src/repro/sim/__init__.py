@@ -1,5 +1,7 @@
 """Packet-level simulation substrate for the Section-5 latency claims."""
 
+from repro.obs.histogram import LatencyHistogram
+
 from .policies import (
     ChannelIndex,
     arc_endpoints,
@@ -10,7 +12,7 @@ from .policies import (
 )
 from .simulator import PacketSimulator
 from .wormhole import Message, WormholeSimulator
-from .stats import LatencyHistogram, SimStats, StreamingStats
+from .stats import SimStats, StreamingStats
 from .sweeps import offered_load_sweep, saturation_rate
 from .workloads import (
     bit_reversal_pairs,

@@ -267,7 +267,7 @@ class PacketSimulator:
 
             if _profiling:
                 self._report_obs(
-                    _sp, _t0, t_inject, t_deliver, hops, horizon, acc,
+                    _sp, _t0, t_inject, t_deliver, hops, horizon,
                     events_processed, buckets_processed, max_depth,
                     dropped, retransmitted, rerouted,
                 )
@@ -520,7 +520,7 @@ class PacketSimulator:
 
     # ------------------------------------------------------------------
     def _report_obs(
-        self, _sp, _t0, t_inject, t_deliver, hops, horizon, acc,
+        self, _sp, _t0, t_inject, t_deliver, hops, horizon,
         events_processed, buckets_processed, max_depth,
         dropped, retransmitted, rerouted,
     ) -> None:
@@ -528,14 +528,13 @@ class PacketSimulator:
         _reg = obs.registry()
         dt = time.perf_counter() - _t0
         faulted = self._timeline is not None
-        delivered = 0
-        for pid in np.flatnonzero(t_deliver >= 0).tolist():  # repro: noqa[RPR020] — profiling-only path (obs enabled), off the hot run
-            delivered += 1
-            lat = int(t_deliver[pid] - t_inject[pid])
-            _reg.observe("sim.latency", lat)
-            _reg.observe("sim.hops", int(hops[pid]))
-            if faulted:
-                _reg.observe("sim.fault_latency", lat)
+        done = t_deliver >= 0
+        lat = t_deliver[done] - t_inject[done]
+        delivered = int(lat.size)
+        _reg.observe_array("sim.latency", lat)
+        _reg.observe_array("sim.hops", hops[done])
+        if faulted:
+            _reg.observe_array("sim.fault_latency", lat)
         _reg.incr("sim.runs")
         _reg.incr("sim.events", events_processed)
         _reg.incr("sim.buckets", buckets_processed)

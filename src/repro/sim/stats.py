@@ -4,120 +4,19 @@ Both simulator engines — the batched event-driven core and the retained
 per-packet reference oracle — report results through the *same* streaming
 accumulator (:class:`StreamingStats`), so their :class:`SimStats` are
 bit-identical whenever their event semantics agree.  Nothing here retains
-per-packet state: latency percentiles come from an exact integer-value
-histogram (:class:`LatencyHistogram`) whose memory is bounded by the number
-of *distinct* latency values, never by the packet count, which is what lets
-a single run handle millions of packets.
+per-packet state: latency percentiles come from the exact integer-value
+histogram :class:`repro.obs.LatencyHistogram`, whose memory is bounded by
+the number of *distinct* latency values, never by the packet count, which
+is what lets a single run handle millions of packets.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["LatencyHistogram", "StreamingStats", "SimStats", "LATENCY_BINS"]
+from repro.obs.histogram import LatencyHistogram
 
-#: dense unit-width bins kept as a flat array; rarer larger values spill
-#: into a dict keyed by exact value
-LATENCY_BINS = 4096
-
-
-class LatencyHistogram:
-    """Exact histogram of non-negative integer values.
-
-    Values below ``bins`` land in a dense count array; anything larger
-    spills into a sparse value → count dict.  Because every integer value
-    keeps its exact count, any order statistic of the observed multiset is
-    recoverable exactly — :meth:`percentile` reproduces
-    ``np.percentile(values, q)`` (the default linear interpolation) bit for
-    bit without retaining the values themselves.
-    """
-
-    __slots__ = ("bins", "count", "_dense", "_sparse")
-
-    def __init__(self, bins: int = LATENCY_BINS):
-        if bins < 1:
-            raise ValueError("histogram needs at least one dense bin")
-        self.bins = int(bins)
-        self.count = 0
-        self._dense = np.zeros(self.bins, dtype=np.int64)
-        self._sparse: dict[int, int] = {}
-
-    def add(self, value: int) -> None:
-        """Record one observation."""
-        value = int(value)
-        if value < 0:
-            raise ValueError(f"histogram values must be >= 0, got {value}")
-        if value < self.bins:
-            self._dense[value] += 1
-        else:
-            self._sparse[value] = self._sparse.get(value, 0) + 1
-        self.count += 1
-
-    def add_array(self, values: np.ndarray) -> None:
-        """Record a batch of observations (int array, all >= 0)."""
-        values = np.asarray(values)
-        if values.size == 0:
-            return
-        if values.min() < 0:
-            raise ValueError("histogram values must be >= 0")
-        small = values < self.bins
-        dense = values[small] if not small.all() else values
-        if dense.size:
-            self._dense += np.bincount(dense, minlength=self.bins)
-        if dense.size != values.size:
-            big, cnt = np.unique(values[~small], return_counts=True)
-            for v, c in zip(big.tolist(), cnt.tolist()):
-                self._sparse[v] = self._sparse.get(v, 0) + c
-        self.count += int(values.size)
-
-    # ------------------------------------------------------------------
-    def value_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(values, counts)`` over observed values, ascending, counts > 0."""
-        vals = np.flatnonzero(self._dense)
-        cnts = self._dense[vals]
-        if self._sparse:
-            sv = np.array(sorted(self._sparse), dtype=np.int64)
-            sc = np.array([self._sparse[v] for v in sv.tolist()], dtype=np.int64)
-            vals = np.concatenate([vals.astype(np.int64), sv])
-            cnts = np.concatenate([cnts, sc])
-        return vals.astype(np.int64), cnts.astype(np.int64)
-
-    def kth(self, k: int) -> int:
-        """The ``k``-th smallest observation (0-based)."""
-        if not 0 <= k < self.count:
-            raise IndexError(f"order statistic {k} of {self.count} observations")
-        vals, cnts = self.value_counts()
-        cum = np.cumsum(cnts)
-        return int(vals[np.searchsorted(cum, k, side="right")])
-
-    def percentile(self, q: float) -> float:
-        """``np.percentile(values, q)`` (linear interpolation), exactly.
-
-        Mirrors NumPy's arithmetic — virtual index ``(q/100)·(n−1)``, then
-        ``a + (b−a)·γ`` below γ=0.5 and ``b − (b−a)·(1−γ)`` above — so the
-        streaming result is bit-identical to the retained-array one.
-        """
-        if self.count == 0:
-            return float("nan")
-        n = self.count
-        virtual = (float(q) / 100.0) * (n - 1)
-        lo = int(math.floor(virtual))
-        lo = min(max(lo, 0), n - 1)
-        gamma = virtual - lo
-        a = self.kth(lo)
-        b = self.kth(min(lo + 1, n - 1))
-        diff = b - a
-        if gamma >= 0.5:
-            return float(b - diff * (1.0 - gamma))
-        return float(a + diff * gamma)
-
-    def __repr__(self) -> str:
-        return (
-            f"LatencyHistogram(count={self.count}, bins={self.bins}, "
-            f"overflow={len(self._sparse)})"
-        )
+__all__ = ["StreamingStats", "SimStats"]
 
 
 class StreamingStats:
@@ -131,13 +30,13 @@ class StreamingStats:
 
     __slots__ = ("delivered", "lat_sum", "hops_sum", "off_sum", "lat_max", "hist")
 
-    def __init__(self, bins: int = LATENCY_BINS):
+    def __init__(self) -> None:
         self.delivered = 0
         self.lat_sum = 0
         self.hops_sum = 0
         self.off_sum = 0
         self.lat_max = -1
-        self.hist = LatencyHistogram(bins)
+        self.hist = LatencyHistogram()
 
     def observe(self, latency: int, hops: int, off_hops: int) -> None:
         """Record one delivered packet."""

@@ -580,7 +580,7 @@ class TestCacheProvenance:
         from repro.cache import cache_key
 
         k1 = cache_key("t", a=1)
-        monkeypatch.setattr("repro.check.ruleset.RULESET_VERSION", 999)
+        monkeypatch.setattr("repro.cache.artifacts.RULESET_VERSION", 999)
         assert cache_key("t", a=1) != k1
 
     def test_manifest_round_trip_and_clear(self, tmp_path):

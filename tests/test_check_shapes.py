@@ -968,5 +968,5 @@ class TestCLI:
         from repro.cache import cache_key
 
         k1 = cache_key("shapes.t", a=1)
-        monkeypatch.setattr("repro.check.ruleset.RULESET_VERSION", 999)
+        monkeypatch.setattr("repro.cache.artifacts.RULESET_VERSION", 999)
         assert cache_key("shapes.t", a=1) != k1

@@ -16,7 +16,12 @@ from repro.core.network import Network
 from repro.fault import FaultPlan
 from repro.fault.sweep import fault_sweep
 from repro.routing import disjoint
-from repro.routing.disjoint import NodeDisjointPaths, node_disjoint_paths, path_diversity
+from repro.routing.disjoint import (
+    NodeDisjointPaths,
+    edge_disjoint_paths,
+    node_disjoint_paths,
+    path_diversity,
+)
 
 from .disjoint_oracle import oracle_node_disjoint_paths, oracle_survivor_paths
 from .fault_view import FaultyNetwork
@@ -84,6 +89,20 @@ class TestIntactGraphs:
         net = Network.from_edge_list([(i,) for i in range(6)], [(0, 1), (1, 2), (3, 4), (4, 5)])
         assert node_disjoint_paths(net, 0, 5) == []
         assert oracle_node_disjoint_paths(net, 0, 5) == []
+
+    def test_exported_functions_reject_directed(self):
+        net = nw.kautz(2, 3, directed=True)
+        for call, name in (
+            (lambda: node_disjoint_paths(net, 0, 5), "node_disjoint_paths"),
+            (lambda: edge_disjoint_paths(net, 0, 5), "edge_disjoint_paths"),
+            (lambda: path_diversity(net, 3, np.random.default_rng(0)), "path_diversity"),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == (
+                f"{name}: {net.name!r} is directed, but disjoint paths are "
+                f"paths of the undirected graph"
+            )
 
     def test_bad_ids_rejected(self):
         solver = NodeDisjointPaths(nw.ring(5))

@@ -331,7 +331,27 @@ class TestArrayQueries:
         tl = FaultPlan().fail_link(0, 1, 5).compile(nw.hypercube(3))
         assert tl.link_columns([1, 0, -1], [5, 13, 5]).tolist() == [0, -1, -1]
         assert not tl.link_up_at(5, 1, 4)
-        assert tl.link_up_at(0, 13, 4)
+        with pytest.raises(ValueError) as err:
+            tl.link_up_at(0, 13, 4)
+        assert str(err.value) == "link_up_at: link (0, 13) has a node id outside 0..7"
+
+    def test_link_queries_reject_bad_pairs(self):
+        # a pair that is not a link must not read as "never faulted"
+        tl = FaultPlan().fail_link(0, 1, 5).compile(nw.hypercube(3))
+        for u, v, why in (
+            (-1, 3, "has a node id outside 0..7"),
+            (8, 0, "has a node id outside 0..7"),
+            (0, 7, "is not an edge of 'Q3'"),
+            (2, 2, "is not an edge of 'Q3'"),
+        ):
+            with pytest.raises(ValueError) as err:
+                tl.link_up_at(u, v, 4)
+            assert str(err.value) == f"link_up_at: link ({u}, {v}) {why}"
+            with pytest.raises(ValueError) as err:
+                tl.link_down_during(u, v, 0, 4)
+            assert str(err.value) == f"link_down_during: link ({u}, {v}) {why}"
+        # every intact edge answers, faulted or not
+        assert tl.link_up_at(0, 1, 4) and tl.link_up_at(6, 7, 4)
 
     def test_node_up_at_rejects_bad_ids(self):
         # a negative id must not wrap around to a real node, nor an id

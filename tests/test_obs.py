@@ -3,11 +3,15 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
-from repro import obs
+from repro import networks, obs
 from repro.obs.registry import NOOP_REGISTRY, MetricsRegistry, Summary
 from repro.obs.trace import TraceSink
+from repro.sim import PacketSimulator, SimStats, uniform_random_array
+
+from . import sim_oracle
 
 
 @pytest.fixture(autouse=True)
@@ -87,6 +91,124 @@ class TestRegistry:
         assert s.percentile(50) == 50
         assert s.percentile(99) == 99
         assert s.percentile(100) == 100
+
+
+class TestExactDistributions:
+    """Every reported distribution comes from one exact histogram: no
+    sample cap, ``np.percentile`` semantics, ints only."""
+
+    def test_observe_rejects_non_ints_naming_metric_and_value(self):
+        r = MetricsRegistry()
+        for bad in (2.5, -1):
+            with pytest.raises(ValueError) as err:
+                r.observe("sim.hops", bad)
+            assert str(err.value) == (
+                f"metric 'sim.hops': histogram values must be ints >= 0, got {bad}"
+            )
+        with pytest.raises(ValueError) as err:
+            r.observe_array("sim.hops", np.array([3, -2]))
+        assert str(err.value) == (
+            "metric 'sim.hops': histogram values must be ints >= 0, got -2"
+        )
+        with pytest.raises(ValueError) as err:
+            r.observe_array("sim.hops", np.array([0.5, 1.0]))
+        assert str(err.value) == (
+            "metric 'sim.hops': histogram values must be ints >= 0, got a float64 array"
+        )
+        assert r.values["sim.hops"].count == 0  # nothing half-recorded
+
+    def test_no_sample_cap(self):
+        # the first 4096 observations are small, the rest large: a capped
+        # reservoir would report the warm-up, the histogram reports all
+        vals = np.concatenate([np.zeros(4096, dtype=np.int64), np.full(12_000, 9000)])
+        s = Summary()
+        s.observe_array(vals[:100])
+        for v in vals[100:200].tolist():
+            s.observe(v)
+        s.observe_array(vals[200:])
+        assert s.count == vals.size and s.total == int(vals.sum())
+        assert (s.min, s.max) == (0, 9000)
+        for q in (0, 25, 50, 99, 100):
+            assert s.percentile(q) == float(np.percentile(vals, q))
+
+    def test_timer_percentiles_are_quantized_to_one_microsecond(self):
+        r = MetricsRegistry()
+        secs = [0.0012344, 0.0012346, 0.5, 3e-7, 0.0200004]
+        for x in secs:
+            r.observe_timer("t", x)
+        t = r.timers["t"]
+        # count/total/min/max stay exact in seconds
+        assert t.count == 5 and t.total == sum(secs)
+        assert (t.min, t.max) == (3e-7, 0.5)
+        micros = np.round(np.array(secs) * 1e6)
+        assert micros.tolist() == [1234, 1235, 500_000, 0, 20_000]
+        for q in (0, 30, 50, 99, 100):
+            assert t.percentile(q) == float(np.percentile(micros, q)) / 1e6
+        assert r.report()["timers"]["t"]["p50"] == 0.001235
+
+    def test_two_rate_profile_reports_every_delivery(self, monkeypatch):
+        # a quiet run then a congested one on HSN(2,Q3): the profile's
+        # sim.latency percentiles are those of every delivered packet
+        net = networks.build("hsn", l=2, n=3)
+        loads = [
+            uniform_random_array(net, rate, 400, np.random.default_rng(1))
+            for rate in (0.05, 0.6)
+        ]
+        latencies: list[int] = []
+        from_run = SimStats.from_run
+
+        def spy(packets, **kw):
+            latencies.extend(p.latency for p in packets if p.t_deliver >= 0)
+            return from_run(packets=packets, **kw)
+
+        monkeypatch.setattr(SimStats, "from_run", staticmethod(spy))
+        for w in loads:
+            sim_oracle.ReferencePacketSimulator(net).run(w)
+        obs.enable()
+        for w in loads:
+            PacketSimulator(net).run(w)
+        obs.disable()
+        lat = obs.report()["values"]["sim.latency"]
+        assert lat["count"] == len(latencies) == 16_757
+        assert lat["p50"] == float(np.percentile(latencies, 50)) == 7.0
+        assert lat["p99"] == float(np.percentile(latencies, 99)) == 77.0
+        assert lat["max"] == max(latencies)
+
+    def test_profiled_run_makes_constant_registry_calls(self, monkeypatch):
+        class CountingRegistry(MetricsRegistry):
+            def __init__(self):
+                super().__init__()
+                self.calls = 0
+
+            def _count(name):
+                def method(self, *args):
+                    self.calls += 1
+                    return getattr(MetricsRegistry, name)(self, *args)
+
+                return method
+
+            incr = _count("incr")
+            gauge = _count("gauge")
+            gauge_max = _count("gauge_max")
+            observe = _count("observe")
+            observe_array = _count("observe_array")
+            observe_timer = _count("observe_timer")
+
+        net = networks.build("hsn", l=2, n=3)
+        sim = PacketSimulator(net)
+        calls, delivered = [], []
+        for rate in (0.02, 0.5):
+            w = uniform_random_array(net, rate, 300, np.random.default_rng(2))
+            reg = CountingRegistry()
+            monkeypatch.setattr(obs, "_registry", reg)
+            obs.enable()
+            stats = sim.run(w)
+            obs.disable()
+            assert reg.values["sim.latency"].count == stats.delivered
+            calls.append(reg.calls)
+            delivered.append(stats.delivered)
+        assert delivered[1] > 10 * delivered[0]
+        assert calls[0] == calls[1]
 
 
 class TestDisabledNoop:

@@ -8,6 +8,10 @@ them.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,3 +347,29 @@ def test_cli_check_contracts_jobs(capsys):
 
     assert check_main(["contracts", "--family", "ring", "--jobs", "2"]) == 0
     assert "clean" in capsys.readouterr().out
+
+
+def test_cached_build_does_not_import_the_analyzer(tmp_path):
+    # cache keys mix in the analyzer's rule-set revision; reading it must
+    # not pull the analysis package (every tier) into a cache-enabled run
+    import repro
+
+    code = (
+        "import sys\n"
+        "from repro import cache, networks, obs\n"
+        f"cache.configure({str(tmp_path)!r}, min_nodes=1)\n"
+        "obs.enable()\n"
+        "networks.build('hypercube', n=4)\n"
+        "net = networks.build('hypercube', n=4)\n"
+        "assert net.cache_key and obs.report()['counters']['cache.hit'] == 1\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.check')))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -25,27 +25,6 @@ class TestNextHopTableUpgrades:
         with pytest.raises(RoutingError, match="node 2 is isolated"):
             NextHopTable(net)
 
-    def test_allow_unreachable_marks_and_raises_on_query(self):
-        net = Network.from_edge_list([(i,) for i in range(4)], [(0, 1), (2, 3)])
-        table = NextHopTable(net, allow_unreachable=True, with_distances=True)
-        assert table.next_hop(0, 1) == 1  # within-component routing works
-        assert table.next_hop(2, 3) == 3
-        assert table.table[3, 0] == -1
-        with pytest.raises(RoutingError, match="node 0 to node 3"):
-            table.next_hop(0, 3)
-        with pytest.raises(RoutingError, match="different connected components"):
-            table.distance(0, 3)
-        assert table.next_hops(0, 3) == []
-
-    def test_allow_unreachable_with_isolated_node(self):
-        net = Network.from_edge_list([(i,) for i in range(3)], [(0, 1)])
-        table = NextHopTable(net, allow_unreachable=True)
-        assert table.next_hop(0, 1) == 1
-        with pytest.raises(RoutingError):
-            table.next_hop(2, 0)
-        with pytest.raises(RoutingError):
-            table.next_hop(0, 2)
-
     def test_next_hops_all_minimal(self):
         g = nw.hypercube(3)
         table = NextHopTable(g, with_distances=True)

@@ -26,6 +26,8 @@ from repro.serve import (
     worker_backends,
 )
 
+from .bfs_oracle import oracle_next_hop_table
+
 
 @pytest.fixture()
 def disk_cache(tmp_path):
@@ -204,9 +206,11 @@ def test_resolve_validates_ids_and_lengths():
 
 
 def test_resolve_unreachable_raises_routing_error():
+    # a table build refuses a disconnected network, but arrays read back
+    # from disk can hold -1 entries: resolve must name the pair
     net = _split_graph()
-    table = NextHopTable(net, with_distances=True, allow_unreachable=True)
-    svc = RouteService.from_table(table)
+    table, dist = oracle_next_hop_table(net)
+    svc = RouteService.from_table(NextHopTable.from_arrays(net, table, dist))
     ok = svc.resolve([0, 2], [1, 3], paths=True)
     assert ok.path_lists() == [[0, 1], [2, 3]]
     with pytest.raises(

@@ -169,21 +169,6 @@ def test_stored_arrays_are_read_only():
         shared_table(net, with_distances=True).dist[0, 1] = 0
 
 
-def test_unreachable_builds_are_never_stored():
-    split = Network.from_edge_list(
-        [(i,) for i in range(4)], [(0, 1), (2, 3)], name="split"
-    )
-    table = NextHopTable(split, with_distances=True, allow_unreachable=True)
-    assert split._next_hops is None
-    assert table.table.flags.writeable
-    # on a connected network too: only complete builds are recorded
-    ring = networks.ring(5)
-    NextHopTable(ring, allow_unreachable=True)
-    assert ring._next_hops is None
-    cached_next_hop_table(ring, allow_unreachable=True)
-    assert ring._next_hops is None
-
-
 def test_storage_creates_no_reference_cycle():
     gc.disable()
     try:
