@@ -16,6 +16,19 @@ Three promises are held here:
   (no per-worker O(N²) copy), and the fan-out must return bit-identical
   results to the serial replay.
 
+A second record, ``"bench": "resolve_kernel"``, times the flat-offset
+resolve against the 2-D gather resolve it replaced (``tests/serve_oracle.py``)
+on HSN(2,Q5) (N=1024), the serving instance of ``perfbench``:
+
+* 4 mmap shards, ``KERNEL_BATCHES`` batches of ``KERNEL_BATCH`` queries,
+  without and with paths — must be >= ``MIN_SHARDED_RATIO`` x faster;
+* 1 in-memory shard, one batch of ``QUERIES`` queries (the
+  ``pipeline_cold`` resolve) — must not be slower (>= ``MIN_FLAT_RATIO``).
+
+Engine and oracle run interleaved, best of ``ROUNDS``, GC parked; every
+batch of the first round is compared with the oracle (values and dtypes),
+and any mismatch fails the run.
+
 Methodology mirrors ``bench_percolation.py``: GC parked during timing,
 best-of-``ROUNDS`` for the timed section.  Results are printed as JSON;
 set ``REPRO_BENCH_TRAJECTORY=<path>`` to append the record to a JSONL
@@ -31,11 +44,14 @@ from __future__ import annotations
 import gc
 import sys
 import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 
 from repro import cache, networks, obs
 from repro.cache import cached_next_hop_table
+from repro.routing.table import NextHopTable
 from repro.serve import (
     RouteService,
     parallel_resolve,
@@ -43,6 +59,9 @@ from repro.serve import (
     seeded_queries,
     worker_backends,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.serve_oracle import OracleResolve  # noqa: E402
 
 MIN_QPS = 100_000.0  # resolved queries/sec on the cached HSN table
 QUERIES = 1_000_000
@@ -56,12 +75,22 @@ SEED = 0
 # serving workload: HSN(3, Q3) — 512 nodes, 1 MiB int32 next-hop table
 HSN_L, HSN_N = 3, 3
 
+# resolve kernel: HSN(2, Q5) — 1024 nodes, 4 MiB int32 table and distances
+KERNEL_L, KERNEL_N = 2, 5
+KERNEL_SHARDS = 4
+KERNEL_BATCH = 16_384
+KERNEL_BATCHES = 16
+MIN_SHARDED_RATIO = 1.5  # oracle / engine time, 4 mmap shards
+MIN_FLAT_RATIO = 1.0  # oracle / engine time, 1 shard, QUERIES queries
+
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as d:
         cache.configure(d, min_nodes=1)
         try:
-            return _run()
+            ok = _run() == 0
+            ok = _resolve_kernel() == 0 and ok
+            return 0 if ok else 1
         finally:
             cache.set_cache(None)
 
@@ -158,6 +187,105 @@ def _run() -> int:
             file=sys.stderr,
         )
         ok = False
+    return 0 if ok else 1
+
+
+def _same(got, want) -> bool:
+    """Values and dtypes of every ``ResolveBatch`` field agree."""
+    for field in ("next_hop", "distance", "paths"):
+        a, b = getattr(got, field), getattr(want, field)
+        if (a is None) != (b is None):
+            return False
+        if b is not None and (a.dtype != b.dtype or not np.array_equal(a, b)):
+            return False
+    return True
+
+
+def _time_case(engine, oracle, batches, paths: bool) -> tuple[float, float, int]:
+    """Best-of-ROUNDS seconds for engine and oracle over ``batches``,
+    interleaved round by round, plus the batches whose outputs differ."""
+    best = {"engine": float("inf"), "oracle": float("inf")}
+    mismatches = 0
+    gc.collect()
+    gc.disable()
+    try:
+        for r in range(ROUNDS):
+            outs = {}
+            for side, svc in (("engine", engine), ("oracle", oracle)):
+                t0 = time.perf_counter()
+                outs[side] = [svc.resolve(s, d, paths=paths) for s, d in batches]
+                best[side] = min(best[side], time.perf_counter() - t0)
+            if r == 0:
+                mismatches = sum(
+                    not _same(a, b) for a, b in zip(outs["engine"], outs["oracle"])
+                )
+    finally:
+        gc.enable()
+    return best["engine"], best["oracle"], mismatches
+
+
+def _resolve_kernel() -> int:
+    net = networks.build("hsn", l=KERNEL_L, n=KERNEL_N)
+    sharded = RouteService.open(net, shards=KERNEL_SHARDS)
+    flat = RouteService.from_table(NextHopTable(net, with_distances=True))
+    src, dst = seeded_queries(net.num_nodes, KERNEL_BATCH * KERNEL_BATCHES, SEED)
+    batches = list(zip(np.split(src, KERNEL_BATCHES), np.split(dst, KERNEL_BATCHES)))
+    # page every shard in before timing
+    for s, d in batches:
+        sharded.resolve(s, d)
+    big_src, big_dst = seeded_queries(net.num_nodes, QUERIES, SEED + 2)
+    cases = [
+        ("sharded", sharded, batches, False, MIN_SHARDED_RATIO),
+        ("sharded_paths", sharded, batches, True, MIN_SHARDED_RATIO),
+        ("flat", flat, [(big_src, big_dst)], False, MIN_FLAT_RATIO),
+    ]
+    ok = True
+    if not sharded.mmap_backed:
+        print("FAIL: resolve_kernel: sharded service is not mmap-backed", file=sys.stderr)
+        ok = False
+    rows = []
+    for name, svc, case_batches, paths, floor in cases:
+        engine_s, oracle_s, bad = _time_case(
+            svc, OracleResolve(svc), case_batches, paths
+        )
+        ratio = oracle_s / engine_s
+        rows.append(
+            {
+                "case": name,
+                "shards": svc.shards,
+                "queries": sum(len(s) for s, _ in case_batches),
+                "batch": len(case_batches[0][0]),
+                "paths": paths,
+                "engine_ms": round(engine_s * 1e3, 3),
+                "oracle_ms": round(oracle_s * 1e3, 3),
+                "ratio": round(ratio, 3),
+                "min_ratio": floor,
+                "mismatches": bad,
+            }
+        )
+        if bad:
+            print(
+                f"FAIL: resolve_kernel {name}: {bad} batch(es) differ from "
+                f"tests/serve_oracle.py",
+                file=sys.stderr,
+            )
+            ok = False
+        if ratio < floor:
+            print(
+                f"FAIL: resolve_kernel {name}: {ratio:.2f}x vs the oracle < "
+                f"{floor}x budget",
+                file=sys.stderr,
+            )
+            ok = False
+    obs.emit_record(
+        {
+            "bench": "resolve_kernel",
+            "network": net.name,
+            "num_nodes": net.num_nodes,
+            "mmap": bool(sharded.mmap_backed),
+            "cases": rows,
+        }
+    )
     return 0 if ok else 1
 
 

@@ -13,9 +13,9 @@ numpy gathers — no per-query Python — and it can be backed three ways:
   cache (``np.load(..., mmap_mode="r")``);
 * **sharded mmap** — for tables too large to treat as one artifact, the
   ``dst``-major row space is split into ``shards`` row blocks, each its
-  own content-addressed spill keyed off the registry cache key; queries
-  are grouped per shard with a ``searchsorted`` over the row starts and
-  gathered block-wise.
+  own content-addressed spill keyed off the registry cache key; a batch
+  is split by shard once per resolve, and every gather is one ``take``
+  on a shard block's flat view at ``(dst - row_start)·N + node``.
 
 Every answer is bit-identical to the scalar
 :meth:`~repro.routing.table.NextHopTable.next_hop` /
@@ -134,13 +134,52 @@ class RouteService:
                 f"row_starts must have one more entry than blocks, got "
                 f"{len(row_starts)} for {len(blocks)} block(s)"
             )
+        if row_starts[0] != 0 or row_starts[-1] != num_nodes:
+            raise ValueError(
+                f"row_starts must run from 0 to num_nodes ({num_nodes}), got "
+                f"{tuple(row_starts)}"
+            )
+        if dist_blocks is not None and len(dist_blocks) != len(blocks):
+            raise ValueError(
+                f"dist_blocks must have one block per table block, got "
+                f"{len(dist_blocks)} for {len(blocks)}"
+            )
         self.name = name
         self.num_nodes = int(num_nodes)
         self.source = source
         self._blocks = list(blocks)
         self._row_starts = np.asarray(row_starts, dtype=np.int64)
         self._dist_blocks = None if dist_blocks is None else list(dist_blocks)
+        self._flat = [self._flat_view(b, i, "table") for i, b in enumerate(blocks)]
+        self._flat_dist = (
+            None
+            if dist_blocks is None
+            else [self._flat_view(b, i, "distance") for i, b in enumerate(dist_blocks)]
+        )
         self._spec: ServiceSpec | None = None
+
+    def _flat_view(self, block: np.ndarray, i: int, role: str) -> np.ndarray:
+        """Shard ``i``'s block as a zero-copy 1-D view for offset gathers
+        (a plain ndarray view, so a ``take`` on it returns an ndarray,
+        not an ``np.memmap``).
+
+        A flat offset into a block of the wrong width would silently read
+        another row's slot, and ``reshape(-1)`` of a non-contiguous block
+        would copy the whole shard on every call, so both fail here.
+        """
+        lo, hi = int(self._row_starts[i]), int(self._row_starts[i + 1])
+        want = (hi - lo, self.num_nodes)
+        if block.shape != want:
+            raise ValueError(
+                f"{role} block {i} has shape {block.shape}, expected {want} "
+                f"(dst rows {lo}..{hi - 1} of {self.name!r})"
+            )
+        if not block.flags.c_contiguous:
+            raise ValueError(
+                f"{role} block {i} is not C-contiguous: a flat gather would "
+                f"copy the whole shard on every resolve"
+            )
+        return block.reshape(-1).view(np.ndarray)
 
     def __repr__(self) -> str:
         return (
@@ -296,8 +335,8 @@ class RouteService:
             raise ValueError(
                 f"{role} ids are empty: resolve() requires at least one query"
             )
-        bad = (arr < 0) | (arr >= self.num_nodes)
-        if bad.any():
+        if arr.min() < 0 or arr.max() >= self.num_nodes:
+            bad = (arr < 0) | (arr >= self.num_nodes)
             i = int(bad.argmax())
             raise ValueError(
                 f"{role} node id {int(arr[i])} at position {i} is out of "
@@ -305,58 +344,94 @@ class RouteService:
             )
         return arr
 
-    def _gather(
-        self, dst: np.ndarray, cur: np.ndarray, blocks: list[np.ndarray]
-    ) -> np.ndarray:
-        """``blocks[dst, cur]`` across the shard row blocks (one fancy
-        gather per shard touched; the loop is over shards, not queries)."""
-        if len(blocks) == 1:
-            return blocks[0][dst, cur]
-        out = np.empty(dst.shape[0], dtype=np.int32)
-        starts = self._row_starts
-        sid = np.searchsorted(starts, dst, side="right") - 1
-        # iterates over the handful of shard blocks, not over queries — each
-        # iteration gathers that shard's whole query subset at once
-        for s in range(len(blocks)):  # repro: noqa[RPR020]
-            sel = np.nonzero(sid == s)[0]
-            if sel.size:
-                out[sel] = blocks[s][dst[sel] - starts[s], cur[sel]]
-        return out
+    def _split(
+        self, src: np.ndarray, dst: np.ndarray
+    ) -> list[tuple[int, slice | np.ndarray, np.ndarray]]:
+        """Group the batch by shard, once per resolve.
 
-    def _walk_distances(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Hop counts by walking still-active queries one step per round."""
+        One ``(shard, sel, at)`` per shard holding queries: ``sel`` picks
+        them out of the batch (every query when there is one shard) and
+        ``at = (dst - row_start)·N + src`` is each one's flat offset of
+        its first-hop slot in that shard's block.  The offsets are built
+        in place in one int64 buffer.
+        """
+        n = self.num_nodes
+        at = np.multiply(dst, n)
+        at += src
+        if self.shards == 1:
+            return [(0, slice(None), at)]
+        bounds = (self._row_starts * n).tolist()
+        parts = []
+        for s in range(self.shards):
+            lo, hi = bounds[s], bounds[s + 1]
+            sel = np.flatnonzero((at >= lo) & (at < hi))
+            if sel.size:
+                part = at[sel]
+                part -= lo
+                parts.append((s, sel, part))
+        return parts
+
+    def _walk_distances(
+        self, flat: np.ndarray, at: np.ndarray, src: np.ndarray, dst: np.ndarray
+    ) -> np.ndarray:
+        """Hop counts of one shard's queries, walking the still-active ones
+        one step per round (``flat`` is the shard's table block)."""
         distance = np.zeros(src.shape[0], dtype=np.int64)
-        cur = src.copy()
-        active = np.nonzero(cur != dst)[0]
+        live = np.flatnonzero(src != dst)
+        cur, tgt = src[live], dst[live]
+        row = at[live] - cur
         guard = self.num_nodes + 1
         steps = 0
-        while active.size:
+        while live.size:
             steps += 1
             if steps > guard:  # pragma: no cover — corrupt table
                 raise RuntimeError("routing loop detected")
-            nxt = self._gather(dst[active], cur[active], self._blocks).astype(np.int64)
-            cur[active] = nxt
-            distance[active] += 1
-            active = active[nxt != dst[active]]
+            cur = flat.take(row + cur)
+            done = cur == tgt
+            distance[live[done]] = steps
+            keep = ~done
+            live, cur, tgt, row = live[keep], cur[keep], tgt[keep], row[keep]
         return distance
 
-    def _materialize_paths(
-        self, src: np.ndarray, dst: np.ndarray, distance: np.ndarray
+    def _walk_paths(
+        self,
+        parts: list[tuple[int, slice | np.ndarray, np.ndarray]],
+        src: np.ndarray,
+        distance: np.ndarray,
     ) -> np.ndarray:
-        """Full paths, padded with ``-1``: column ``t`` is every active
-        query's ``t``-th hop, so total work is O(sum of path lengths)."""
-        width = int(distance.max(initial=0)) + 1
-        paths = np.full((src.shape[0], width), -1, dtype=np.int32)
-        paths[:, 0] = src
-        cur = src.copy()
-        for t in range(1, width):
-            idx = np.nonzero(distance >= t)[0]
-            if idx.size == 0:  # pragma: no cover — width tracks max distance
-                break
-            nxt = self._gather(dst[idx], cur[idx], self._blocks).astype(np.int64)
-            paths[idx, t] = nxt
-            cur[idx] = nxt
-        return paths
+        """Full paths, padded with ``-1``.
+
+        Each shard's queries are ordered longest route first, once, so the
+        ones still walking at step ``t`` are a prefix of that order and
+        step ``t`` writes one contiguous run of column ``t``; one row
+        ``take`` puts the routes back in query order.  Total work is
+        O(sum of path lengths).
+        """
+        q = src.shape[0]
+        width = int(distance.max()) + 1
+        walked = np.full((q, width), -1, dtype=np.int32)
+        rows = np.empty(q, dtype=np.int64)  # batch row of each walked row
+        lo = 0
+        # iterates over the handful of shard blocks, not over queries
+        for s, sel, at in parts:  # repro: noqa[RPR020]
+            dist = distance[sel]
+            order = np.argsort(-dist)
+            hi = lo + order.shape[0]
+            rows[lo:hi] = order if isinstance(sel, slice) else sel[order]
+            # walking[t] = how many of the shard's queries have a t-th hop
+            walking = np.cumsum(np.bincount(dist, minlength=width)[::-1])[::-1]
+            cur = src[rows[lo:hi]]
+            row = at[order] - cur
+            walked[lo:hi, 0] = cur
+            for t, k in enumerate(walking.tolist()[1:], start=1):
+                if k == 0:
+                    break
+                cur = self._flat[s].take(row[:k] + cur[:k])
+                walked[lo : lo + k, t] = cur
+            lo = hi
+        back = np.empty(q, dtype=np.int64)
+        back[rows] = np.arange(q)
+        return walked.take(back, axis=0)
 
     def resolve(
         self, src: object, dst: object, paths: bool = False
@@ -366,8 +441,11 @@ class RouteService:
         ``src``/``dst`` are equal-length id sequences.  Raises
         :class:`ValueError` on out-of-range ids and
         :class:`~repro.core.network.RoutingError` (naming the first bad
-        pair) when a query crosses connected components — identical
-        contracts, messages included, to the scalar table walk.
+        pair in query order) when a query crosses connected components —
+        identical contracts, messages included, to the scalar table walk.
+
+        The batch is split by shard once; every gather after that is one
+        ``take`` per shard on the block's flat view at the query's offset.
         """
         src_ids = self._validate_ids(src, "source")
         dst_ids = self._validate_ids(dst, "destination")
@@ -379,32 +457,42 @@ class RouteService:
         q = src_ids.shape[0]
         reg = obs.registry()
         with obs.span("serve.resolve", queries=q, shards=self.shards):
-            hops = self._gather(dst_ids, src_ids, self._blocks)
-            unreachable = (hops < 0) & (src_ids != dst_ids)
-            if unreachable.any():
-                i = int(unreachable.argmax())
-                raise RoutingError(
-                    f"no route from node {int(src_ids[i])} to node "
-                    f"{int(dst_ids[i])} in {self.name!r}: they lie in "
-                    f"different connected components"
-                )
-            if self._dist_blocks is not None:
-                distance = self._gather(
-                    dst_ids, src_ids, self._dist_blocks
-                ).astype(np.int64)
-            else:
-                distance = self._walk_distances(src_ids, dst_ids)
-            out_paths = (
-                self._materialize_paths(src_ids, dst_ids, distance)
-                if paths
-                else None
+            parts = self._split(src_ids, dst_ids)
+            hops = np.empty(q, dtype=np.int32)
+            for s, sel, at in parts:
+                hops[sel] = self._flat[s].take(at)
+            # before any walk: a -1 hop used as an offset would wrap around
+            if hops.min() < 0:
+                unreachable = (hops < 0) & (src_ids != dst_ids)
+                if unreachable.any():
+                    i = int(unreachable.argmax())
+                    raise RoutingError(
+                        f"no route from node {int(src_ids[i])} to node "
+                        f"{int(dst_ids[i])} in {self.name!r}: they lie in "
+                        f"different connected components"
+                    )
+            # one shard and no paths: this loop is the offsets' last read,
+            # so the distances overwrite them instead of a second buffer
+            distance = (
+                parts[0][2]
+                if self.shards == 1 and not paths
+                else np.empty(q, dtype=np.int64)
             )
+            for s, sel, at in parts:
+                distance[sel] = (
+                    self._flat_dist[s].take(at)
+                    if self._flat_dist is not None
+                    else self._walk_distances(
+                        self._flat[s], at, src_ids[sel], dst_ids[sel]
+                    )
+                )
+            out_paths = self._walk_paths(parts, src_ids, distance) if paths else None
         reg.incr("serve.queries", q)
         reg.incr("serve.batches")
         return ResolveBatch(
             src=src_ids,
             dst=dst_ids,
-            next_hop=np.asarray(hops, dtype=np.int32),
+            next_hop=hops,
             distance=distance,
             paths=out_paths,
         )

@@ -533,8 +533,6 @@ class PacketSimulator:
         delivered = int(lat.size)
         _reg.observe_array("sim.latency", lat)
         _reg.observe_array("sim.hops", hops[done])
-        if faulted:
-            _reg.observe_array("sim.fault_latency", lat)
         _reg.incr("sim.runs")
         _reg.incr("sim.events", events_processed)
         _reg.incr("sim.buckets", buckets_processed)

@@ -27,6 +27,7 @@ from repro.serve import (
 )
 
 from .bfs_oracle import oracle_next_hop_table
+from .serve_oracle import OracleResolve
 
 
 @pytest.fixture()
@@ -219,6 +220,156 @@ def test_resolve_unreachable_raises_routing_error():
         svc.resolve([1, 0], [0, 3])
 
 
+# ----------------------------------------------------------------------
+# flat-offset resolve vs the 2-D gather oracle (tests/serve_oracle.py)
+# ----------------------------------------------------------------------
+def _assert_same_batch(got: ResolveBatch, want: ResolveBatch) -> None:
+    for field in ("src", "dst", "next_hop", "distance", "paths"):
+        a, b = getattr(got, field), getattr(want, field)
+        if b is None:
+            assert a is None, field
+            continue
+        assert a.dtype == b.dtype, (field, a.dtype, b.dtype)
+        assert np.array_equal(a, b), field
+
+
+def _hsn_q3_service(shards: int) -> RouteService:
+    """HSN(2,Q3) (64 nodes) served from in-memory row blocks of one table."""
+    net = networks.build("hsn", l=2, n=3)
+    table = NextHopTable(net, with_distances=True)
+    starts = shard_row_starts(net.num_nodes, shards)
+    cut = lambda a: [a[lo:hi] for lo, hi in zip(starts, starts[1:])]  # noqa: E731
+    return RouteService(
+        net.name, net.num_nodes, cut(table.table), starts, cut(table.dist)
+    )
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3, 7])
+@pytest.mark.parametrize("paths", [False, True])
+def test_resolve_matches_oracle_across_shards(shards, paths):
+    svc = _hsn_q3_service(shards)
+    if shards == 7:  # 64 rows in 7 blocks: uneven row counts
+        assert len({b.shape[0] for b in svc._blocks}) > 1
+    src, dst = seeded_queries(svc.num_nodes, 3_000, seed=shards)
+    got = svc.resolve(src, dst, paths=paths)
+    _assert_same_batch(got, OracleResolve(svc).resolve(src, dst, paths=paths))
+
+
+@pytest.mark.parametrize("paths", [False, True])
+def test_resolve_matches_oracle_on_degenerate_batches(paths):
+    svc = _hsn_q3_service(3)
+    oracle = OracleResolve(svc)
+    lo, hi = svc._row_starts[1], svc._row_starts[2]
+    rng = np.random.default_rng(8)
+    one_shard = (rng.integers(0, 64, 500), rng.integers(lo, hi, 500))
+    batches = [
+        one_shard,  # every query in the middle shard
+        ([5], [60]),  # one query
+        ([9], [9]),  # one query, already there
+        (np.arange(64), np.arange(64)),  # src == dst everywhere
+    ]
+    for src, dst in batches:
+        got = svc.resolve(src, dst, paths=paths)
+        _assert_same_batch(got, oracle.resolve(src, dst, paths=paths))
+    assert svc.resolve([9], [9], paths=True).path_lists() == [[9]]
+
+
+@pytest.mark.parametrize("paths", [False, True])
+def test_resolve_walk_matches_oracle_without_distances(paths):
+    net = networks.build("hsn", l=2, n=3)
+    svc = RouteService.from_table(NextHopTable(net))  # no dist matrix
+    assert not svc.has_distances
+    src, dst = seeded_queries(net.num_nodes, 2_000, seed=12)
+    got = svc.resolve(src, dst, paths=paths)
+    _assert_same_batch(got, OracleResolve(svc).resolve(src, dst, paths=paths))
+
+
+def test_unreachable_names_first_bad_pair_in_query_order():
+    # the first bad pair (0 -> 3) sits in the last shard, after a bad pair
+    # (3 -> 0) of the first shard: the error still names 0 -> 3
+    net = _split_graph()
+    table, dist = oracle_next_hop_table(net)
+    blocks = [table[:2], table[2:]]
+    for dist_blocks in ([dist[:2], dist[2:]], None):
+        svc = RouteService("split", 4, blocks, (0, 2, 4), dist_blocks)
+        for paths in (False, True):
+            with pytest.raises(
+                RoutingError,
+                match=r"^no route from node 0 to node 3 in 'split': they lie "
+                r"in different connected components$",
+            ):
+                svc.resolve([1, 0, 3, 2], [0, 3, 0, 3], paths=paths)
+            with pytest.raises(
+                RoutingError, match=r"^no route from node 0 to node 3 in 'split'"
+            ):
+                OracleResolve(svc).resolve([1, 0, 3, 2], [0, 3, 0, 3], paths=paths)
+
+
+def test_blocks_the_flat_gather_cannot_read_fail_fast():
+    t = NextHopTable(networks.ring(8), with_distances=True)
+    with pytest.raises(
+        ValueError,
+        match=r"^table block 1 has shape \(4, 7\), expected \(4, 8\) "
+        r"\(dst rows 4\.\.7 of 'ring\(8\)'\)$",
+    ):
+        RouteService("ring(8)", 8, [t.table[:4], t.table[4:, :7]], (0, 4, 8))
+    with pytest.raises(
+        ValueError,
+        match=r"^table block 0 has shape \(64,\), expected \(8, 8\) "
+        r"\(dst rows 0\.\.7 of 'ring\(8\)'\)$",
+    ):
+        RouteService("ring(8)", 8, [t.table.reshape(-1)], (0, 8))
+    with pytest.raises(
+        ValueError,
+        match=r"^distance block 0 has shape \(3, 8\), expected \(4, 8\) "
+        r"\(dst rows 0\.\.3 of 'ring\(8\)'\)$",
+    ):
+        RouteService(
+            "ring(8)", 8, [t.table[:4], t.table[4:]], (0, 4, 8),
+            [t.dist[:3], t.dist[4:]],
+        )
+    with pytest.raises(
+        ValueError,
+        match=r"^table block 0 is not C-contiguous: a flat gather would copy "
+        r"the whole shard on every resolve$",
+    ):
+        RouteService("ring(8)", 8, [np.asfortranarray(t.table)], (0, 8))
+    wide = np.zeros((8, 16), dtype=np.int32)
+    with pytest.raises(
+        ValueError, match=r"^distance block 0 is not C-contiguous"
+    ):
+        RouteService("ring(8)", 8, [t.table], (0, 8), [wide[:, ::2]])
+    with pytest.raises(
+        ValueError,
+        match=r"^row_starts must run from 0 to num_nodes \(8\), got \(0, 4\)$",
+    ):
+        RouteService("ring(8)", 8, [t.table[:4]], (0, 4))
+    with pytest.raises(
+        ValueError,
+        match=r"^dist_blocks must have one block per table block, got 1 for 2$",
+    ):
+        RouteService(
+            "ring(8)", 8, [t.table[:4], t.table[4:]], (0, 4, 8), [t.dist]
+        )
+
+
+def test_from_spec_rejects_a_spill_of_the_wrong_width(disk_cache, tmp_path):
+    net = networks.build("hypercube", n=4)
+    spec = RouteService.open(net, shards=2).spec()
+    bad = tmp_path / "narrow.npy"
+    np.save(bad, np.zeros((8, 15), dtype=np.int32))
+    narrow = ServiceSpec(
+        spec.name, spec.num_nodes, spec.row_starts,
+        (spec.table_paths[0], str(bad)), spec.dist_paths,
+    )
+    with pytest.raises(
+        ValueError,
+        match=r"^table block 1 has shape \(8, 15\), expected \(8, 16\) "
+        r"\(dst rows 8\.\.15 of 'Q4'\)$",
+    ):
+        RouteService.from_spec(narrow)
+
+
 def test_resolve_batch_path_helpers():
     svc = RouteService.from_table(NextHopTable(networks.ring(6), with_distances=True))
     batch = svc.resolve([2, 4], [2, 1], paths=True)
@@ -370,6 +521,16 @@ def test_from_spec_blocks_are_read_only_and_resolve_never_copies(disk_cache):
         assert after is before
         assert isinstance(after, np.memmap)
         assert after.flags.writeable is False
+
+
+def test_flat_views_share_the_mmap_spills(disk_cache):
+    # resolve reads every block through a 1-D view made once: it must be
+    # the spill's own pages, not a copy, and stay read-only
+    svc = RouteService.open(networks.build("hypercube", n=5), shards=2)
+    for block, flat in zip(svc._blocks + svc._dist_blocks, svc._flat + svc._flat_dist):
+        assert flat.shape == (block.size,)
+        assert np.shares_memory(flat, block)
+        assert flat.flags.writeable is False
 
 
 def test_cache_clear_removes_spills(disk_cache):

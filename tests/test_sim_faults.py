@@ -145,7 +145,8 @@ class TestDegradedMode:
             rep = obs.report()
             counters = rep["counters"]
             assert counters.get("sim.faults.reroutes", 0) >= 1
-            assert "sim.fault_latency" in rep["values"]
+            assert "sim.latency" in rep["values"]
+            assert "sim.fault_latency" not in rep["values"]
         finally:
             obs.disable()
 
