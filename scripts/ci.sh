@@ -58,11 +58,12 @@ echo "== simulator throughput budgets (>=10x vs reference, 1M pkts <60s, degrade
 python benchmarks/bench_sim_throughput.py
 
 echo
-echo "== simulator artifact hash: seeded run reproduces one fingerprint =="
+echo "== simulator artifact hash: seeded healthy and faulted runs reproduce one fingerprint each =="
 python - <<'PYEOF'
 import numpy as np
 from repro import networks
 from repro.check.sanitize import artifact_fingerprint
+from repro.fault import FaultPlan
 from repro.sim import PacketSimulator, uniform_random_array
 from tests.sim_oracle import ReferencePacketSimulator
 
@@ -75,6 +76,18 @@ fps = [
 assert fps[0] == fps[1], f"event core not reproducible: {fps[0]} != {fps[1]}"
 assert fps[0] == fps[2], f"event core diverged from reference: {fps[0]} != {fps[2]}"
 print(f"seeded sim fingerprint {fps[0]} stable across reruns and engines")
+
+# the degraded stage on small buckets (tens of events each): 8 link faults
+plan = FaultPlan.random_link_faults(net, 8, np.random.default_rng(7), horizon=80)
+runs = [
+    cls(net, faults=plan).run(w)
+    for cls in (PacketSimulator, PacketSimulator, ReferencePacketSimulator)
+]
+assert runs[0].dropped and runs[0].rerouted, "fault plan never hit a packet"
+fps = [artifact_fingerprint(s.as_dict()) for s in runs]
+assert fps[0] == fps[1], f"faulted run not reproducible: {fps[0]} != {fps[1]}"
+assert fps[0] == fps[2], f"faulted run diverged from reference: {fps[0]} != {fps[2]}"
+print(f"seeded faulted sim fingerprint {fps[0]} stable across reruns and engines")
 PYEOF
 echo "OK"
 

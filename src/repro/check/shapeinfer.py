@@ -643,10 +643,11 @@ class ShapeInterp:
                 self.env[arg.arg] = ann
             if arg.annotation is not None:
                 text = ast.unparse(arg.annotation)
-                if "ndarray" in text or "NDArray" in text:
-                    self.arrays.add(arg.arg)
-                elif text.startswith(("dict", "Dict", "Mapping")) or "Mapping[" in text:
+                # a container of arrays is the container: test it first
+                if text.startswith(("dict", "Dict", "Mapping")) or "Mapping[" in text:
                     self.dicts.add(arg.arg)
+                elif "ndarray" in text or "NDArray" in text:
+                    self.arrays.add(arg.arg)
         if seed_shapes:
             self.env.update(seed_shapes)
 

@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.network import Network
 from repro.routing.table import shared_table
 
-from .policies import ChannelIndex
+from .policies import ChannelIndex, channel_inputs, injection_arrays
 from .stats import SimStats
 
 __all__ = ["WormholeSimulator", "Message"]
@@ -75,19 +75,10 @@ class WormholeSimulator:
         self.channels = ChannelIndex(net)
         self._indptr = self.channels.indptr
         self._indices = self.channels.indices
-        nchan = len(self.channels)
-        if isinstance(delays, (int, np.integer)):
-            self.delays = np.full(nchan, int(delays), dtype=np.int64)
-        else:
-            self.delays = np.asarray(delays, dtype=np.int64)
-            if self.delays.shape != (nchan,):
-                raise ValueError("delays must have one entry per directed arc")
-        if (self.delays < 1).any():
-            raise ValueError("channel delays must be >= 1 cycle")
-        self._table = shared_table(net)
-        self.module_of = (
-            None if module_of is None else np.asarray(module_of, dtype=np.int64)
+        self.delays, self.module_of = channel_inputs(
+            self.channels, delays, module_of
         )
+        self._table = shared_table(net)
 
     def run(
         self,
@@ -99,6 +90,9 @@ class WormholeSimulator:
 
         Event = header arrival of a message at a node, together with the
         time its *tail* clears the arrival channel (needed to deliver).
+        Injections are checked by
+        :func:`~repro.sim.policies.injection_arrays` (``ValueError`` naming
+        the row); a self-addressed one is skipped.
         """
         if length < 1:
             raise ValueError("message length must be >= 1 flit")
@@ -106,17 +100,18 @@ class WormholeSimulator:
         # event: (header_time, seq, mid, node, tail_time)
         events: list[tuple[int, int, int, int, int]] = []
         seq = 0
-        for t, src, dst in injections:
-            if src == dst:
-                continue
-            m = Message(len(messages), int(src), int(dst), length, int(t))
+        ts, srcs, dsts = injection_arrays(self.net, injections)
+        keep = srcs != dsts  # a self-addressed message is never sent
+        for t, src, dst in zip(
+            ts[keep].tolist(), srcs[keep].tolist(), dsts[keep].tolist()
+        ):
+            m = Message(len(messages), src, dst, length, t)
             messages.append(m)
-            events.append((int(t), seq, m.mid, int(src), int(t)))
+            events.append((t, seq, m.mid, src, t))
             seq += 1
         heapq.heapify(events)
 
-        amap = self.channels.arc_map()
-        n = self.net.num_nodes
+        lookup = self.channels.lookup
         busy_until = np.zeros(len(self._indices), dtype=np.int64)
         busy_time = np.zeros(len(self._indices), dtype=np.int64)
         horizon = 0
@@ -137,11 +132,7 @@ class WormholeSimulator:
                     f"message {m.mid} exceeded the hop guard — routing loop?"
                 )
             nxt = int(table[m.dst, node])
-            c = (
-                amap.get(node * n + nxt) if 0 <= nxt < n else None
-            )  # range check first: a negative id would alias a key
-            if c is None:
-                raise self.channels._missing(node, nxt)
+            c = lookup(node, nxt)
             d = int(self.delays[c])
             # header may enter the channel when both the channel is free
             # and the header has arrived

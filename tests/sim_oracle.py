@@ -43,7 +43,8 @@ if False:  # import for type checkers only — repro.fault imports repro.sim
 class HopFunction:
     """A scalar ``(u, dst) -> v`` callable as a batched routing backend:
     ``PacketSimulator(net, routing=HopFunction(fn))`` asks ``fn`` once per
-    packet of each bucket, in bucket order, and passes the state through."""
+    packet hop (batched by hop index before a healthy run, by bucket in a
+    faulted one) and passes the state through."""
 
     def __init__(self, next_hop: Callable[[int, int], int]):
         self.next_hop = next_hop

@@ -243,6 +243,26 @@ class TestRPR022:
         hits = [f for f in r.findings if f.code == "RPR022"]
         assert hits[0].line == line_of(root, "app/kern.py", "index.get(k)")
 
+    def test_dict_of_arrays_parameter_is_a_dict(self, tmp_path):
+        # the annotation names ndarray, but the parameter is the dict
+        root = make_tree(
+            tmp_path,
+            {
+                "app/kern.py": """
+                    import numpy as np
+
+                    def kernel(keys, index: dict[int, list[np.ndarray]]):
+                        out = []
+                        for k in keys:
+                            out.append(index.get(k))
+                        return out
+                """
+            },
+        )
+        r = perf_paths([root], kernels=KERNEL)
+        hits = [f for f in r.findings if f.code == "RPR022"]
+        assert [f.line for f in hits] == [line_of(root, "app/kern.py", "index.get(k)")]
+
     def test_set_add_per_label_fires(self, tmp_path):
         root = make_tree(
             tmp_path,

@@ -20,7 +20,100 @@ from repro.sim import (
     unit_offmodule_capacity,
 )
 
+from repro.sim.wormhole import WormholeSimulator
+
 from .sim_oracle import HopFunction
+
+
+class TestInputValidation:
+    """Non-integer values and wrong shapes fail fast, naming the value,
+    instead of being truncated by a cast or failing mid-run."""
+
+    @pytest.fixture
+    def q3(self):
+        return nw.hypercube(3)
+
+    def test_fractional_delays_rejected(self, q3):
+        nchan = len(unit_node_capacity(q3))
+        with pytest.raises(ValueError, match=r"delays\[0\] = 1\.7 is not an int64 integer"):
+            PacketSimulator(q3, delays=np.full(nchan, 1.7))
+        with pytest.raises(ValueError, match=r"delays = 1\.5 is not an int64 integer"):
+            PacketSimulator(q3, delays=1.5)
+
+    def test_values_past_int64_rejected(self, q3):
+        nchan = len(unit_node_capacity(q3))
+        with pytest.raises(ValueError, match=r"delays\[0\] = 9223372036854775808 is not an int64"):
+            PacketSimulator(q3, delays=np.full(nchan, 2**63, dtype=np.uint64))
+        with pytest.raises(ValueError, match=r"injections\[0, 0\] = 1e\+19 is not an int64"):
+            PacketSimulator(q3).run(np.array([[1e19, 0, 7]]))
+
+    def test_whole_float_delays_equal_int_delays(self, q3):
+        nchan = len(unit_node_capacity(q3))
+        sim = PacketSimulator(q3, delays=np.full(nchan, 2.0))
+        assert sim.delays.dtype == np.int64
+        assert sim.run([(0, 0, 7)]) == PacketSimulator(q3, delays=2).run([(0, 0, 7)])
+
+    def test_wormhole_fractional_delays_rejected(self, q3):
+        nchan = len(unit_node_capacity(q3))
+        with pytest.raises(ValueError, match=r"delays\[0\] = 0\.5 is not an int64 integer"):
+            WormholeSimulator(q3, delays=0.5 * np.ones(nchan))
+
+    def test_delay_errors_name_the_value(self, q3):
+        d = unit_node_capacity(q3)
+        d[5] = 0
+        for cls in (PacketSimulator, WormholeSimulator):
+            with pytest.raises(ValueError, match=r"delays\[5\] = 0"):
+                cls(q3, delays=d)
+            with pytest.raises(ValueError, match=r"24 in 'Q3'\), got shape \(3,\)"):
+                cls(q3, delays=np.ones(3, dtype=np.int64))
+
+    def test_fractional_injection_array_rejected(self, q3):
+        sim = PacketSimulator(q3)
+        with pytest.raises(ValueError, match=r"injections\[0, 0\] = 0\.5 is not an int64 integer"):
+            sim.run(np.array([[0.5, 0, 7]]))
+        with pytest.raises(ValueError, match=r"injections\[1, 2\] = 6\.5"):
+            sim.run([(0, 0, 7), (1, 2, 6.5)])
+        with pytest.raises(ValueError, match=r"injections\[0, 0\] = 0\.5"):
+            WormholeSimulator(q3).run([(0.5, 0, 7)])
+        whole = sim.run(np.array([[1.0, 0, 7]]))
+        assert whole == sim.run(np.array([[1, 0, 7]]))
+        assert whole.mean_latency == 3
+
+    @pytest.mark.parametrize("size", [7, 9])
+    def test_module_of_of_wrong_length_rejected(self, q3, size):
+        for cls in (PacketSimulator, WormholeSimulator):
+            with pytest.raises(
+                ValueError,
+                match=rf"one module id per node \(8 in 'Q3'\), got shape \({size},\)",
+            ):
+                cls(q3, module_of=np.zeros(size, dtype=np.int64))
+
+    def test_fractional_module_of_rejected(self, q3):
+        with pytest.raises(ValueError, match=r"module_of\[3\] = 0\.25"):
+            PacketSimulator(q3, module_of=np.array([0, 0, 0, 0.25, 1, 1, 1, 1]))
+
+    @pytest.mark.parametrize(
+        "inj, msg",
+        [
+            # -1 used to wrap to destination 7's table row
+            ([(0, 0, -1)], r"injection #0: node ids must be in \[0, 8\) for 'Q3', got src=0, dst=-1"),
+            # used to fail with a bare IndexError
+            ([(0, 0, 99)], r"injection #0: node ids must be in \[0, 8\) for 'Q3', got src=0, dst=99"),
+            # used to run, with latency 23
+            ([(0, 0, 7), (-5, 0, 7)], r"injection #1: injection time must be >= 0, got -5"),
+            ([(0, 0, 7, 1)], r"injections must be \(t, src, dst\) triples"),
+        ],
+    )
+    def test_wormhole_injections_checked_like_packets(self, q3, inj, msg):
+        for sim in (WormholeSimulator(q3), PacketSimulator(q3)):
+            with pytest.raises(ValueError, match=msg):
+                sim.run(inj)
+
+    def test_wormhole_skips_self_addressed_messages(self, q3):
+        worm = WormholeSimulator(q3)
+        assert worm.run([(0, 3, 3), (0, 0, 7)]) == worm.run([(0, 0, 7)])
+        with pytest.raises(ValueError, match=r"injection #0: src == dst == 3"):
+            PacketSimulator(q3).run([(0, 3, 3), (0, 0, 7)])
 
 
 class TestSimulatorBasics:

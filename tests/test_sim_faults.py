@@ -102,8 +102,8 @@ class TestDegradedMode:
         assert s.undelivered == 1
 
     def test_bucket_of_only_retransmissions_matches_oracle(self):
-        # 60 packets (> 48: the batched decision stage) all head for a node
-        # that is down: nothing forwards, every packet is rescheduled
+        # 60 packets all head for a node that is down: nothing forwards,
+        # every packet is rescheduled
         g = nw.hypercube(6)
         inj = [(0, s, 63) for s in range(60)]
         runs = []
