@@ -23,9 +23,6 @@ echo
 echo "== static analysis: kernel-perf hot-path lint =="
 python -m repro.check perf src
 
-echo
-echo "== static analysis: shape & broadcast lint =="
-python -m repro.check shapes src
 
 echo
 echo "== static analysis: ruff =="
@@ -178,12 +175,8 @@ echo "== runtime determinism sanitizer (serial/parallel + cold/warm hashes) =="
 python -m repro.check sanitize --smoke
 
 echo
-echo "== runtime perf sanitizer (perimeter escapes + per-unit budgets) =="
+echo "== runtime perf sanitizer (perimeter escapes + per-unit budgets + shape contracts) =="
 python -m repro.check perf --measure --smoke
-
-echo
-echo "== runtime shape sanitizer (recorded workload shape contracts) =="
-python -m repro.check shapes --measure --smoke
 
 echo
 echo "CI OK"

@@ -20,8 +20,6 @@ Usage::
     python -m repro check contracts --jobs 0
     python -m repro check perf src
     python -m repro check perf --measure --smoke
-    python -m repro check shapes src
-    python -m repro check shapes --measure --smoke
 
 ``info``, ``figure``, ``summary`` and ``faults`` accept ``--profile``
 (print a timing/counter table after the command) and ``--trace FILE``
@@ -519,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser(
         "check",
         help="static analysis + sanitizers: lint, contracts, dataflow, "
-        "sanitize, perf, shapes (see `repro check --help`)",
+        "sanitize, perf (see `repro check --help`)",
     )
 
     args = parser.parse_args(argv)

@@ -65,7 +65,12 @@ CACHE_SCHEMA = 1
 #: 1. lint (RPR001–RPR005) + contracts (CTR001–CTR008)
 #: 2. dataflow tier: RPR010–RPR012 + runtime sanitizer (SAN001–SAN003)
 #: 3. perf tier: RPR020–RPR024 + perf sanitizer (SAN004–SAN005)
-#: 4. shape tier: RPR030–RPR034 + shape sanitizer (SAN006)
+#: 4. shape tier: static shape rules (RPR03x) + shape sanitizer (SAN006)
+#:
+#: The static shape rules were later retired without a bump: they never
+#: fired on ``src/`` and no artifact depended on them, so retiring them
+#: weakens no contract a cached artifact was built under.  SAN006 now
+#: runs under ``perf --measure``; retired codes are never reused.
 RULESET_VERSION = 4
 
 

@@ -8,8 +8,7 @@ Usage::
     python -m repro.check sanitize [--smoke]
     python -m repro.check perf [PATH ...]        # static hot-path lint
     python -m repro.check perf --measure [--smoke] [--update-budgets] [--budgets PATH]
-    python -m repro.check shapes [PATH ...]      # static shape/broadcast lint
-    python -m repro.check shapes --measure [--smoke] [--update-contracts] [--contracts PATH]
+                                         [--update-contracts] [--contracts PATH]
 
 Exit status is 0 when clean, 1 when any finding is reported — suitable
 for CI gates (see ``scripts/ci.sh``) — and 2 on a usage error, including
@@ -32,8 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
             "static analysis + runtime sanitizers, one tier per subcommand: "
             "lint (source hygiene), contracts (paper invariants), dataflow "
             "(determinism/cache keys), sanitize (runtime determinism), perf "
-            "(hot-path vectorization + profile-guided budgets), shapes "
-            "(symbolic shape/broadcast analysis + recorded shape contracts). "
+            "(hot-path vectorization + profile-guided budgets and recorded "
+            "shape contracts). "
             "Exit status is 0 when clean, 1 when any finding is reported."
         ),
     )
@@ -131,56 +130,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_san.add_argument("--profile", action="store_true", help="print obs counters after")
 
-    measured = (
-        (
-            "perf",
-            "kernel-perf analyzer: hot-path vectorization/contract lint "
-            "(static), or --measure for the profile-guided perf sanitizer",
-            "run the seeded micro-workloads instead of the static pass "
-            "(SAN004 perimeter escapes + SAN005 budget regressions)",
-            "budget",
-            "benchmarks/perf_budgets.json",
-            " (measured cost x margin)",
-        ),
-        (
-            "shapes",
-            "shape & broadcast analyzer: symbolic shape lint over the "
-            "hot-path perimeter (static), or --measure for the recorded "
-            "shape-contract sanitizer",
-            "run the seeded workload shape recorder instead of the static "
-            "pass (SAN006 contract drift)",
-            "contract",
-            "benchmarks/shape_contracts.json",
-            "'s recorded shapes",
-        ),
+    p_perf = sub.add_parser(
+        "perf",
+        help="kernel-perf analyzer: hot-path vectorization/contract lint "
+        "(static), or --measure for the profile-guided perf sanitizer",
     )
-    for cmd, help_text, measure_help, kind, default_file, update_how in measured:
-        p = sub.add_parser(cmd, help=help_text)
-        p.add_argument(
-            "paths",
-            nargs="*",
-            default=["src"],
-            help="files/directories to analyze (default: src)",
-        )
-        p.add_argument("--measure", action="store_true", help=measure_help)
-        p.add_argument(
-            "--smoke",
-            action="store_true",
-            help=f"with --measure: smallest workload sizes and the 'smoke' {kind} profile",
-        )
-        p.add_argument(
+    p_perf.add_argument(
+        "paths",
+        nargs="*",
+        default=["src"],
+        help="files/directories to analyze (default: src)",
+    )
+    p_perf.add_argument(
+        "--measure",
+        action="store_true",
+        help="run the seeded micro-workloads instead of the static pass "
+        "(SAN004 perimeter escapes, SAN005 budget regressions, SAN006 "
+        "shape-contract drift)",
+    )
+    p_perf.add_argument(
+        "--smoke",
+        action="store_true",
+        help="with --measure: smallest workload sizes and the 'smoke' "
+        "budget and contract profiles",
+    )
+    for kind, default_file, update_how in (
+        ("budget", "benchmarks/perf_budgets.json", " (measured cost x margin)"),
+        ("contract", "benchmarks/shape_contracts.json", "'s recorded shapes"),
+    ):
+        p_perf.add_argument(
             f"--update-{kind}s",
             action="store_true",
             help=f"with --measure: rewrite the {kind} profile from this run"
             f"{update_how} instead of comparing",
         )
-        p.add_argument(
+        p_perf.add_argument(
             f"--{kind}s",
             default=None,
             metavar="PATH",
             help=f"{kind} file (default: {default_file})",
         )
-        p.add_argument("--profile", action="store_true", help="print obs counters after")
+    p_perf.add_argument("--profile", action="store_true", help="print obs counters after")
     return parser
 
 
@@ -201,38 +191,31 @@ def run(args: argparse.Namespace) -> int:
 
             report = dataflow_paths(args.paths)
         elif args.cmd == "perf":
-            if args.measure or args.update_budgets:
-                from .perfsanitize import DEFAULT_BUDGETS_PATH, perf_sanitize
+            if _measured(args):
+                from .perfsanitize import (
+                    DEFAULT_BUDGETS_PATH,
+                    DEFAULT_CONTRACTS_PATH,
+                    perf_sanitize,
+                )
 
                 budgets = args.budgets or DEFAULT_BUDGETS_PATH
+                contracts = args.contracts or DEFAULT_CONTRACTS_PATH
                 if not args.update_budgets and _missing("budget", budgets):
+                    return 2
+                if not args.update_contracts and _missing("contract", contracts):
                     return 2
                 report = perf_sanitize(
                     paths=args.paths,
                     smoke=args.smoke,
                     budgets_path=budgets,
                     update=args.update_budgets,
+                    contracts_path=contracts,
+                    update_contracts=args.update_contracts,
                 )
             else:
                 from .perf import perf_paths
 
                 report = perf_paths(args.paths)
-        elif args.cmd == "shapes":
-            if args.measure or args.update_contracts:
-                from .shapesanitize import DEFAULT_CONTRACTS_PATH, shape_sanitize
-
-                contracts = args.contracts or DEFAULT_CONTRACTS_PATH
-                if not args.update_contracts and _missing("contract", contracts):
-                    return 2
-                report = shape_sanitize(
-                    smoke=args.smoke,
-                    contracts_path=contracts,
-                    update=args.update_contracts,
-                )
-            else:
-                from .shapes import shape_paths
-
-                report = shape_paths(args.paths)
         elif args.cmd == "sanitize":
             from .sanitize import sanitize_sweep
 
@@ -270,6 +253,11 @@ def run(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _measured(args: argparse.Namespace) -> bool:
+    """Does this ``perf`` invocation run the workloads (SAN004–SAN006)?"""
+    return args.measure or args.update_budgets or args.update_contracts
+
+
 def _missing(kind: str, path: str) -> bool:
     """A measured run against an absent file would compare nothing and
     pass vacuously; report it (naming the path) instead."""
@@ -287,13 +275,11 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro.check``."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cmd in ("perf", "shapes"):
+    if args.cmd == "perf" and not _measured(args):
         # measure-only flags must not be silently ignored by a static run
-        file_flag = "budgets" if args.cmd == "perf" else "contracts"
-        measured = args.measure or getattr(args, f"update_{file_flag}")
-        stray = [f"--{name}" for name in ("smoke", file_flag) if getattr(args, name)]
-        if stray and not measured:
-            parser.error(f"{args.cmd}: {' and '.join(stray)} require(s) --measure")
+        stray = [f"--{name}" for name in ("smoke", "budgets", "contracts") if getattr(args, name)]
+        if stray:
+            parser.error(f"perf: {' and '.join(stray)} require(s) --measure")
     return run(args)
 
 

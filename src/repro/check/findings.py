@@ -3,12 +3,11 @@
 Every tier — the AST linter (:mod:`repro.check.lint`), the
 paper-invariant contract checker (:mod:`repro.check.invariants`), the
 determinism dataflow analyzer (:mod:`repro.check.determinism`), the
-kernel-perf pass (:mod:`repro.check.perf`), the shape & broadcast pass
-(:mod:`repro.check.shapes`), and the runtime sanitizers
-(:mod:`~repro.check.sanitize` / :mod:`~repro.check.perfsanitize` /
-:mod:`~repro.check.shapesanitize`) — emits :class:`Finding` records and
-collects them into a :class:`Report`, so CLI rendering, exit codes, and
-obs accounting are identical across tiers.
+kernel-perf pass (:mod:`repro.check.perf`), and the runtime sanitizers
+(:mod:`~repro.check.sanitize` / :mod:`~repro.check.perfsanitize`) —
+emits :class:`Finding` records and collects them into a :class:`Report`,
+so CLI rendering, exit codes, and obs accounting are identical across
+tiers.
 
 A finding is ``location: CODE message`` where the location is a
 ``file:line`` pair for source-anchored findings and a descriptor string

@@ -3,7 +3,7 @@
 The static pass (:mod:`repro.check.perf`) reasons about the *declared*
 hot-path perimeter; this module closes the loop at runtime.  It runs a
 fixed set of seeded micro-workloads — one per perimeter kernel family —
-and checks two things the AST cannot see:
+and checks three things the AST cannot see:
 
 * **SAN004 — hot function outside the perimeter.**  Each workload runs
   once under :mod:`cProfile`; any function in the scanned tree whose own
@@ -20,9 +20,20 @@ and checks two things the AST cannot see:
   generous (default 6x) margin over the measuring machine so that normal
   scheduling noise never trips the gate — only an asymptotic or
   constant-factor regression does.
+* **SAN006 — concrete shape/dtype drift.**  After timing, the same
+  prepared workload runs once more in its recording mode and stores the
+  named arrays it produces (the CSR arrays of the built closure, the
+  ``(n, n)`` table and distance matrices, the query-aligned resolve
+  outputs, the ``(B, n)`` component labels, ...).  Every workload is
+  fully seeded, so the check is exact equality against
+  ``benchmarks/shape_contracts.json``: a changed rank, extent or dtype is
+  a contract break (or an intentional change that must re-record), and
+  so are arrays recorded without a contract and contracted arrays that
+  stopped being recorded.
 
-``--update-budgets`` re-measures and rewrites the budget file for the
-profile being run (``smoke`` or ``full``), preserving the other profile's
+``--update-budgets`` re-measures and rewrites the budget file, and
+``--update-contracts`` re-records the contract file, for the profile
+being run (``smoke`` or ``full``), preserving the other profile's
 entries.  Findings reuse the shared :class:`~repro.check.findings.Report`
 model, so rendering and exit codes match every other tier.
 """
@@ -44,16 +55,21 @@ from .findings import Finding, Report
 
 __all__ = [
     "PERF_SANITIZE_RULES",
+    "SHAPE_SANITIZE_RULES",
     "Workload",
     "WORKLOADS",
     "Measurement",
+    "measure",
     "run_workload",
     "perimeter_frame_index",
     "hot_frames",
     "load_profiles",
     "load_budgets",
+    "load_contracts",
     "write_profile",
     "update_budgets",
+    "record_shapes",
+    "write_contracts",
     "perf_sanitize",
 ]
 
@@ -62,9 +78,15 @@ PERF_SANITIZE_RULES: dict[str, str] = {
     "SAN004": "profiled-hot function outside the declared hot-path perimeter",
     "SAN005": "perimeter kernel per-unit cost exceeds its recorded budget",
 }
+#: rule code -> one-line summary (catalog in DESIGN.md §7.5)
+SHAPE_SANITIZE_RULES: dict[str, str] = {
+    "SAN006": "recorded workload array shape/dtype drifts from its contract",
+}
 
-#: default budget file, relative to the repo root (CI runs from there)
+#: default budget and contract files, relative to the repo root (CI runs
+#: from there)
 DEFAULT_BUDGETS_PATH = "benchmarks/perf_budgets.json"
+DEFAULT_CONTRACTS_PATH = "benchmarks/shape_contracts.json"
 #: headroom multiplier applied by ``--update-budgets`` over the measured cost
 BUDGET_MARGIN = 6.0
 #: SAN004 fires only above max(_FLOOR_S, _FRAC * profile total) own-time
@@ -88,8 +110,7 @@ class Workload:
     number of units processed (nodes, packets, mask rows, ...) — the
     SAN004/SAN005 timing pass.  ``thunk(record)`` runs it once more and
     stores the named ndarrays whose geometry the shape contracts pin into
-    the ``record`` dict — the SAN006 recording pass
-    (:mod:`repro.check.shapesanitize`).
+    the ``record`` dict — the SAN006 recording pass.
     """
 
     name: str
@@ -285,13 +306,17 @@ class Measurement:
 
 
 def run_workload(w: Workload, smoke: bool = False, repeats: int = 3) -> Measurement:
-    """Measure one workload: warm-up, ``repeats`` timed runs (best kept),
-    then one profiled run for SAN004 attribution.
+    """Prepare one workload and :func:`measure` it."""
+    return measure(w, w.prepare(smoke), repeats)
+
+
+def measure(w: Workload, thunk: Callable[..., int], repeats: int = 3) -> Measurement:
+    """Measure a prepared workload: warm-up, ``repeats`` timed runs (best
+    kept), then one profiled run for SAN004 attribution.
 
     The warm-up pass absorbs one-time costs (imports, artifact caches)
     so the timed passes see the steady-state kernel.
     """
-    thunk = w.prepare(smoke)
     units = thunk()  # warm-up
     best = float("inf")
     for _ in range(max(1, repeats)):
@@ -372,7 +397,7 @@ def load_profiles(path: str | Path) -> dict:
         return json.load(fh)
 
 
-load_budgets = load_profiles
+load_budgets = load_contracts = load_profiles
 
 
 def write_profile(path: str | Path, profile: str, entries: dict, meta: dict) -> dict:
@@ -420,6 +445,68 @@ def update_budgets(
 
 
 # ----------------------------------------------------------------------
+# SAN006: shape contracts
+# ----------------------------------------------------------------------
+def record_shapes(thunk: Callable[..., int]) -> dict[str, dict]:
+    """Run a prepared workload's recording pass and flatten its arrays to
+    ``{name: {shape, dtype}}``."""
+    import numpy as np
+
+    arrays: dict = {}
+    thunk(arrays)
+    out: dict[str, dict] = {}
+    for name, arr in arrays.items():
+        a = np.asarray(arr)
+        out[name] = {"shape": [int(d) for d in a.shape], "dtype": str(a.dtype)}
+    return out
+
+
+def write_contracts(
+    path: str | Path,
+    recorded: dict[str, dict[str, dict]],
+    profile: str,
+) -> dict:
+    """Write ``recorded`` (workload -> array -> shape/dtype) as the
+    ``profile`` contracts, preserving the other profile's entries;
+    returns the written dict."""
+    meta = {
+        "note": (
+            "exact shapes/dtypes of the seeded check workloads; "
+            "re-record after an intentional kernel geometry change"
+        ),
+    }
+    return write_profile(path, profile, recorded, meta)
+
+
+def _drift(want: dict, got: dict, contracts_path: str | Path) -> list[str]:
+    """One SAN006 message per array whose recorded geometry differs from
+    its contract (vanished and uncontracted arrays included)."""
+    out = []
+    for name in sorted(set(want) | set(got)):
+        c, g = want.get(name), got.get(name)
+        if c is None:
+            out.append(
+                f"now records array `{name}` {tuple(g['shape'])} "
+                f"{g['dtype']} with no contract in {contracts_path} — "
+                f"record it with --update-contracts"
+            )
+        elif g is None:
+            out.append(
+                f"no longer records array `{name}` (contracted as "
+                f"{tuple(c['shape'])} {c['dtype']} in {contracts_path})"
+            )
+        elif c["shape"] != g["shape"] or c["dtype"] != g["dtype"]:
+            out.append(
+                f"array `{name}` is {tuple(g['shape'])} {g['dtype']} "
+                f"but the contract in {contracts_path} says "
+                f"{tuple(c['shape'])} {c['dtype']} — a geometry "
+                f"regression, or rerun --update-contracts after an "
+                f"intentional change"
+            )
+    return out
+
+
+# ----------------------------------------------------------------------
 # the sanitizer
 # ----------------------------------------------------------------------
 def perf_sanitize(
@@ -432,14 +519,20 @@ def perf_sanitize(
     floor_s: float = _FLOOR_S,
     frac: float = _FRAC,
     repeats: int = 3,
+    contracts_path: str | Path = DEFAULT_CONTRACTS_PATH,
+    update_contracts: bool = False,
 ) -> Report:
-    """Run the seeded workloads and report SAN004/SAN005 findings.
+    """Run the seeded workloads and report SAN004–SAN006 findings.
 
+    Each workload is prepared once: timed and profiled, then recorded.
     ``smoke`` selects the small workload sizes (and the ``smoke`` budget
-    profile); ``update=True`` rewrites that profile's budgets from the
-    measurement instead of comparing (SAN004 still runs).  ``workloads``
-    and ``kernels`` exist for fixture tests; production callers use the
-    registered :data:`WORKLOADS` against :data:`~repro.check.perf.HOT_PERIMETER`.
+    and contract profiles); ``update=True`` rewrites that profile's
+    budgets from the measurement, and ``update_contracts=True`` its
+    contracts from the recording, instead of comparing (SAN004 still
+    runs).  Only workloads with a contract are recorded unless the
+    contracts are being rewritten.  ``workloads`` and ``kernels`` exist
+    for fixture tests; production callers use the registered
+    :data:`WORKLOADS` against :data:`~repro.check.perf.HOT_PERIMETER`.
     """
     wls = tuple(workloads) if workloads is not None else WORKLOADS
     profile_name = "smoke" if smoke else "full"
@@ -450,9 +543,14 @@ def perf_sanitize(
         budgets = {} if update else (
             load_profiles(budgets_path).get("profiles", {}).get(profile_name, {})
         )
+        contracts = {} if update_contracts else (
+            load_profiles(contracts_path).get("profiles", {}).get(profile_name, {})
+        )
         measurements: list[Measurement] = []
+        recorded: dict[str, dict[str, dict]] = {}
         for w in wls:
-            m = run_workload(w, smoke=smoke, repeats=repeats)
+            thunk = w.prepare(smoke)
+            m = measure(w, thunk, repeats)
             measurements.append(m)
             where = f"perf[{w.name}]"
 
@@ -503,7 +601,19 @@ def perf_sanitize(
                         )
                     )
                     reg.incr("check.perfsan.regressions")
+
+            # SAN006: the same prepared workload, recorded
+            want = contracts.get(w.name)
+            if want is not None or update_contracts:
+                got = recorded[w.name] = record_shapes(thunk)
+            if want is not None:
+                report.checked += 1
+                for msg in _drift(want, got, contracts_path):
+                    report.add(Finding(f"shapes[{w.name}]", 0, "SAN006", f"{w.kernel} {msg}"))
+                    reg.incr("check.perfsan.drift")
             reg.incr("check.perfsan.workloads")
         if update:
             update_budgets(budgets_path, measurements, profile_name)
+        if update_contracts:
+            write_contracts(contracts_path, recorded, profile_name)
     return report

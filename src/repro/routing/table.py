@@ -200,9 +200,11 @@ class NextHopTable:
         The caller is responsible for pairing the arrays with the same
         topology they were built on (the artifact cache keys tables by the
         graph's own cache key, so a mismatch cannot happen through it).
+        The table is made C-contiguous here, once, so :meth:`step`'s flat
+        view never copies it.
         """
         n = net.num_nodes
-        table = np.asarray(table, dtype=np.int32)
+        table = np.ascontiguousarray(table, dtype=np.int32)
         if table.shape != (n, n):
             raise ValueError(
                 f"next-hop table shape {table.shape} does not match "
@@ -282,9 +284,12 @@ class NextHopTable:
     def step(
         self, nodes: np.ndarray, dsts: np.ndarray, state: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:class:`RoutingBackend` hop: the gather ``table[dsts, nodes]``
-        (int64), with ``state`` passed through.  Ids are not validated."""
-        return self.table[dsts, nodes].astype(np.int64), state
+        """:class:`RoutingBackend` hop: ``table[dsts, nodes]`` (int64) as
+        one ``take`` on the flat (C-contiguous, so never copied) table,
+        with ``state`` passed through.  Ids are not validated."""
+        n = len(self.table)
+        # one expression, so the flat index is freed before the int64 copy
+        return self.table.take(np.asarray(dsts, dtype=np.int64) * n + nodes).astype(np.int64), state
 
     def path(self, src: int, dst: int) -> list[int]:
         """Full shortest path from ``src`` to ``dst``."""

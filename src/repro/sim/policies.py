@@ -55,9 +55,11 @@ class ChannelIndex:
     reads a dense ``n²`` key -> channel table (one gather resolves a whole
     batch of hops); above it they :func:`np.searchsorted` the sorted keys.
 
-    A hop that is not an arc of the network raises
-    :class:`~repro.core.network.RoutingError` naming the offending pair —
-    the contract routers rely on to surface non-neighbor next hops.
+    :meth:`lookup` resolves one hop and raises
+    :class:`~repro.core.network.RoutingError` naming a pair that is not
+    an arc — the contract routers rely on to surface non-neighbor next
+    hops; :meth:`find` resolves a batch and marks such hops ``-1`` for
+    its caller to raise on in event order.
     """
 
     #: below this node count a dense ``n² -> channel`` table (int64, so
@@ -127,19 +129,6 @@ class ChannelIndex:
             pos[~hit] = -1
         if not in_range:
             pos[~ok] = -1
-        return pos
-
-    def lookup_many(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Channel indices for aligned hop arrays ``u[i] -> v[i]``.
-
-        Raises for the first (lowest-index) missing arc, matching the
-        scalar lookup's behavior on a sequential scan.
-        """
-        pos = self.find(u, v)
-        bad = (pos < 0).nonzero()[0]
-        if bad.size:
-            i = int(bad[0])
-            raise self._missing(int(np.asarray(u)[i]), int(np.asarray(v)[i]))
         return pos
 
 

@@ -1,9 +1,9 @@
 """Every ``# repro: noqa`` in ``src/`` must still be earning its keep.
 
-The four static tiers run on a copy of ``src/`` with every noqa marker
+The three static tiers run on a copy of ``src/`` with every noqa marker
 neutralized; each marker of the real tree must then name a code that
-fires on its line (or, for a ``def``-line marker of the perf and shape
-tiers, anywhere in the function).  A marker that suppresses nothing
+fires on its line (or, for a ``def``-line marker of the perf tier,
+anywhere in the function).  A marker that suppresses nothing
 hides the next real finding on its line, so it fails this test.
 """
 
@@ -11,13 +11,13 @@ import ast
 import shutil
 from pathlib import Path
 
-from repro.check import dataflow_paths, lint_paths, perf_paths, shape_paths
+from repro.check import dataflow_paths, lint_paths, perf_paths
 from repro.check.findings import noqa_map
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: tiers whose def-line noqa covers the whole function
-_DEF_LINE_CODES = ("RPR02", "RPR03")
+#: the tier whose def-line noqa covers the whole function
+_DEF_LINE_CODES = ("RPR02",)
 
 
 def neutralized_copy(src: Path, dest: Path) -> Path:
@@ -32,9 +32,9 @@ def neutralized_copy(src: Path, dest: Path) -> Path:
 
 
 def static_findings(tree: Path):
-    """Every finding of the four static tiers over ``tree``."""
+    """Every finding of the three static tiers over ``tree``."""
     findings = []
-    for tier in (lint_paths, dataflow_paths, perf_paths, shape_paths):
+    for tier in (lint_paths, dataflow_paths, perf_paths):
         findings.extend(tier([tree]).findings)
     return findings
 
@@ -48,20 +48,22 @@ def _function_spans(source: str) -> dict[int, tuple[int, int]]:
     }
 
 
-def test_every_noqa_suppresses_a_finding(tmp_path):
-    copy = neutralized_copy(SRC, tmp_path / "src")
+def stale_markers(src: Path, scratch: Path) -> list[str]:
+    """``path:line`` of every noqa marker under ``src`` that suppresses
+    nothing once the markers of a copy at ``scratch`` are neutralized."""
+    copy = neutralized_copy(src, scratch)
     fired: dict[str, list[tuple[int, str]]] = {}
     for f in static_findings(copy):
         rel = str(Path(f.path).resolve().relative_to(copy.resolve()))
         fired.setdefault(rel, []).append((f.line, f.code))
 
     stale = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(src.rglob("*.py")):
         source = path.read_text()
         markers = noqa_map(source)
         if not markers:
             continue
-        rel = str(path.relative_to(SRC))
+        rel = str(path.relative_to(src))
         spans = _function_spans(source)
         for line, codes in markers.items():
             lo, hi = spans.get(line, (line, line))
@@ -74,7 +76,22 @@ def test_every_noqa_suppresses_a_finding(tmp_path):
 
             if not any(covers(hl, code) for hl, code in fired.get(rel, [])):
                 stale.append(f"{rel}:{line}: noqa{sorted(codes or [])} suppresses nothing")
+    return stale
+
+
+def test_every_noqa_suppresses_a_finding(tmp_path):
+    stale = stale_markers(SRC, tmp_path / "src")
     assert not stale, "\n".join(stale)
+
+
+def test_a_planted_stale_marker_fails(tmp_path):
+    tree = tmp_path / "tree"
+    (tree / "app").mkdir(parents=True)
+    (tree / "app" / "__init__.py").touch()
+    (tree / "app" / "mod.py").write_text("x = 1  # repro: noqa[RPR020]\n")
+    assert stale_markers(tree, tmp_path / "copy") == [
+        "app/mod.py:1: noqa['RPR020'] suppresses nothing"
+    ]
 
 
 def test_noqa_in_a_string_literal_is_not_a_comment():

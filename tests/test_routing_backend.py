@@ -35,6 +35,30 @@ def test_table_step_is_the_gather():
     assert out is state
 
 
+def test_table_step_flat_take_matches_the_2d_gather(tmp_path):
+    # a fresh build, a from_arrays table given a Fortran-ordered copy, and
+    # a table over a read-only mmap all answer with the 2-D gather, bit for
+    # bit, through a flat view that never copies the table
+    net = nw.hsn(2, nw.hypercube_nucleus(3))
+    fresh = NextHopTable(net)
+    np.save(tmp_path / "table.npy", fresh.table)
+    mm = np.load(tmp_path / "table.npy", mmap_mode="r")
+    tables = {
+        "fresh": fresh,
+        "from_arrays": NextHopTable.from_arrays(net, np.asfortranarray(fresh.table)),
+        "mmap": NextHopTable.from_arrays(net, mm),
+    }
+    assert np.shares_memory(tables["mmap"].table, mm)
+    rng = np.random.default_rng(1)
+    nodes, dsts = rng.integers(0, net.num_nodes, size=(2, 5000))
+    want = fresh.table[dsts, nodes].astype(np.int64)
+    for name, table in tables.items():
+        assert table.table.flags.c_contiguous, name
+        assert np.shares_memory(table.table.reshape(-1), table.table), name
+        nxt, _ = table.step(nodes, dsts, None)
+        assert nxt.dtype == np.int64 and np.array_equal(nxt, want), name
+
+
 def _hsn(symmetric: bool):
     nuc = nw.hypercube_nucleus(2)
     sgs = SuperGeneratorSet.transpositions(3)

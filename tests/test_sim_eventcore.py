@@ -242,12 +242,11 @@ class TestChannelIndex:
 
     def test_negative_target_does_not_alias(self):
         # u*n + v with v = -1 collides with arc (u-1, n-1) unless range
-        # checked; both lookup paths must reject it
+        # checked; the scalar and the batched lookup must both reject it
         idx = ChannelIndex(nw.ring(8))
         with pytest.raises(RoutingError, match="no channel 1->-1"):
             idx.lookup(1, -1)
-        with pytest.raises(RoutingError, match="no channel 1->-1"):
-            idx.lookup_many(np.array([1]), np.array([-1]))
+        assert idx.find(np.array([1]), np.array([-1])).tolist() == [-1]
 
     @pytest.mark.parametrize("dense", [True, False])
     def test_scalar_lookup_on_both_layouts(self, dense, monkeypatch):
@@ -263,23 +262,10 @@ class TestChannelIndex:
         for u, v in [(0, 4), (-1, 7), (-1, 0), (8, 0), (1, 8)]:
             with pytest.raises(RoutingError, match=f"no channel {u}->{v}"):
                 idx.lookup(u, v)
-            with pytest.raises(RoutingError, match=f"no channel {u}->{v}"):
-                idx.lookup_many(np.array([0, u]), np.array([1, v]))
-
-    def test_lookup_many_matches_scalar(self):
-        net = nw.hsn(2, nw.hypercube_nucleus(2))
-        idx = ChannelIndex(net)
-        u, v = idx.sources, idx.indices
-        got = idx.lookup_many(u, v)
-        assert (got == np.arange(len(idx))).all()
-        assert [idx.lookup(int(a), int(b)) for a, b in zip(u[:10], v[:10])] == (
-            got[:10].tolist()
-        )
-
-    def test_lookup_many_reports_first_missing(self):
-        idx = ChannelIndex(nw.ring(8))
-        with pytest.raises(RoutingError, match="no channel 2->5"):
-            idx.lookup_many(np.array([0, 2, 3]), np.array([1, 5, 9]))
+            assert idx.find(np.array([0, u]), np.array([1, v])).tolist() == [
+                idx.lookup(0, 1),
+                -1,
+            ]
 
     @pytest.mark.parametrize("dense", [True, False])
     def test_find_marks_non_arcs(self, dense, monkeypatch):
@@ -291,6 +277,13 @@ class TestChannelIndex:
         v = np.array([1, 4, -1, 7, 0, 8, 0])
         assert idx.find(u, v).tolist() == [idx.lookup(0, 1), -1, -1, -1, -1, -1, idx.lookup(7, 0)]
         assert idx.find(u[:0], v[:0]).size == 0
+        # every arc, in CSR order, agrees with the scalar lookup
+        hsn = ChannelIndex(nw.hsn(2, nw.hypercube_nucleus(2)))
+        got = hsn.find(hsn.sources, hsn.indices)
+        assert (got == np.arange(len(hsn))).all()
+        assert [hsn.lookup(int(a), int(b)) for a, b in zip(hsn.sources, hsn.indices)] == (
+            got.tolist()
+        )
 
 
 class TestRoutesBeforeTheRun:
