@@ -1,17 +1,25 @@
-"""Fault sweep — the survivor-detour kernel against its networkx oracle.
+"""Fault sweep — shortest-survivor detours against two oracles.
 
 Replays one 16-link-fault trial of :func:`repro.fault.fault_sweep` on
-HSN(3,Q3) (N=512) twice: once with the resilient router's stage-3
-detours computed by the array-native kernel
-(:class:`repro.routing.disjoint.NodeDisjointPaths`, one flow structure
-per router, one capacity mask per fault epoch), and once by the networkx
-engine it replaced (``tests/disjoint_oracle.py``: auxiliary digraph and
-residual network rebuilt per fault epoch).  The sweep rows and every
-survivor path must be identical, and the time spent computing survivor
-paths must drop at least ``MIN_SPEEDUP``x (best of ``ROUNDS`` kernel runs
-against one oracle run, GC parked).  Run it directly (exits non-zero on
-a mismatch or a missed budget; prints one JSON record, appended to
-``$REPRO_BENCH_TRAJECTORY`` when set)::
+HSN(3,Q3) (N=512) with the resilient router's stage-3 detours computed
+by the router itself (one survivor CSR per fault epoch, one BFS distance
+row per destination) and checks three things:
+
+* **identity** — with the independent shortest-survivor oracle of
+  ``tests/fault_view.py`` patched in (networkx BFS on the rebuilt
+  survivor graph, then the same smallest-id walk), the sweep rows and
+  every survivor path are identical;
+* **no longer** — every detour is no longer than the shortest
+  node-disjoint path of networkx on the same survivor graph
+  (``tests/disjoint_oracle.py``), the detour the router used to take;
+* **speed** — on the trial's own detour queries, the router spends at
+  least ``MIN_SPEEDUP``x less time than that networkx node-disjoint
+  engine (flow structures built once per fault epoch, each path kept
+  per epoch as the old router did); best of ``ROUNDS`` router runs
+  against one engine replay, GC parked.
+
+Run it directly (exits non-zero on a mismatch or a missed budget; prints
+one JSON record, appended to ``$REPRO_BENCH_TRAJECTORY`` when set)::
 
     PYTHONPATH=src python benchmarks/bench_fault_sweep.py
 """
@@ -28,7 +36,7 @@ from repro.fault import ResilientRouter, fault_sweep
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.disjoint_oracle import OracleNodeDisjointPaths  # noqa: E402
-from tests.fault_view import FaultyNetwork  # noqa: E402
+from tests.fault_view import FaultyNetwork, shortest_survivor_path  # noqa: E402
 
 MIN_SPEEDUP = 3.0
 ROUNDS = 3
@@ -37,33 +45,28 @@ SEED = 1
 
 
 def _oracle_survivor_path(router, epoch, u, dst, t):
-    """The replaced detour: networkx on the epoch's survivor graph, the
-    view and its flow structures built once per router and epoch."""
-    cached = getattr(router, "_oracle", None)
+    """The shortest-survivor oracle on the epoch's rebuilt survivor graph
+    (one fault view per router and epoch)."""
+    cached = getattr(router, "_oracle_view", None)
     if cached is None or cached[0] != epoch:
-        view = FaultyNetwork.at(router.net, router.timeline, t)
-        cached = router._oracle = (
-            epoch, view, OracleNodeDisjointPaths(view.to_network())
+        cached = router._oracle_view = (
+            epoch, FaultyNetwork.at(router.net, router.timeline, t)
         )
-    _, view, oracle = cached
-    if u == dst or not (view.is_node_up(u) and view.is_node_up(dst)):
-        return None
-    paths = oracle(u, dst)
-    return tuple(min(paths, key=len)) if paths else None
+    return shortest_survivor_path(cached[1], u, dst)
 
 
 def _trial(net, compute) -> tuple[list[dict], list, float]:
     """One f16 trial with the detours computed by ``compute``: the sweep
-    rows, every survivor path in query order, and the seconds spent in
-    ``compute``."""
-    paths: list = []
+    rows, every detour query ``(router, epoch, u, dst, t, path)`` in
+    order, and the seconds spent in ``compute``."""
+    queries: list = []
     spent = [0.0]
 
     def timed(router, epoch, u, dst, t):
         t0 = time.perf_counter()
         path = compute(router, epoch, u, dst, t)
         spent[0] += time.perf_counter() - t0
-        paths.append((epoch, u, dst, path))
+        queries.append((router, epoch, u, dst, t, path))
         return path
 
     original = ResilientRouter._compute_survivor_path
@@ -75,16 +78,51 @@ def _trial(net, compute) -> tuple[list[dict], list, float]:
     finally:
         gc.enable()
         ResilientRouter._compute_survivor_path = original
-    return rows, paths, spent[0]
+    return rows, queries, spent[0]
+
+
+def _disjoint_replay(queries) -> tuple[list, float]:
+    """The shortest networkx node-disjoint path for every query, and the
+    seconds that engine took: per router and epoch one survivor graph and
+    flow network, and one path per ``(u, dst)``."""
+    epochs: dict = {}
+    paths = []
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        for router, epoch, u, dst, t, _ in queries:
+            key = (id(router), epoch)
+            if key not in epochs:
+                view = FaultyNetwork.at(router.net, router.timeline, t)
+                epochs[key] = (OracleNodeDisjointPaths(view.to_network()), {})
+            engine, memo = epochs[key]
+            if (u, dst) not in memo:
+                found = engine(u, dst)
+                memo[u, dst] = tuple(min(found, key=len)) if found else None
+            paths.append(memo[u, dst])
+        spent = time.perf_counter() - t0
+    finally:
+        gc.enable()
+    return paths, spent
+
+
+def _no_longer(got, old) -> bool:
+    """Both detours exist or neither does, and ``got`` is no longer."""
+    if got is None or old is None:
+        return got is old
+    return len(got) <= len(old)
 
 
 def fault_sweep_case() -> dict:
     net = nw.build("hsn", l=3, n=3)
     kernel = ResilientRouter._compute_survivor_path
     runs = [_trial(net, kernel) for _ in range(ROUNDS)]
-    rows, paths, _ = runs[0]
+    rows, queries, _ = runs[0]
     kernel_s = min(r[2] for r in runs)
-    want_rows, want_paths, oracle_s = _trial(net, _oracle_survivor_path)
+    want_rows, want_queries, _ = _trial(net, _oracle_survivor_path)
+    paths = [q[1:4] + q[5:] for q in queries]  # (epoch, u, dst, path)
+    disjoint, disjoint_s = _disjoint_replay(queries)
     return {
         "bench": "fault_sweep_detours",
         "network": net.name,
@@ -92,10 +130,11 @@ def fault_sweep_case() -> dict:
         "faults": FAULTS,
         "survivor_paths": len(paths),
         "kernel_s": round(kernel_s, 4),
-        "oracle_s": round(oracle_s, 4),
-        "speedup": round(oracle_s / kernel_s, 2),
+        "disjoint_s": round(disjoint_s, 4),
+        "speedup": round(disjoint_s / kernel_s, 2),
         "identical_rows": json.dumps(rows) == json.dumps(want_rows),
-        "identical_paths": paths == want_paths,
+        "identical_paths": paths == [q[1:4] + q[5:] for q in want_queries],
+        "no_longer": all(_no_longer(q[5], old) for q, old in zip(queries, disjoint)),
     }
 
 
@@ -104,7 +143,10 @@ def main() -> int:
     obs.emit_record(record)
     ok = True
     if not (record["identical_rows"] and record["identical_paths"]):
-        print("FAIL: kernel detours differ from the networkx oracle", file=sys.stderr)
+        print("FAIL: detours differ from the shortest-survivor oracle", file=sys.stderr)
+        ok = False
+    if not record["no_longer"]:
+        print("FAIL: a detour is longer than the node-disjoint detour", file=sys.stderr)
         ok = False
     if record["survivor_paths"] == 0:
         print("FAIL: the trial computed no survivor paths", file=sys.stderr)
@@ -113,7 +155,7 @@ def main() -> int:
         print(
             f"FAIL: survivor-path speedup {record['speedup']:.1f}x < "
             f"{MIN_SPEEDUP:.0f}x ({record['kernel_s']:.3f}s vs "
-            f"{record['oracle_s']:.3f}s)",
+            f"{record['disjoint_s']:.3f}s)",
             file=sys.stderr,
         )
         ok = False

@@ -15,10 +15,10 @@ make million-packet load sweeps routine; this bench holds it to that:
   (``ResilientRouter._compute_survivor_path``, budgeted on its own by
   ``bench_fault_sweep.py``).  The whole-run ratio is reported too.
 
-Methodology mirrors ``bench_obs_overhead.py``: GC parked during timing,
-best-of-``ROUNDS`` for the fast engine (the slow oracle runs once — it
-dominates wall time); the degraded trial alternates the two engines
-round by round and keeps the best of each, so host drift hits both.  Results are printed as JSON; set
+Methodology mirrors ``bench_obs_overhead.py``: GC parked during timing;
+both comparisons alternate the two engines round by round for
+``ROUNDS`` rounds and keep the best of each, so host drift hits both.
+Results are printed as JSON; set
 ``REPRO_BENCH_TRAJECTORY=<path>`` to append the record to a JSONL
 trajectory file for tracking across commits.
 
@@ -140,21 +140,21 @@ def main() -> int:
     npkt = len(w)
     assert npkt >= 100_000, f"comparison workload too small: {npkt}"
 
-    event_stats = None
+    ref_sim = ReferencePacketSimulator(net)
+    stats = {}
 
     def _event():
-        nonlocal event_stats
-        event_stats = PacketSimulator(net).run(w)
-
-    dt_event = min(_timed(_event) for _ in range(ROUNDS))
-    ref_sim = ReferencePacketSimulator(net)
-    ref_holder = {}
+        stats[PacketSimulator] = PacketSimulator(net).run(w)
 
     def _ref():
-        ref_holder["stats"] = ref_sim.run(w)
+        stats[ReferencePacketSimulator] = ref_sim.run(w)
 
-    dt_ref = _timed(_ref)
-    if event_stats != ref_holder["stats"]:
+    times = {_event: [], _ref: []}
+    for _ in range(ROUNDS):  # interleaved, so host drift hits both engines
+        for fn in times:
+            times[fn].append(_timed(fn))
+    dt_event, dt_ref = min(times[_event]), min(times[_ref])
+    if stats[PacketSimulator] != stats[ReferencePacketSimulator]:
         print("FAIL: engines disagree on the comparison workload", file=sys.stderr)
         return 1
 

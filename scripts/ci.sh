@@ -106,7 +106,7 @@ echo "== next-hop table build (>=3x vs oracle, bit-identical, N=4096) =="
 python benchmarks/bench_routing.py
 
 echo
-echo "== survivor detour kernel (>=3x vs networkx oracle, bit-identical, f16 HSN(3,Q3)) =="
+echo "== survivor detours (identical to the shortest-survivor oracle, never longer than node-disjoint, >=3x vs networkx node-disjoint engine, f16 HSN(3,Q3)) =="
 python benchmarks/bench_fault_sweep.py
 
 echo

@@ -18,8 +18,10 @@ walk:
 * name resolution honours module-level *and* function-local imports
   (the codebase imports lazily inside functions), relative imports,
   ``self.method()``, ``Class.method``, constructor calls (edge to
-  ``__init__``), and local variables bound to a constructor result
-  (``sim = PacketSimulator(...)`` then ``sim.run(...)``);
+  ``__init__``), local variables bound to a constructor result
+  (``sim = PacketSimulator(...)`` then ``sim.run(...)``), and
+  ``super().method()`` (the first scanned base class defining it,
+  depth-first over the bases);
 * re-export chains through package ``__init__`` modules are followed
   (``repro.cache.cache_key`` resolves to
   ``repro.cache.artifacts.cache_key`` when both files are scanned);
@@ -80,6 +82,8 @@ class ModuleScope:
     rebound_globals: set[str] = field(default_factory=set)
     #: class name -> {method name -> qualname}
     classes: dict[str, dict[str, str]] = field(default_factory=dict)
+    #: class name -> dotted names of its bases, in order
+    bases: dict[str, list[str]] = field(default_factory=dict)
 
 
 class CallGraph:
@@ -125,6 +129,24 @@ class CallGraph:
             init = scope.classes[last].get("__init__")
             if init is not None:
                 return self.functions.get(init)
+        return None
+
+    def super_method(self, fn: FunctionNode, name: str) -> str | None:
+        """What ``super().name`` in method ``fn`` calls: ``name`` on the
+        first scanned base class that defines it, depth-first over the
+        bases; ``None`` when no scanned base does."""
+        todo = self.modules[fn.module].bases.get(fn.cls or "", [])[::-1]
+        seen: set[str] = set()
+        while todo:
+            dotted = self.canonical(todo.pop())
+            mod, _, cls = dotted.rpartition(".")
+            scope = self.modules.get(mod)
+            if dotted in seen or scope is None or cls not in scope.classes:
+                continue
+            seen.add(dotted)
+            if name in scope.classes[cls]:
+                return scope.classes[cls][name]
+            todo.extend(scope.bases.get(cls, [])[::-1])
         return None
 
     def resolver(self, fn: FunctionNode) -> "FunctionResolver":
@@ -313,6 +335,15 @@ def _register_functions(cg: CallGraph, scope: ModuleScope) -> None:
             add(node, None)
         elif isinstance(node, ast.ClassDef):
             scope.classes.setdefault(node.name, {})
+            for base in node.bases:  # dotted, as the module's names bind them
+                chain = FunctionResolver._chain(base) or [""]
+                if chain[0] in scope.imports:
+                    chain[0] = scope.imports[chain[0]]
+                elif chain[0] in scope.globals:
+                    chain.insert(0, scope.modname)
+                else:
+                    continue
+                scope.bases.setdefault(node.name, []).append(".".join(chain))
             for sub in node.body:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     add(sub, node.name)
@@ -326,6 +357,10 @@ def _register_aliases(cg: CallGraph, scope: ModuleScope) -> None:
         cg.aliases[f"{scope.modname}.{local}"] = target
 
 
+def _is_super(expr: ast.expr) -> bool:
+    return isinstance(expr, ast.Call) and getattr(expr.func, "id", None) == "super"
+
+
 def _extract_edges(cg: CallGraph, fn: FunctionNode) -> None:
     refs: list[ast.expr] = []
     resolver = FunctionResolver(cg, cg.modules[fn.module], fn, refs)
@@ -336,6 +371,12 @@ def _extract_edges(cg: CallGraph, fn: FunctionNode) -> None:
             target = resolver.resolve_function(node.func)
             if target is not None:
                 out.add(target.qualname)
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and _is_super(func.value):
+                qual = cg.super_method(fn, func.attr)  # typed, or no edge
+                if qual is not None:
+                    out.add(qual)
                 continue
             # untyped receiver: fall back to every scanned method of that name
             if isinstance(node.func, ast.Attribute) and resolver.resolve_expr(node.func) is None:

@@ -11,7 +11,7 @@ tier.
 The **hot-path perimeter** is declared once — :data:`HOT_PERIMETER`, a
 tuple of :class:`HotKernel` records naming the closure engine, the
 ``NextHopTable`` construction, the BFS distance kernel, the
-node-disjoint-paths flow kernel, the simulator event core and its
+survivor-detour BFS, the simulator event core and its
 fault decision stage, the percolation component labeling, and the orbit signature kernels —
 and closed over the import-aware call graph
 (:mod:`repro.check.callgraph`), exactly like the determinism perimeters
@@ -50,8 +50,8 @@ Findings carry ``file:line`` anchors and an origin tag (``[hot via
 repro.routing.table.NextHopTable.__init__]``).  Suppression uses the
 shared ``# repro: noqa[CODE]`` comment — on the finding's own line, or
 on the enclosing ``def`` line to cover a whole deliberately-scalar
-function (e.g. ``NodeDisjointPaths._paths``, which replays networkx's
-Edmonds–Karp step for step).  The runtime
+function (e.g. ``repro.core.ipgraph._encode_seed``, which runs once per
+build on the seed label).  The runtime
 half of this tier (cProfile attribution, SAN004–SAN005, and the recorded
 shape contracts, SAN006) lives in :mod:`repro.check.perfsanitize`.
 """
@@ -130,13 +130,9 @@ HOT_PERIMETER: tuple[HotKernel, ...] = (
         contracts=(("frontier", "uint64"), ("visited", "uint64")),
     ),
     HotKernel(
-        "repro.routing.disjoint.NodeDisjointPaths._build",
-        "node-split flow network built from the arc list (once per router)",
-        contracts=(("head", "int64"), ("rev", "int64")),
-    ),
-    HotKernel(
-        "repro.routing.disjoint.NodeDisjointPaths.__call__",
-        "unit-capacity Edmonds–Karp survivor-path query (per deroute)",
+        "repro.fault.resilient.ResilientRouter._compute_survivor_path",
+        "per-deroute survivor BFS (one row per fault epoch and destination) "
+        "and shortest-path walk",
     ),
     HotKernel(
         "repro.sim.simulator.PacketSimulator.run",

@@ -8,7 +8,7 @@ The subsystem behind the paper's graceful-degradation story:
   down-interval timelines (:mod:`repro.fault.plan`);
 * :class:`ResilientRouter` — primary → alternate-minimal → survivor-path
   adaptive routing on undirected networks, reading the timeline directly
-  and keeping one bounded detour record per fault epoch
+  and keeping one detour record (survivor CSR, BFS rows) per fault epoch
   (:mod:`repro.fault.resilient`);
 * :func:`fault_sweep` / :func:`fault_comparison` — Monte-Carlo resilience
   curves, exposed as the ``faults`` CLI subcommand

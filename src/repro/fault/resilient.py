@@ -10,28 +10,29 @@ on star-graph-class networks exploit path diversity):
    closer to the destination).  Still a shortest path in the fault-free
    metric; vertex-symmetric super-IP graphs have ``degree`` of these in the
    best case, which is exactly the paper's fault-tolerance argument.
-3. **Deroute**: when every minimal hop is dead, fall back to the
-   node-disjoint-paths machinery (:mod:`repro.routing.disjoint`) on the
-   *survivor* graph and pin the packet to the shortest live path found.
-   The caller bounds how often a packet may deroute (livelock cap).
+3. **Deroute**: when every minimal hop is dead, pin the packet to the
+   shortest path of the *survivor* graph, stepping at each node to the
+   smallest-id live neighbor one hop closer to the destination.  The
+   caller bounds how often a packet may deroute (livelock cap).
 
 The router never mutates the network: it reads the compiled
-:class:`~repro.fault.plan.FaultTimeline` directly.  The max-flow structure
-behind the detours (:class:`~repro.routing.disjoint.NodeDisjointPaths`) is
-built once per router, on its first deroute; a fault epoch only masks it.
-The router keeps one record for the fault epoch it last derouted in —
-its survivor mask and its survivor paths, at most :data:`PATH_BOUND` of
-them — and replaces it whenever the epoch changes.
-
-Survivor detours are undirected node-disjoint paths, so the router refuses
-a directed network.
+:class:`~repro.fault.plan.FaultTimeline` directly.  It keeps one record
+for the fault epoch it last derouted in, replaced when the epoch
+changes: the survivor graph as a CSR (the intact arcs whose link and
+ends are up) and one :func:`~repro.metrics.distances.multi_source_bfs`
+distance row per destination, which serves every detour toward it.
+Survivor detours are paths of the undirected survivor graph, so the
+router refuses a directed network.
 """
 
 from __future__ import annotations
 
+import numpy as np
+import scipy.sparse as sp
+
 from repro import obs
 from repro.core.network import Network
-from repro.routing.disjoint import NodeDisjointPaths, SurvivorMask
+from repro.metrics.distances import multi_source_bfs
 from repro.routing.table import shared_table
 
 from .plan import FaultTimeline
@@ -43,9 +44,6 @@ PRIMARY = "primary"
 REROUTE = "reroute"
 DEROUTE = "deroute"
 UNREACHABLE = "unreachable"
-
-#: most survivor paths kept for one fault epoch
-PATH_BOUND = 4096
 
 
 class ResilientRouter:
@@ -66,7 +64,7 @@ class ResilientRouter:
         if net.directed:
             raise ValueError(
                 f"ResilientRouter: {net.name!r} is directed, but survivor "
-                f"detours are undirected node-disjoint paths"
+                f"detours are shortest paths of the undirected survivor graph"
             )
         self.net = net
         self._n = net.num_nodes
@@ -75,10 +73,14 @@ class ResilientRouter:
         self.reroutes = 0
         self.deroutes = 0
         self.unreachable = 0
-        self._flow: NodeDisjointPaths | None = None  # built on first deroute
-        # (epoch, survivor mask, paths by (u, dst)) of the last epoch
-        # derouted in; the mask is filled by the epoch's first computed path
-        self._record: tuple[int, SurvivorMask | None, dict] = (-1, None, {})
+        # every arc of the intact adjacency (row-major, so each row's
+        # heads are sorted), and its link's column in the timeline's array
+        # queries (-1: never fails)
+        coo = net.adjacency_csr().tocoo()
+        self._arc_src, self._arc_dst = coo.row.astype(np.int64), coo.col.astype(np.int64)
+        self._arc_col = timeline.link_columns(self._arc_src, self._arc_dst)
+        # (epoch, survivor CSR, distance rows by dst) of the last deroute
+        self._record: tuple[int, sp.csr_matrix | None, dict] = (-1, None, {})
 
     # ------------------------------------------------------------------
     def hop_alive(self, u: int, v: int, t: int) -> bool:
@@ -127,46 +129,49 @@ class ResilientRouter:
         return -1, UNREACHABLE, ()
 
     # ------------------------------------------------------------------
+    def _survivor_csr(self, t: int) -> sp.csr_matrix:
+        """The survivor graph at ``t``: the intact arcs whose link and both
+        endpoints are up, in new arrays (the network's cached CSR is
+        shared, so it is never masked in place)."""
+        tl = self.timeline
+        alive = ~tl.links_down_during(self._arc_col, t, t + 1)
+        if tl.node_down:
+            alive &= tl.nodes_up_at(self._arc_src, t)
+            alive &= tl.nodes_up_at(self._arc_dst, t)
+        src, dst = self._arc_src[alive], self._arc_dst[alive]
+        data = np.ones(len(src), dtype=np.int8)
+        return sp.csr_matrix((data, (src, dst)), shape=(self._n, self._n))
+
     def _compute_survivor_path(
         self, epoch: int, u: int, dst: int, t: int
     ) -> tuple[int, ...] | None:
-        """The detour itself: the shortest of a maximum set of
-        node-disjoint ``u -> dst`` paths on the survivor graph of
-        ``epoch`` (the current record's epoch, in force at ``t``)."""
-        tl = self.timeline
-        if u == dst or not (tl.node_up_at(u, t) and tl.node_up_at(dst, t)):
-            return None  # no detour to take
-        if self._flow is None:
-            # the intact arc order, each link once as u < v: masking it
-            # per epoch gives each survivor graph in its networkx order
-            coo = self.net.adjacency_csr().tocoo()
-            upper = coo.row < coo.col
-            self._flow = NodeDisjointPaths.from_arcs(
-                self._n, coo.row[upper], coo.col[upper]
-            )
-        _, mask, paths = self._record
-        if mask is None:
-            mask = self._flow.mask(tl.dead_nodes_at(t), tl.dead_links_at(t))
-            self._record = (epoch, mask, paths)
-        found = self._flow(u, dst, mask)
-        return tuple(min(found, key=len)) if found else None
+        """The detour itself: the shortest ``u -> dst`` path of the survivor
+        graph of ``epoch`` (in force at ``t``), each step to the smallest-id
+        neighbor one hop closer to ``dst``; ``None`` for ``u == dst`` or
+        when no path survives (a dead endpoint has no live link)."""
+        if u == dst:
+            return None
+        if self._record[0] != epoch:
+            self._record = (epoch, self._survivor_csr(t), {})
+        _, csr, rows = self._record
+        dist = rows.get(dst)
+        if dist is None:
+            dist = rows[dst] = multi_source_bfs(csr, [dst])[:, 0]
+        hops = int(dist[u])
+        if hops < 0:
+            return None
+        indptr, indices = csr.indptr, csr.indices
+        path = [u]
+        for k in range(hops - 1, -1, -1):  # one step per hop, distance k left
+            nbrs = indices[indptr[path[-1]] : indptr[path[-1] + 1]]
+            path.append(int(nbrs[dist[nbrs] == k][0]))  # indices are sorted
+        return tuple(path)
 
     def _survivor_path(self, u: int, dst: int, t: int) -> tuple[int, ...] | None:
-        """Shortest live ``u -> dst`` path among the node-disjoint set on the
-        survivor graph at ``t`` (kept in the epoch's record), or ``None``."""
-        epoch = self.timeline.epoch(t)
-        if self._record[0] != epoch:
-            self._record = (epoch, None, {})
-        paths = self._record[2]
-        key = (u, dst)
-        if key in paths:
-            return paths[key]
-        path = self._compute_survivor_path(epoch, u, dst, t)
-        if len(paths) >= PATH_BOUND:
-            del paths[next(iter(paths))]  # the oldest entry
-        paths[key] = path
+        """Shortest live ``u -> dst`` path on the survivor graph at ``t``,
+        or ``None``."""
         obs.registry().incr("routing.resilient.survivor_paths")
-        return path
+        return self._compute_survivor_path(self.timeline.epoch(t), u, dst, t)
 
     def __repr__(self) -> str:
         return (

@@ -29,32 +29,19 @@ __all__ = [
 def uniform_random(
     net: Network, rate: float, cycles: int, rng: np.random.Generator
 ) -> list[tuple[int, int, int]]:
-    """Bernoulli injection: each node injects a packet to a uniformly random
-    other node with probability ``rate`` per cycle."""
-    if not 0 <= rate <= 1:
-        raise ValueError("rate must be in [0, 1]")
-    n = net.num_nodes
-    out: list[tuple[int, int, int]] = []
-    for t in range(cycles):
-        srcs = np.nonzero(rng.random(n) < rate)[0]
-        if len(srcs) == 0:
-            continue
-        dsts = rng.integers(0, n - 1, len(srcs))
-        dsts = np.where(dsts >= srcs, dsts + 1, dsts)  # exclude self
-        out.extend((t, int(s), int(d)) for s, d in zip(srcs, dsts))
-    return out
+    """:func:`uniform_random_array` as a list of ``(t, src, dst)`` tuples:
+    the same draws and the same rows, one tuple per row."""
+    return list(map(tuple, uniform_random_array(net, rate, cycles, rng).tolist()))
 
 
 def uniform_random_array(
     net: Network, rate: float, cycles: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """:func:`uniform_random` as one ``(N, 3)`` int64 array of
-    ``(t, src, dst)`` rows — the zero-copy input for million-packet runs.
+    """Bernoulli injection: each node injects a packet to a uniformly random
+    other node with probability ``rate`` per cycle.
 
-    Draw-for-draw identical to the list version for the same ``rng`` state
-    (same Bernoulli mask, same destination draws, same row order), so the
-    two are interchangeable in seeded experiments; only the container —
-    and the cost of building it — differs.
+    Returns one ``(N, 3)`` int64 array of ``(t, src, dst)`` rows, sorted
+    by ``(t, src)`` — the zero-copy input for million-packet runs.
     """
     if not 0 <= rate <= 1:
         raise ValueError("rate must be in [0, 1]")

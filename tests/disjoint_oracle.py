@@ -1,11 +1,14 @@
-"""Test oracle for the array-native node-disjoint-paths kernel.
+"""networkx node-disjoint paths, shared between queries on one graph.
 
-This is the networkx engine that :class:`repro.routing.disjoint.NodeDisjointPaths`
-replaced: ``networkx.node_disjoint_paths`` (Edmonds–Karp on the node-split
-auxiliary digraph) on the networkx export of a network, or of a survivor
-graph materialized by :meth:`tests.fault_view.FaultyNetwork.to_network`.
-The kernel must return the same path lists, in the same order.
-``NetworkXNoPath`` maps to ``[]``, the kernel's "no path" answer.
+:class:`OracleNodeDisjointPaths` runs ``networkx.node_disjoint_paths``
+(Edmonds–Karp on the node-split auxiliary digraph) on the networkx export
+of a network, or of a survivor graph materialized by
+:meth:`tests.fault_view.FaultyNetwork.to_network`, building the auxiliary
+digraph and residual network once.  ``NetworkXNoPath`` maps to ``[]``.
+The shortest of these paths was ``ResilientRouter``'s detour before
+detours became shortest survivor paths; tests and
+``benchmarks/bench_fault_sweep.py`` check that a detour is never longer
+than it.
 """
 
 from __future__ import annotations
@@ -16,13 +19,11 @@ from networkx.algorithms.flow import build_residual_network
 
 from repro.core.network import Network
 
-from .fault_view import FaultyNetwork
-
 
 class OracleNodeDisjointPaths:
     """networkx node-disjoint paths on one graph, sharing the auxiliary
-    digraph and residual network between queries (the replaced engine;
-    networkx resets every residual flow before each query)."""
+    digraph and residual network between queries (networkx resets every
+    residual flow before each query)."""
 
     def __init__(self, net: Network):
         g = net.to_networkx()
@@ -42,10 +43,6 @@ class OracleNodeDisjointPaths:
 
 def oracle_node_disjoint_paths(net: Network, s: int, t: int) -> list[list[int]]:
     """networkx's maximum set of node-disjoint ``s``-``t`` paths on ``net``
-    (directed networks symmetrized, as the kernel does)."""
+    (directed networks symmetrized)."""
     return OracleNodeDisjointPaths(net)(s, t)
 
-
-def oracle_survivor_paths(view: FaultyNetwork, s: int, t: int) -> list[list[int]]:
-    """The same on the survivor graph of a fault view, rebuilt from scratch."""
-    return oracle_node_disjoint_paths(view.to_network(), s, t)

@@ -4,10 +4,12 @@ A :class:`FaultyNetwork` wraps a base :class:`~repro.core.network.Network`
 plus a set of dead nodes and dead (undirected) links.  Node ids are *stable*
 — dead nodes keep their ids and simply lose all incident arcs — so routing
 tables and paths indexed against the base network remain valid on the view.
-It materializes the survivor graph independently of the production kernel
+It materializes the survivor graph independently of the production router
 (filtered CSR, :meth:`FaultyNetwork.to_network`), which is what the
-networkx detour oracles in ``tests/disjoint_oracle.py`` and the
-``ResilientRouter`` tests run on.  Import it as
+detour oracles run on: :func:`shortest_survivor_path` here (the detour
+``ResilientRouter`` must take) and the node-disjoint paths of
+``tests/disjoint_oracle.py`` (the longer detours it used to take).  Import
+it as
 ``from tests.fault_view import FaultyNetwork`` with the repo root on
 ``sys.path`` (or relatively from inside ``tests/``).
 """
@@ -19,7 +21,7 @@ import scipy.sparse as sp
 
 from repro.core.network import Network
 
-__all__ = ["FaultyNetwork"]
+__all__ = ["FaultyNetwork", "shortest_survivor_path"]
 
 
 class FaultyNetwork:
@@ -121,10 +123,7 @@ class FaultyNetwork:
 
     def survivor_arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """``(src, dst)`` of the survivor graph in CSR (row-major) order:
-        each link once as ``u < v``, or every arc of a directed base.
-        This order fixes the networkx adjacency order of
-        :meth:`to_network`'s export, which the disjoint-path kernel
-        reproduces (see :class:`repro.routing.disjoint.NodeDisjointPaths`)."""
+        each link once as ``u < v``, or every arc of a directed base."""
         coo = self.adjacency_csr().tocoo()
         mask = coo.row < coo.col if not self.base.directed else slice(None)
         return coo.row[mask], coo.col[mask]
@@ -149,3 +148,23 @@ class FaultyNetwork:
             f"FaultyNetwork({self.base.name!r}, dead_nodes={len(self.dead_nodes)}, "
             f"dead_links={len(self.dead_links)})"
         )
+
+
+def shortest_survivor_path(view: FaultyNetwork, u: int, dst: int) -> tuple[int, ...] | None:
+    """The survivor detour from ``u`` to ``dst`` on ``view``, rebuilt from
+    scratch: networkx BFS distances to ``dst`` on the survivor graph, then
+    from ``u`` the smallest-id neighbor one hop closer, until ``dst``.
+    ``None`` when either end is dead, ``u == dst`` or no path survives."""
+    import networkx as nx
+
+    if u == dst or not (view.is_node_up(u) and view.is_node_up(dst)):
+        return None
+    g = view.to_network().to_networkx()
+    dist = nx.single_source_shortest_path_length(g, dst)
+    if u not in dist:
+        return None
+    path = [u]
+    while path[-1] != dst:
+        here = path[-1]
+        path.append(min(v for v in g[here] if dist.get(v) == dist[here] - 1))
+    return tuple(path)

@@ -129,6 +129,56 @@ class TestCallGraph:
         assert "app.engine.Engine.step" in cg.edges["app.engine.drive"]
         assert "app.engine.Engine.__init__" in cg.edges["app.engine.drive"]
 
+    def test_super_call_resolves_to_first_defining_base(self, tmp_path):
+        root = make_tree(
+            tmp_path,
+            {
+                "app/base.py": """
+                    class Root:
+                        def __init__(self):
+                            self.x = 0
+
+                        def close(self):
+                            return 1
+
+                    class Middle(Root):
+                        def close(self):
+                            return super().close()
+                """,
+                "app/leaf.py": """
+                    from app.base import Middle
+
+                    class Other:
+                        def __init__(self):
+                            self.y = 1
+
+                    class Leaf(Middle):
+                        def __init__(self):
+                            super().__init__()
+
+                        def close(self):
+                            return super().close()
+
+                        def flush(self):
+                            return super().flush()
+                """,
+            },
+        )
+        cg = build_callgraph([root])
+        # Middle defines no __init__: the search goes on to Root
+        assert cg.edges["app.leaf.Leaf.__init__"] == {"app.base.Root.__init__"}
+        assert cg.edges["app.leaf.Leaf.close"] == {"app.base.Middle.close"}
+        assert cg.edges["app.base.Middle.close"] == {"app.base.Root.close"}
+        # no scanned base defines it: no edge, not the name fallback
+        assert cg.edges["app.leaf.Leaf.flush"] == set()
+        assert not any(cg.fallback_edges.get(q) for q in cg.edges)
+
+    def test_real_super_init_stays_in_product_code(self):
+        cg = build_callgraph([SRC])
+        out = cg.edges["repro.core.ipgraph.IPGraph.__init__"]
+        assert "repro.core.network.Network.__init__" in out
+        assert not any(q.startswith("repro.check") for q in out)
+
     def test_real_repo_perimeters(self):
         cg = build_callgraph([SRC])
         perims = find_perimeters(cg)

@@ -5,13 +5,14 @@ import pytest
 
 from repro import networks as nw
 from repro.core.network import Network, RoutingError
-from repro.fault import FaultPlan, ResilientRouter, resilient
+from repro.fault import FaultPlan, ResilientRouter, fault_sweep, resilient
 from repro.metrics.distances import bfs_distances
 from repro.routing.table import NextHopTable, shortest_path
 from repro.sim.simulator import PacketSimulator
 from repro.sim.workloads import uniform_random
 
-from .fault_view import FaultyNetwork
+from .disjoint_oracle import OracleNodeDisjointPaths
+from .fault_view import FaultyNetwork, shortest_survivor_path
 
 
 class TestNextHopTableUpgrades:
@@ -142,7 +143,7 @@ class TestResilientRouter:
         g = nw.directed_cn(3, nw.hypercube_nucleus(2))
         msg = (
             r"^ResilientRouter: 'directed-CN\(3,Q2\)' is directed, but survivor "
-            r"detours are undirected node-disjoint paths$"
+            r"detours are shortest paths of the undirected survivor graph$"
         )
         with pytest.raises(ValueError, match=msg):
             self._router(g, FaultPlan())
@@ -162,44 +163,48 @@ class TestResilientRouter:
         g = nw.hypercube(3)
         r = self._router(g, FaultPlan().fail_link(0, 0, 1))
         p1 = r._survivor_path(0, 1, 0)
+        rows = r._record[2]
         p2 = r._survivor_path(0, 1, 0)
-        assert p1 is p2  # cached
+        assert p1 == p2 == (0, 2, 3, 1)  # smallest-id step, distance 3
+        assert r._record[2] is rows and list(rows) == [1]  # one BFS row
 
 
 class TestBoundedCaches:
     def test_record_is_bounded_and_reset_per_epoch(self, monkeypatch):
-        monkeypatch.setattr(resilient, "PATH_BOUND", 2)
+        # at most one BFS row per destination, and a new record per epoch
+        bfs_calls = []
+        bfs = resilient.multi_source_bfs
+
+        def counted(csr, sources):
+            bfs_calls.append(list(sources))
+            return bfs(csr, sources)
+
+        monkeypatch.setattr(resilient, "multi_source_bfs", counted)
         g = nw.hypercube(3)
-        plan = FaultPlan().fail_link(0, 0, 1).fail_node(10, 7)
+        plan = FaultPlan().fail_link(0, 0, 1).fail_link(0, 2, 3).fail_node(10, 7)
         r = ResilientRouter(g, plan.compile(g))
-        for dst in (1, 3, 5):
-            r._survivor_path(0, dst, 0)
-        epoch, mask, paths = r._record
-        assert epoch == r.timeline.epoch(0) and mask is not None
-        assert list(paths) == [(0, 3), (0, 5)]  # the oldest entry went
+        for u in (0, 2, 4):
+            for dst in (1, 3):
+                if u != dst:
+                    r._survivor_path(u, dst, 0)
+        epoch, csr, rows = r._record
+        assert epoch == r.timeline.epoch(0)
+        assert list(rows) == [1, 3]  # one row serves every u
+        assert bfs_calls == [[1], [3]]
         r._survivor_path(0, 1, 20)  # later epoch: a fresh record
-        epoch, later_mask, paths = r._record
+        epoch, later_csr, rows = r._record
         assert epoch == r.timeline.epoch(20) != r.timeline.epoch(0)
-        assert later_mask is not mask
-        assert list(paths) == [(0, 1)]
+        assert later_csr is not csr
+        assert list(rows) == [1]
+        assert bfs_calls == [[1], [3], [1]]
 
 
 class TestSurvivorFlowReuse:
-    """The epoch record (one flow structure, one mask per epoch) must not
-    change any detour, however the queries move through the epochs."""
-
-    @staticmethod
-    def _uncached(view, u, dst):
-        """The pre-cache detour: plain networkx on a fresh survivor graph."""
-        import networkx as nx
-
-        if not (view.is_node_up(u) and view.is_node_up(dst)) or u == dst:
-            return None
-        try:
-            paths = list(nx.node_disjoint_paths(view.to_network().to_networkx(), u, dst))
-        except (nx.NetworkXNoPath, nx.NetworkXError):
-            return None
-        return tuple(min(paths, key=len))
+    """The epoch record (one survivor CSR per epoch, one BFS row per
+    destination) must not change any detour, however the queries move
+    through the epochs: each is the shortest-survivor oracle's path, and
+    never longer than the shortest node-disjoint path the router used to
+    take."""
 
     @pytest.mark.parametrize(
         "family,params", [("hsn", {"l": 2, "n": 3}), ("hypercube", {"n": 4})]
@@ -225,22 +230,41 @@ class TestSurvivorFlowReuse:
             checked = 0
             for t in order:
                 view = FaultyNetwork.at(g, timeline, t)
+                disjoint = OracleNodeDisjointPaths(view.to_network())
                 for u, dst in pairs.tolist():
                     got = router._survivor_path(u, dst, t)
-                    assert got == self._uncached(view, u, dst), (t, u, dst)
-                    checked += got is not None
+                    assert got == shortest_survivor_path(view, u, dst), (t, u, dst)
+                    if got is None:
+                        continue
+                    checked += 1
+                    old = min(disjoint(u, dst), key=len)
+                    assert len(got) <= len(old), (t, u, dst)
                 assert router._record[0] == timeline.epoch(t)
             assert checked > 0
 
-    def test_solver_matches_plain_networkx(self):
-        import networkx as nx
 
-        from repro.routing.disjoint import NodeDisjointPaths
+class TestPerfbenchCatalog:
+    """The fault_sweep benchmark's catalog rows, as literals: a detour
+    change that would fail the benchmark's output check fails here first.
+    Each tuple is ``(delivery_ratio, dropped, retransmitted, rerouted)``
+    of one single-trial sweep on HSN(3,Q3) at 0, 4 and 16 link faults."""
 
-        g = nw.build("hsn", l=2, n=3)
-        solver = NodeDisjointPaths(g)
-        for s, t in [(0, 63), (5, 17), (17, 5), (0, 1)]:
-            want = [list(p) for p in nx.node_disjoint_paths(g.to_networkx(), s, t)]
-            assert solver(s, t) == want
-        with pytest.raises(ValueError, match="must differ"):
-            solver(3, 3)
+    ROWS = {
+        0: {0: (1.0, 0.0, 0.0, 0.0), 4: (1.0, 0.0, 0.0, 18.0), 16: (1.0, 0.0, 0.0, 40.0)},
+        1: {0: (1.0, 0.0, 0.0, 0.0), 4: (1.0, 0.0, 0.0, 14.0), 16: (1.0, 0.0, 0.0, 72.0)},
+        2: {0: (1.0, 0.0, 0.0, 0.0), 4: (1.0, 0.0, 0.0, 11.0), 16: (1.0, 1.0, 1.0, 54.0)},
+    }
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        return nw.build("hsn", l=3, n=3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_catalog_rows(self, net, seed):
+        for f, want in self.ROWS[seed].items():
+            (row,) = fault_sweep(
+                net, [f], trials=1, kind="link", rate=0.05, cycles=60,
+                seed=seed, jobs=1,
+            )
+            got = (row["delivery_ratio"], row["dropped"], row["retransmitted"], row["rerouted"])
+            assert got == want, (seed, f)

@@ -25,6 +25,7 @@ from repro.sim import (
 )
 from repro.routing.table import shared_table
 from repro.sim import sweeps
+from repro.sim.workloads import hotspot
 
 from .sim_oracle import HopFunction, Packet, ReferencePacketSimulator
 
@@ -382,9 +383,27 @@ class TestRouteErrors:
 class TestArrayWorkload:
     def test_array_workload_matches_list_workload(self):
         net = nw.hypercube(4)
-        wl = uniform_random(net, 0.3, 50, np.random.default_rng(9))
-        wa = uniform_random_array(net, 0.3, 50, np.random.default_rng(9))
-        assert [tuple(r) for r in wa.tolist()] == wl
+        for rate in (0.0, 0.3, 1.0):
+            for seed in (9, 10):
+                wl = uniform_random(net, rate, 50, np.random.default_rng(seed))
+                wa = uniform_random_array(net, rate, 50, np.random.default_rng(seed))
+                assert [tuple(r) for r in wa.tolist()] == wl
+                assert all(type(v) is int for row in wl for v in row)
+                if rate in (0.0, 1.0):  # no node, or every node, every cycle
+                    assert len(wl) == rate * 50 * net.num_nodes
+
+    def test_seeded_rows_unchanged(self):
+        # seeded goldens: a change to the draws or their order shows here
+        net = nw.ring(6)
+        assert uniform_random(net, 0.3, 4, np.random.default_rng(11)) == [
+            (0, 0, 3), (0, 3, 0), (0, 4, 2), (1, 5, 0), (2, 0, 5), (3, 0, 5), (3, 5, 2),
+        ]
+        assert hotspot(
+            net, 0.5, 3, np.random.default_rng(5), hotspot_node=2, hotspot_fraction=0.5
+        ) == [
+            (0, 3, 2), (0, 4, 2), (0, 5, 0), (1, 0, 2), (1, 3, 0), (1, 4, 5),
+            (2, 1, 2), (2, 2, 1), (2, 4, 2),
+        ]
 
     def test_array_workload_properties(self):
         net = nw.ring(16)
