@@ -11,10 +11,9 @@ Three promises are held here:
   distances, first hops) must match the scalar
   :meth:`~repro.routing.table.NextHopTable.path` walk exactly, and the
   sharded service must agree with the unsharded one query-for-query;
-* **shared tables** — the service and every one of ``JOBS`` worker
-  processes must be backed by ``np.memmap`` views of the same spills
-  (no per-worker O(N²) copy), and the fan-out must return bit-identical
-  results to the serial replay.
+* **shared tables** — the unsharded and the sharded service must both
+  be backed by ``np.memmap`` views of the cache's spills (no O(N²)
+  copy; every process opening the same cache maps the same files).
 
 A second record, ``"bench": "resolve_kernel"``, times the flat-offset
 resolve against the 2-D gather resolve it replaced (``tests/serve_oracle.py``)
@@ -52,13 +51,7 @@ import numpy as np
 from repro import cache, networks, obs
 from repro.cache import cached_next_hop_table
 from repro.routing.table import NextHopTable
-from repro.serve import (
-    RouteService,
-    parallel_resolve,
-    run_load_test,
-    seeded_queries,
-    worker_backends,
-)
+from repro.serve import RouteService, run_load_test, seeded_queries
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.serve_oracle import OracleResolve  # noqa: E402
@@ -68,7 +61,6 @@ QUERIES = 1_000_000
 BATCH = 100_000
 VERIFY_SAMPLE = 50_000
 SHARDS = 4
-JOBS = 4
 ROUNDS = 3
 SEED = 0
 
@@ -147,21 +139,8 @@ def _run() -> int:
     ):
         print("FAIL: sharded resolve diverged from unsharded", file=sys.stderr)
         ok = False
-
-    # multi-worker fan-out: bit-identical to serial, every worker on mmap
-    serial = parallel_resolve(sharded, src, dst, jobs=1, batch=25_000)
-    fanned = parallel_resolve(sharded, src, dst, jobs=JOBS, batch=25_000)
-    if not (
-        np.array_equal(serial.next_hop, fanned.next_hop)
-        and np.array_equal(serial.distance, fanned.distance)
-    ):
-        print("FAIL: parallel resolve diverged from serial", file=sys.stderr)
-        ok = False
-    backends = worker_backends(sharded, JOBS)
-    if not all(p["mmap"] for p in backends):
-        print(
-            f"FAIL: worker(s) not mmap-backed: {backends}", file=sys.stderr
-        )
+    if not sharded.mmap_backed:
+        print("FAIL: sharded service is not mmap-backed", file=sys.stderr)
         ok = False
 
     record = {
@@ -176,8 +155,7 @@ def _run() -> int:
         "verified": report["verified"],
         "mismatches": report["mismatches"],
         "shards": SHARDS,
-        "jobs": JOBS,
-        "mmap": bool(svc.mmap_backed) and all(p["mmap"] for p in backends),
+        "mmap": bool(svc.mmap_backed and sharded.mmap_backed),
     }
     obs.emit_record(record)
 

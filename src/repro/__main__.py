@@ -12,7 +12,7 @@ Usage::
     python -m repro faults percolation --smoke
     python -m repro faults exhaustive --network hypercube --param n=4 --k 3
     python -m repro serve bench --queries 1000000 --cache-dir ~/.cache/repro
-    python -m repro serve bench --shards 4 --jobs 4 --cache-dir ~/.cache/repro
+    python -m repro serve bench --shards 4 --cache-dir ~/.cache/repro
     python -m repro serve query --src 0,1 --dst 60,33
     python -m repro cache info
     python -m repro cache clear --cache-dir ~/.cache/repro
@@ -21,12 +21,14 @@ Usage::
     python -m repro check perf src
     python -m repro check perf --measure --smoke
 
-``info``, ``figure``, ``summary`` and ``faults`` accept ``--profile``
-(print a timing/counter table after the command) and ``--trace FILE``
-(write the JSONL span trace of the run); see :mod:`repro.obs`.  They also
-accept ``--jobs N`` (process-pool fan-out, ``0`` = all cores, bit-identical
-to serial) and ``--cache-dir DIR`` (persistent graph/table artifact cache;
-see :mod:`repro.cache`).
+``info``, ``figure``, ``summary``, ``faults`` and ``serve`` accept
+``--profile`` (print a timing/counter table after the command),
+``--trace FILE`` (write the JSONL span trace of the run; see
+:mod:`repro.obs`) and ``--cache-dir DIR`` (persistent graph/table
+artifact cache; see :mod:`repro.cache`).  All but ``serve`` also accept
+``--jobs N`` (process-pool fan-out, ``0`` = all cores, bit-identical to
+serial); ``serve`` answers in one process, and processes share a table
+by opening the same ``--cache-dir``.
 """
 
 from __future__ import annotations
@@ -279,11 +281,6 @@ def cmd_serve(args) -> int:
                 f"dist={int(out.distance[i])} path={out.path_list(i)}"
             )
         return 0
-    if args.jobs != 1 and svc.source != "mmap":
-        raise SystemExit(
-            "serve bench --jobs N requires --cache-dir (or $REPRO_CACHE_DIR) so "
-            "workers share the table via mmap instead of copying it"
-        )
     table = None
     if not args.no_verify:
         table = cached_next_hop_table(net, with_distances=True)
@@ -293,7 +290,6 @@ def cmd_serve(args) -> int:
         queries=args.queries,
         batch=args.batch,
         seed=args.seed,
-        jobs=args.jobs,
         verify_sample=args.verify_sample,
     )
     obs.emit_record(report)
@@ -358,7 +354,15 @@ def main(argv: list[str] | None = None) -> int:
         help="write a JSONL trace of spans/events to FILE",
     )
 
-    tuned = argparse.ArgumentParser(add_help=False)
+    cached = argparse.ArgumentParser(add_help=False)
+    cached.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help="enable the persistent graph/table artifact cache rooted at DIR "
+        "(see repro.cache; $REPRO_CACHE_DIR also works)",
+    )
+    tuned = argparse.ArgumentParser(add_help=False, parents=[cached])
     tuned.add_argument(
         "--jobs",
         type=int,
@@ -366,13 +370,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="worker processes for sweeps (0 = all cores; results are "
         "bit-identical to --jobs 1)",
-    )
-    tuned.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="enable the persistent graph/table artifact cache rooted at DIR "
-        "(see repro.cache; $REPRO_CACHE_DIR also works)",
     )
 
     sub.add_parser("list", help="list registered network families")
@@ -462,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         "serve",
         help="routing-as-a-service: batched route resolution over "
         "mmap-shared next-hop tables",
-        parents=[profiled, tuned],
+        parents=[profiled, cached],
     )
     p_srv.add_argument(
         "mode",

@@ -18,9 +18,10 @@ on star-graph-class networks exploit path diversity):
 The router never mutates the network: it reads the compiled
 :class:`~repro.fault.plan.FaultTimeline` directly.  It keeps one record
 for the fault epoch it last derouted in, replaced when the epoch
-changes: the survivor graph as a CSR (the intact arcs whose link and
-ends are up) and one :func:`~repro.metrics.distances.multi_source_bfs`
-distance row per destination, which serves every detour toward it.
+changes: the survivor graph as a CSC matrix (the intact arcs whose link
+and ends are up; symmetric, so its arrays are those of its CSR) and one
+:func:`~repro.metrics.distances.multi_source_bfs` distance row per
+destination, which serves every detour toward it.
 Survivor detours are paths of the undirected survivor graph, so the
 router refuses a directed network.
 """
@@ -79,8 +80,8 @@ class ResilientRouter:
         coo = net.adjacency_csr().tocoo()
         self._arc_src, self._arc_dst = coo.row.astype(np.int64), coo.col.astype(np.int64)
         self._arc_col = timeline.link_columns(self._arc_src, self._arc_dst)
-        # (epoch, survivor CSR, distance rows by dst) of the last deroute
-        self._record: tuple[int, sp.csr_matrix | None, dict] = (-1, None, {})
+        # (epoch, survivor adjacency, distance rows by dst) of the last deroute
+        self._record: tuple[int, sp.csc_matrix | None, dict] = (-1, None, {})
 
     # ------------------------------------------------------------------
     def hop_alive(self, u: int, v: int, t: int) -> bool:
@@ -129,10 +130,14 @@ class ResilientRouter:
         return -1, UNREACHABLE, ()
 
     # ------------------------------------------------------------------
-    def _survivor_csr(self, t: int) -> sp.csr_matrix:
+    def _survivor_csr(self, t: int) -> sp.csc_matrix:
         """The survivor graph at ``t``: the intact arcs whose link and both
         endpoints are up, in new arrays (the network's cached CSR is
-        shared, so it is never masked in place)."""
+        shared, so it is never masked in place).
+
+        Built as CSC: the graph is symmetric, so its arrays are those of
+        its CSR (column ``v`` lists ``v``'s neighbors, sorted), and the
+        BFS pulls its transpose as a CSR view instead of a copy."""
         tl = self.timeline
         alive = ~tl.links_down_during(self._arc_col, t, t + 1)
         if tl.node_down:
@@ -140,7 +145,7 @@ class ResilientRouter:
             alive &= tl.nodes_up_at(self._arc_dst, t)
         src, dst = self._arc_src[alive], self._arc_dst[alive]
         data = np.ones(len(src), dtype=np.int8)
-        return sp.csr_matrix((data, (src, dst)), shape=(self._n, self._n))
+        return sp.csc_matrix((data, (src, dst)), shape=(self._n, self._n))
 
     def _compute_survivor_path(
         self, epoch: int, u: int, dst: int, t: int
@@ -153,14 +158,14 @@ class ResilientRouter:
             return None
         if self._record[0] != epoch:
             self._record = (epoch, self._survivor_csr(t), {})
-        _, csr, rows = self._record
+        _, adj, rows = self._record
         dist = rows.get(dst)
         if dist is None:
-            dist = rows[dst] = multi_source_bfs(csr, [dst])[:, 0]
+            dist = rows[dst] = multi_source_bfs(adj, [dst])[:, 0]
         hops = int(dist[u])
         if hops < 0:
             return None
-        indptr, indices = csr.indptr, csr.indices
+        indptr, indices = adj.indptr, adj.indices
         path = [u]
         for k in range(hops - 1, -1, -1):  # one step per hop, distance k left
             nbrs = indices[indptr[path[-1]] : indptr[path[-1] + 1]]

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.network import Network
 from repro.parallel import run_tasks
+from repro.routing.table import shared_table
 from repro.sim.simulator import PacketSimulator
 from repro.sim.workloads import uniform_random_array
 
@@ -60,6 +61,10 @@ def _fault_trial(ctx: dict, task: tuple[int, int]) -> dict | None:
     if faults:
         fault_rng = np.random.default_rng([seed, faults, trial])
         plan = _sample_plan(net, ctx["kind"], faults, cycles, fault_rng)
+    elif ctx["faulted"]:
+        # the faulted trials' ResilientRouter needs distances: recording
+        # the table with them here leaves one build for the whole sweep
+        shared_table(net, with_distances=True)
     sim = PacketSimulator(
         net,
         delays=ctx["delays"],
@@ -132,6 +137,7 @@ def fault_sweep(
         "max_cycles_factor": max_cycles_factor,
         "retransmit_timeout": retransmit_timeout,
         "max_retries": max_retries,
+        "faulted": counts[-1] > 0,
     }
     tasks = [(faults, trial) for faults in counts for trial in range(trials)]
     results = run_tasks(_fault_trial, ctx, tasks, jobs=jobs)

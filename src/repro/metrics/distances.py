@@ -69,13 +69,18 @@ def _pull_csr(net: Network | sp.spmatrix) -> sp.csr_matrix:
 
     A BFS level pulls each node's frontier bits from these in-neighbors.
     Undirected networks are their own transpose; any other input is
-    transposed (and explicit zeros dropped, so only stored nonzero
-    entries count as arcs).
+    transposed as given, so a CSC matrix comes back as a CSR view of its
+    own arrays, with no copy.  Explicit zeros are not arcs: they are
+    dropped from a copy, never from the caller's matrix.
     """
-    if isinstance(net, Network) and not net.directed:
-        return net.adjacency_csr()
-    pull = as_csr(net).T.tocsr()
-    pull.eliminate_zeros()
+    if isinstance(net, Network):
+        if not net.directed:
+            return net.adjacency_csr()
+        net = net.adjacency_csr()
+    pull = sp.csr_matrix(net.T)
+    if not pull.data.all():
+        pull = pull.copy()
+        pull.eliminate_zeros()
     return pull
 
 

@@ -1,17 +1,15 @@
 """Routing-as-a-service (``repro.serve``).
 
-The serving front end over the routing + cache layers: memory-mapped
-next-hop tables shared zero-copy across processes, a batched vectorized
-query API, per-family sharding for tables too large to hold whole, and a
-seeded load-test harness.
+The serving front end over the routing + cache layers: a batched
+vectorized query API answered in one process from the stored next hops
+and distances, per-family sharding for tables too large to hold whole,
+and a seeded load-test harness.  Processes share a table by opening the
+same artifact cache: each maps the same read-only ``.npy`` spills
+(``np.load(..., mmap_mode="r")``).
 
 * :class:`RouteService` — ``resolve(src[], dst[]) → hops/distances/paths``
   with numpy gathers (no per-query Python), backed in-memory, by one mmap
   spill, or by sharded spills keyed off the registry cache key;
-* :func:`parallel_resolve` / :func:`worker_backends` — fan a query stream
-  across :mod:`repro.parallel` workers that share one physical table via
-  ``np.load(..., mmap_mode="r")`` (the context shipped to workers is a
-  :class:`ServiceSpec` of paths, never the O(N²) table);
 * :func:`run_load_test` / :func:`seeded_queries` — replay millions of
   seeded queries, report qps and p50/p99 batch latency, and verify a
   seeded sample bit-for-bit against the scalar
@@ -29,18 +27,13 @@ Example::
 """
 
 from .harness import run_load_test, seeded_queries, verify_against_scalar
-from .service import ResolveBatch, RouteService, ServiceSpec, shard_row_starts
-from .workers import merge_batches, parallel_resolve, worker_backends
+from .service import ResolveBatch, RouteService, shard_row_starts
 
 __all__ = [
-    "merge_batches",
-    "parallel_resolve",
     "ResolveBatch",
     "RouteService",
     "run_load_test",
     "seeded_queries",
-    "ServiceSpec",
     "shard_row_starts",
     "verify_against_scalar",
-    "worker_backends",
 ]

@@ -18,8 +18,6 @@ import numpy as np
 from repro import obs
 from repro.obs.histogram import LatencyHistogram
 
-from .workers import parallel_resolve
-
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.routing.table import NextHopTable
 
@@ -84,18 +82,16 @@ def run_load_test(
     queries: int = 1_000_000,
     batch: int = 100_000,
     seed: int = 0,
-    jobs: int = 1,
     verify_sample: int = 50_000,
 ) -> dict:
     """Replay ``queries`` seeded queries and measure the serving path.
 
-    The stream is resolved in ``batch``-sized slices (``jobs > 1`` fans
-    each slice across worker processes via :func:`parallel_resolve`, which
-    requires an mmap-backed service).  When ``table`` is given, a seeded
-    ``verify_sample`` of answers is checked bit-for-bit against the scalar
-    walk.  Returns a JSON-serializable report with ``qps``, ``p50_ms``,
-    ``p99_ms`` (percentiles of the batch times, exact to 1 µs), and
-    verification counts.  With obs enabled each batch also lands in the
+    The stream is resolved in ``batch``-sized slices, one
+    :meth:`~repro.serve.RouteService.resolve` call each.  When ``table``
+    is given, a seeded ``verify_sample`` of answers is checked
+    bit-for-bit against the scalar walk.  Returns a JSON-serializable
+    report with ``qps``, ``p50_ms``, ``p99_ms`` (percentiles of the batch
+    times, exact to 1 µs), and verification counts.  With obs enabled each batch also lands in the
     timer ``serve.batch``.
     """
     if queries < 1:
@@ -110,13 +106,7 @@ def run_load_test(
     for lo in range(0, queries, batch):
         sb, db = src[lo : lo + batch], dst[lo : lo + batch]
         tb = time.perf_counter()
-        if jobs == 1:
-            out = service.resolve(sb, db)
-        else:
-            out = parallel_resolve(
-                service, sb, db, jobs=jobs,
-                batch=max(1, -(-len(sb) // max(1, jobs))),
-            )
+        out = service.resolve(sb, db)
         dt = time.perf_counter() - tb
         batch_us.add(round(dt * 1e6))
         resolved += len(out)
@@ -134,7 +124,6 @@ def run_load_test(
         "backend": service.source,
         "mmap": bool(service.mmap_backed),
         "shards": service.shards,
-        "jobs": int(jobs),
         "queries": int(resolved),
         "batches": batch_us.count,
         "batch": int(batch),

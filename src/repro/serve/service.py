@@ -3,14 +3,15 @@
 :class:`RouteService` is the query front end of the routing layer: it
 answers ``resolve(src[], dst[])`` for whole batches at once by walking the
 query vector through a :class:`~repro.routing.table.NextHopTable` with
-numpy gathers — no per-query Python — and it can be backed three ways:
+numpy gathers — no per-query Python.  It serves one layout, the stored
+next hops plus the stored distances, backed three ways:
 
 * **memory** — wrap an in-process table (:meth:`RouteService.from_table`);
 * **mmap** — open the table zero-copy from the artifact cache
   (:meth:`RouteService.open`): the table is materialized once as
   uncompressed ``.npy`` spills beside the canonical ``.npz`` artifact and
-  every process that opens it shares one physical copy through the page
-  cache (``np.load(..., mmap_mode="r")``);
+  every process that opens the same cache maps the same read-only spills,
+  one physical copy through the page cache (``np.load(..., mmap_mode="r")``);
 * **sharded mmap** — for tables too large to treat as one artifact, the
   ``dst``-major row space is split into ``shards`` row blocks, each its
   own content-addressed spill keyed off the registry cache key; a batch
@@ -38,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.core.network import Network
     from repro.routing.table import NextHopTable
 
-__all__ = ["ResolveBatch", "RouteService", "ServiceSpec", "shard_row_starts"]
+__all__ = ["ResolveBatch", "RouteService", "shard_row_starts"]
 
 
 def shard_row_starts(num_nodes: int, shards: int) -> tuple[int, ...]:
@@ -62,23 +63,6 @@ def shard_row_starts(num_nodes: int, shards: int) -> tuple[int, ...]:
         )
     bounds = np.linspace(0, num_nodes, shards + 1).astype(np.int64)
     return tuple(int(b) for b in bounds)
-
-
-@dataclass(frozen=True)
-class ServiceSpec:
-    """Picklable handle to an mmap-backed service.
-
-    Carries only names, shapes and spill paths — never array data — so
-    shipping it to :mod:`repro.parallel` workers costs O(shards), not
-    O(N²); each worker re-opens the spills memory-mapped and shares the
-    same physical pages.
-    """
-
-    name: str
-    num_nodes: int
-    row_starts: tuple[int, ...]
-    table_paths: tuple[str, ...]
-    dist_paths: tuple[str, ...] | None
 
 
 @dataclass(frozen=True)
@@ -112,12 +96,16 @@ class ResolveBatch:
 
 
 class RouteService:
-    """Batched shortest-path query service over a next-hop table.
+    """Batched shortest-path query service over a next-hop table and its
+    distance matrix.
 
     Construct via :meth:`from_table` (in-memory) or :meth:`open`
-    (mmap-shared through the artifact cache, optionally sharded).  The
-    query API never touches per-query Python: a batch of Q queries costs
-    O(Q) vectorized gathers per hop step.
+    (mmap-shared through the artifact cache, optionally sharded).  Each
+    of ``blocks`` and ``dist_blocks`` holds the same dst rows
+    ``row_starts[i]..row_starts[i+1]`` of the table and of the distances.
+    The query API never touches per-query Python: first hops and
+    distances are one gather each per shard, and a path costs one gather
+    per hop step.
     """
 
     def __init__(
@@ -126,8 +114,7 @@ class RouteService:
         num_nodes: int,
         blocks: list[np.ndarray],
         row_starts: tuple[int, ...],
-        dist_blocks: list[np.ndarray] | None = None,
-        source: str = "memory",
+        dist_blocks: list[np.ndarray],
     ) -> None:
         if len(row_starts) != len(blocks) + 1:
             raise ValueError(
@@ -139,24 +126,20 @@ class RouteService:
                 f"row_starts must run from 0 to num_nodes ({num_nodes}), got "
                 f"{tuple(row_starts)}"
             )
-        if dist_blocks is not None and len(dist_blocks) != len(blocks):
+        if len(dist_blocks) != len(blocks):
             raise ValueError(
                 f"dist_blocks must have one block per table block, got "
                 f"{len(dist_blocks)} for {len(blocks)}"
             )
         self.name = name
         self.num_nodes = int(num_nodes)
-        self.source = source
         self._blocks = list(blocks)
         self._row_starts = np.asarray(row_starts, dtype=np.int64)
-        self._dist_blocks = None if dist_blocks is None else list(dist_blocks)
+        self._dist_blocks = list(dist_blocks)
         self._flat = [self._flat_view(b, i, "table") for i, b in enumerate(blocks)]
-        self._flat_dist = (
-            None
-            if dist_blocks is None
-            else [self._flat_view(b, i, "distance") for i, b in enumerate(dist_blocks)]
-        )
-        self._spec: ServiceSpec | None = None
+        self._flat_dist = [
+            self._flat_view(b, i, "distance") for i, b in enumerate(dist_blocks)
+        ]
 
     def _flat_view(self, block: np.ndarray, i: int, role: str) -> np.ndarray:
         """Shard ``i``'s block as a zero-copy 1-D view for offset gathers
@@ -195,27 +178,27 @@ class RouteService:
     @property
     def mmap_backed(self) -> bool:
         """Whether every block is an ``np.memmap`` view (zero-copy shared)."""
-        blocks = self._blocks + (self._dist_blocks or [])
-        return all(isinstance(b, np.memmap) for b in blocks)
+        return all(isinstance(b, np.memmap) for b in self._blocks + self._dist_blocks)
 
     @property
-    def has_distances(self) -> bool:
-        """Whether distances come from a stored matrix (O(1) per query)."""
-        return self._dist_blocks is not None
+    def source(self) -> str:
+        """``"mmap"`` when :attr:`mmap_backed`, else ``"memory"``."""
+        return "mmap" if self.mmap_backed else "memory"
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def from_table(cls, table: "NextHopTable") -> "RouteService":
-        """Serve an in-process table (no cache, no sharing)."""
-        dist = None if table.dist is None else [table.dist]
-        return cls(
-            table.net.name,
-            table.net.num_nodes,
-            [table.table],
-            (0, table.net.num_nodes),
-            dist,
-            source="memory",
-        )
+        """Serve an in-process table (no cache, no sharing).
+
+        Raises :class:`ValueError` when the table holds no distances.
+        """
+        net = table.net
+        if table.dist is None:
+            raise ValueError(
+                f"the next-hop table of {net.name!r} holds no distances: build "
+                f"it with NextHopTable(net, with_distances=True) to serve it"
+            )
+        return cls(net.name, net.num_nodes, [table.table], (0, net.num_nodes), [table.dist])
 
     @classmethod
     def open(
@@ -236,7 +219,7 @@ class RouteService:
         else from one build or ``.npz`` reload — as an uncompressed spill
         keyed by
         ``cache_key("serve.shard", graph=<registry key>, ...)``; later
-        opens — including every :mod:`repro.parallel` worker — map the
+        opens, in this process or any other on the same cache, map the
         same files read-only.
         """
         from repro.cache import cache_key, cached_next_hop_table, get_cache
@@ -280,45 +263,10 @@ class RouteService:
             table = cached_next_hop_table(net, with_distances=True, cache=cache)
             reg.incr("serve.open.memory")
             return cls.from_table(table)
-        svc = cls(net.name, n, blocks, row_starts, dist_blocks, source="mmap")
-        svc._spec = ServiceSpec(
-            name=net.name,
-            num_nodes=n,
-            row_starts=row_starts,
-            table_paths=tuple(str(cache.mmap_path(k, "table")) for k in keys),
-            dist_paths=tuple(str(cache.mmap_path(k, "dist")) for k in keys),
-        )
+        svc = cls(net.name, n, blocks, row_starts, dist_blocks)
         reg.incr("serve.open.mmap")
         reg.gauge_max("serve.shards", nblocks)
         return svc
-
-    @classmethod
-    def from_spec(cls, spec: ServiceSpec) -> "RouteService":
-        """Re-open an mmap-backed service from its picklable spec."""
-        blocks = [
-            np.load(p, mmap_mode="r", allow_pickle=False) for p in spec.table_paths
-        ]
-        dist_blocks = (
-            [np.load(p, mmap_mode="r", allow_pickle=False) for p in spec.dist_paths]
-            if spec.dist_paths is not None
-            else None
-        )
-        svc = cls(
-            spec.name, spec.num_nodes, blocks, spec.row_starts, dist_blocks,
-            source="mmap",
-        )
-        svc._spec = spec
-        return svc
-
-    def spec(self) -> ServiceSpec:
-        """The picklable worker handle (mmap-backed services only)."""
-        if self._spec is None:
-            raise ValueError(
-                "service is not mmap-backed: open it through RouteService.open "
-                "with an artifact cache configured so workers can share the "
-                "table instead of copying it"
-            )
-        return self._spec
 
     # -- query path -----------------------------------------------------
     def _validate_ids(self, a: object, role: str) -> np.ndarray:
@@ -370,28 +318,6 @@ class RouteService:
                 part -= lo
                 parts.append((s, sel, part))
         return parts
-
-    def _walk_distances(
-        self, flat: np.ndarray, at: np.ndarray, src: np.ndarray, dst: np.ndarray
-    ) -> np.ndarray:
-        """Hop counts of one shard's queries, walking the still-active ones
-        one step per round (``flat`` is the shard's table block)."""
-        distance = np.zeros(src.shape[0], dtype=np.int64)
-        live = np.flatnonzero(src != dst)
-        cur, tgt = src[live], dst[live]
-        row = at[live] - cur
-        guard = self.num_nodes + 1
-        steps = 0
-        while live.size:
-            steps += 1
-            if steps > guard:  # pragma: no cover — corrupt table
-                raise RuntimeError("routing loop detected")
-            cur = flat.take(row + cur)
-            done = cur == tgt
-            distance[live[done]] = steps
-            keep = ~done
-            live, cur, tgt, row = live[keep], cur[keep], tgt[keep], row[keep]
-        return distance
 
     def _walk_paths(
         self,
@@ -461,7 +387,7 @@ class RouteService:
             hops = np.empty(q, dtype=np.int32)
             for s, sel, at in parts:
                 hops[sel] = self._flat[s].take(at)
-            # before any walk: a -1 hop used as an offset would wrap around
+            # before the path walk: a -1 hop used as an offset would wrap around
             if hops.min() < 0:
                 unreachable = (hops < 0) & (src_ids != dst_ids)
                 if unreachable.any():
@@ -479,13 +405,7 @@ class RouteService:
                 else np.empty(q, dtype=np.int64)
             )
             for s, sel, at in parts:
-                distance[sel] = (
-                    self._flat_dist[s].take(at)
-                    if self._flat_dist is not None
-                    else self._walk_distances(
-                        self._flat[s], at, src_ids[sel], dst_ids[sel]
-                    )
-                )
+                distance[sel] = self._flat_dist[s].take(at)
             out_paths = self._walk_paths(parts, src_ids, distance) if paths else None
         reg.incr("serve.queries", q)
         reg.incr("serve.batches")

@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from repro import networks as nw
 from repro.core.network import Network, RoutingError
 from repro.metrics.distances import (
+    _pull_csr,
     bfs_distances,
     eccentricities,
     multi_source_bfs,
@@ -137,6 +138,27 @@ def test_directed_trailing_node_without_in_arcs():
     got = bfs_distances(adj, everyone)
     np.testing.assert_array_equal(got, oracle_bfs_distances(adj, everyone))
     assert got[:, 2].tolist() == [1, 1, 0, 2]
+
+
+def test_sparse_inputs_are_pulled_as_given_and_never_modified():
+    # the pull adjacency of a CSC input is a CSR view of its own arrays;
+    # explicit zeros are no arcs, and are dropped from a copy only
+    arcs = [(0, 1), (1, 2), (2, 0), (0, 2), (1, 0), (3, 0)]
+    rows, cols = [a for a, _ in arcs], [b for _, b in arcs]
+    adj = sp.csr_matrix((np.ones(len(arcs)), (rows, cols)), shape=(4, 4))
+    everyone = np.arange(4)
+    want = oracle_bfs_distances(adj, everyone)
+    csc = adj.tocsc()
+    assert np.shares_memory(_pull_csr(csc).indices, csc.indices)
+    np.testing.assert_array_equal(bfs_distances(csc, everyone), want)
+    zeros = sp.csc_matrix(
+        (np.r_[np.ones(len(arcs)), 0.0], (rows + [2], cols + [3])), shape=(4, 4)
+    )
+    before = [a.copy() for a in (zeros.indptr, zeros.indices, zeros.data)]
+    for m in (zeros, zeros.tocsr()):
+        np.testing.assert_array_equal(bfs_distances(m, everyone), want)
+    for arr, old in zip((zeros.indptr, zeros.indices, zeros.data), before):
+        np.testing.assert_array_equal(arr, old)
 
 
 def test_disconnected_graph():

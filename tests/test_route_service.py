@@ -1,6 +1,6 @@
 """Tests for the route-serving layer (repro.serve) and the NextHopTable
 query-path hardening that shipped with it: batched-vs-scalar bit-identity,
-mmap round-trips and shard routing, multi-worker shared-table determinism,
+mmap round-trips and shard routing, reopening the same read-only spills,
 and the id/shape validation bugfixes pinned by exact message.
 """
 
@@ -16,14 +16,10 @@ from repro.routing.table import NextHopTable
 from repro.serve import (
     ResolveBatch,
     RouteService,
-    ServiceSpec,
-    merge_batches,
-    parallel_resolve,
     run_load_test,
     seeded_queries,
     shard_row_starts,
     verify_against_scalar,
-    worker_backends,
 )
 
 from .bfs_oracle import oracle_next_hop_table
@@ -178,20 +174,20 @@ def test_verify_against_scalar_helper_counts(disk_cache):
     assert mismatches == 0
 
 
-def test_resolve_without_stored_distances_walks_table():
+def test_from_table_requires_distances_exact_message():
     net = networks.hypercube(4)
-    table = NextHopTable(net)  # no dist matrix
-    svc = RouteService.from_table(table)
-    assert not svc.has_distances
-    ref = NextHopTable(net, with_distances=True)
-    src, dst = seeded_queries(net.num_nodes, 200, seed=5)
-    got = svc.distances(src, dst)
-    want = np.array([ref.distance(int(s), int(d)) for s, d in zip(src, dst)])
-    assert np.array_equal(got, want)
+    with pytest.raises(
+        ValueError,
+        match=r"^the next-hop table of 'Q4' holds no distances: build it with "
+        r"NextHopTable\(net, with_distances=True\) to serve it$",
+    ):
+        RouteService.from_table(NextHopTable(net))  # no dist matrix
+    svc = RouteService.from_table(NextHopTable(net, with_distances=True))
+    assert svc.source == "memory" and not svc.mmap_backed
 
 
 def test_resolve_validates_ids_and_lengths():
-    svc = RouteService.from_table(NextHopTable(networks.ring(8)))
+    svc = RouteService.from_table(NextHopTable(networks.ring(8), with_distances=True))
     with pytest.raises(
         ValueError,
         match=r"source node id -3 at position 1 is out of range for "
@@ -274,51 +270,42 @@ def test_resolve_matches_oracle_on_degenerate_batches(paths):
     assert svc.resolve([9], [9], paths=True).path_lists() == [[9]]
 
 
-@pytest.mark.parametrize("paths", [False, True])
-def test_resolve_walk_matches_oracle_without_distances(paths):
-    net = networks.build("hsn", l=2, n=3)
-    svc = RouteService.from_table(NextHopTable(net))  # no dist matrix
-    assert not svc.has_distances
-    src, dst = seeded_queries(net.num_nodes, 2_000, seed=12)
-    got = svc.resolve(src, dst, paths=paths)
-    _assert_same_batch(got, OracleResolve(svc).resolve(src, dst, paths=paths))
-
-
 def test_unreachable_names_first_bad_pair_in_query_order():
     # the first bad pair (0 -> 3) sits in the last shard, after a bad pair
     # (3 -> 0) of the first shard: the error still names 0 -> 3
     net = _split_graph()
     table, dist = oracle_next_hop_table(net)
-    blocks = [table[:2], table[2:]]
-    for dist_blocks in ([dist[:2], dist[2:]], None):
-        svc = RouteService("split", 4, blocks, (0, 2, 4), dist_blocks)
-        for paths in (False, True):
-            with pytest.raises(
-                RoutingError,
-                match=r"^no route from node 0 to node 3 in 'split': they lie "
-                r"in different connected components$",
-            ):
-                svc.resolve([1, 0, 3, 2], [0, 3, 0, 3], paths=paths)
-            with pytest.raises(
-                RoutingError, match=r"^no route from node 0 to node 3 in 'split'"
-            ):
-                OracleResolve(svc).resolve([1, 0, 3, 2], [0, 3, 0, 3], paths=paths)
+    svc = RouteService(
+        "split", 4, [table[:2], table[2:]], (0, 2, 4), [dist[:2], dist[2:]]
+    )
+    for paths in (False, True):
+        with pytest.raises(
+            RoutingError,
+            match=r"^no route from node 0 to node 3 in 'split': they lie "
+            r"in different connected components$",
+        ):
+            svc.resolve([1, 0, 3, 2], [0, 3, 0, 3], paths=paths)
+        with pytest.raises(
+            RoutingError, match=r"^no route from node 0 to node 3 in 'split'"
+        ):
+            OracleResolve(svc).resolve([1, 0, 3, 2], [0, 3, 0, 3], paths=paths)
 
 
 def test_blocks_the_flat_gather_cannot_read_fail_fast():
     t = NextHopTable(networks.ring(8), with_distances=True)
+    halves = [t.dist[:4], t.dist[4:]]
     with pytest.raises(
         ValueError,
         match=r"^table block 1 has shape \(4, 7\), expected \(4, 8\) "
         r"\(dst rows 4\.\.7 of 'ring\(8\)'\)$",
     ):
-        RouteService("ring(8)", 8, [t.table[:4], t.table[4:, :7]], (0, 4, 8))
+        RouteService("ring(8)", 8, [t.table[:4], t.table[4:, :7]], (0, 4, 8), halves)
     with pytest.raises(
         ValueError,
         match=r"^table block 0 has shape \(64,\), expected \(8, 8\) "
         r"\(dst rows 0\.\.7 of 'ring\(8\)'\)$",
     ):
-        RouteService("ring(8)", 8, [t.table.reshape(-1)], (0, 8))
+        RouteService("ring(8)", 8, [t.table.reshape(-1)], (0, 8), [t.dist])
     with pytest.raises(
         ValueError,
         match=r"^distance block 0 has shape \(3, 8\), expected \(4, 8\) "
@@ -333,7 +320,7 @@ def test_blocks_the_flat_gather_cannot_read_fail_fast():
         match=r"^table block 0 is not C-contiguous: a flat gather would copy "
         r"the whole shard on every resolve$",
     ):
-        RouteService("ring(8)", 8, [np.asfortranarray(t.table)], (0, 8))
+        RouteService("ring(8)", 8, [np.asfortranarray(t.table)], (0, 8), [t.dist])
     wide = np.zeros((8, 16), dtype=np.int32)
     with pytest.raises(
         ValueError, match=r"^distance block 0 is not C-contiguous"
@@ -343,7 +330,7 @@ def test_blocks_the_flat_gather_cannot_read_fail_fast():
         ValueError,
         match=r"^row_starts must run from 0 to num_nodes \(8\), got \(0, 4\)$",
     ):
-        RouteService("ring(8)", 8, [t.table[:4]], (0, 4))
+        RouteService("ring(8)", 8, [t.table[:4]], (0, 4), [t.dist[:4]])
     with pytest.raises(
         ValueError,
         match=r"^dist_blocks must have one block per table block, got 1 for 2$",
@@ -353,21 +340,22 @@ def test_blocks_the_flat_gather_cannot_read_fail_fast():
         )
 
 
-def test_from_spec_rejects_a_spill_of_the_wrong_width(disk_cache, tmp_path):
+def _shard_spill(store, net, shard: int, shards: int, name: str):
+    """Path of one shard's ``.npy`` spill written by ``RouteService.open``."""
+    key = cache.cache_key("serve.shard", graph=net.cache_key, shard=shard, shards=shards)
+    return store.mmap_path(key, name)
+
+
+def test_open_rejects_a_spill_of_the_wrong_width(disk_cache):
     net = networks.build("hypercube", n=4)
-    spec = RouteService.open(net, shards=2).spec()
-    bad = tmp_path / "narrow.npy"
-    np.save(bad, np.zeros((8, 15), dtype=np.int32))
-    narrow = ServiceSpec(
-        spec.name, spec.num_nodes, spec.row_starts,
-        (spec.table_paths[0], str(bad)), spec.dist_paths,
-    )
+    RouteService.open(net, shards=2)
+    np.save(_shard_spill(disk_cache, net, 1, 2, "table"), np.zeros((8, 15), dtype=np.int32))
     with pytest.raises(
         ValueError,
         match=r"^table block 1 has shape \(8, 15\), expected \(8, 16\) "
         r"\(dst rows 8\.\.15 of 'Q4'\)$",
     ):
-        RouteService.from_spec(narrow)
+        RouteService.open(net, shards=2)
 
 
 def test_resolve_batch_path_helpers():
@@ -407,8 +395,6 @@ def test_open_without_cache_falls_back_to_memory(counters):
     assert svc.source == "memory"
     assert not svc.mmap_backed
     assert counters().get("serve.open.memory", 0) == 1
-    with pytest.raises(ValueError, match="not mmap-backed"):
-        svc.spec()
 
 
 def test_shard_row_starts_partitions():
@@ -433,7 +419,7 @@ def test_shard_row_starts_rejects_more_shards_than_rows_exact_message():
 
 
 def test_resolve_rejects_empty_queries_exact_message():
-    svc = RouteService.from_table(NextHopTable(networks.ring(8)))
+    svc = RouteService.from_table(NextHopTable(networks.ring(8), with_distances=True))
     with pytest.raises(
         ValueError,
         match=r"source ids are empty: resolve\(\) requires at least one query",
@@ -463,18 +449,43 @@ def test_sharded_resolve_matches_unsharded(disk_cache, shards):
     assert np.array_equal(a.paths, b.paths)
 
 
-def test_spec_round_trip_reopens_mmap(disk_cache):
+def test_reopen_maps_the_same_spills(disk_cache):
+    # every open of one cache maps the same files: that is how processes
+    # share a table
     net = networks.build("hypercube", n=5)
     svc = RouteService.open(net, shards=2)
-    spec = svc.spec()
-    assert isinstance(spec, ServiceSpec)
-    assert spec.num_nodes == 32 and len(spec.table_paths) == 2
-    clone = RouteService.from_spec(spec)
-    assert clone.mmap_backed
+    clone = RouteService.open(networks.build("hypercube", n=5), shards=2)
+    assert clone.mmap_backed and clone.shards == 2
+    files = lambda s: [b.filename for b in s._blocks + s._dist_blocks]  # noqa: E731
+    assert files(clone) == files(svc)
+    assert files(svc) == [
+        _shard_spill(disk_cache, net, i, 2, name).resolve()
+        for name in ("table", "dist")
+        for i in range(2)
+    ]
     src, dst = seeded_queries(net.num_nodes, 200, seed=9)
     a, b = svc.resolve(src, dst), clone.resolve(src, dst)
     assert np.array_equal(a.next_hop, b.next_hop)
     assert np.array_equal(a.distance, b.distance)
+
+
+def test_rebuilt_network_reopens_mmap_without_a_table_build(disk_cache, counters):
+    first = networks.build("hsn", l=2, n=3)
+    RouteService.open(first, shards=2)  # the one table build
+    assert counters()["routing.table.builds"] == 1
+    hits = counters().get("cache.hit", 0)
+    net = networks.build("hsn", l=2, n=3)  # reloaded from the cache
+    assert net is not first and net._next_hops is None
+    assert counters()["cache.hit"] > hits
+    svc = RouteService.open(net, shards=2)
+    assert svc.mmap_backed and svc.source == "mmap" and svc.shards == 2
+    assert counters()["routing.table.builds"] == 1
+    assert net._next_hops is None  # served from the spills, no table held
+    src, dst = seeded_queries(net.num_nodes, 500, seed=4)
+    want = NextHopTable(first, with_distances=True)
+    got = svc.resolve(src, dst)
+    assert np.array_equal(got.next_hop, want.table[dst, src])
+    assert np.array_equal(got.distance, want.dist[dst, src])
 
 
 def test_corrupt_spill_falls_back_to_memory(disk_cache, counters):
@@ -503,11 +514,11 @@ def test_load_mmap_arrays_are_read_only(disk_cache):
         arr[0] = 99
 
 
-def test_from_spec_blocks_are_read_only_and_resolve_never_copies(disk_cache):
+def test_open_blocks_are_read_only_and_resolve_never_copies(disk_cache):
     net = networks.build("hypercube", n=5)
-    spec = RouteService.open(net, shards=2).spec()
-    svc = RouteService.from_spec(spec)
-    blocks = svc._blocks + (svc._dist_blocks or [])
+    RouteService.open(net, shards=2)  # writes the spills
+    svc = RouteService.open(net, shards=2)
+    blocks = svc._blocks + svc._dist_blocks
     for b in blocks:
         assert isinstance(b, np.memmap)
         assert b.flags.writeable is False
@@ -517,7 +528,7 @@ def test_from_spec_blocks_are_read_only_and_resolve_never_copies(disk_cache):
     # copy-on-write of any shard: the same read-only memmaps stay in place
     src, dst = seeded_queries(net.num_nodes, 500, seed=6)
     svc.resolve(src, dst, paths=True)
-    for before, after in zip(blocks, svc._blocks + (svc._dist_blocks or [])):
+    for before, after in zip(blocks, svc._blocks + svc._dist_blocks):
         assert after is before
         assert isinstance(after, np.memmap)
         assert after.flags.writeable is False
@@ -539,50 +550,6 @@ def test_cache_clear_removes_spills(disk_cache):
     assert list(disk_cache.root.glob("*/*.npy"))
     disk_cache.clear()
     assert not list(disk_cache.root.glob("*/*.npy"))
-
-
-# ----------------------------------------------------------------------
-# multi-worker shared-table determinism
-# ----------------------------------------------------------------------
-def test_parallel_resolve_bit_identical_at_jobs_4(disk_cache):
-    net = networks.build("hsn", l=2, n=3)
-    svc = RouteService.open(net, shards=2)
-    src, dst = seeded_queries(net.num_nodes, 2_000, seed=4)
-    serial = parallel_resolve(svc, src, dst, jobs=1, batch=300, paths=True)
-    fanned = parallel_resolve(svc, src, dst, jobs=4, batch=300, paths=True)
-    assert np.array_equal(serial.next_hop, fanned.next_hop)
-    assert np.array_equal(serial.distance, fanned.distance)
-    assert np.array_equal(serial.paths, fanned.paths)
-    assert np.array_equal(serial.src, src) and np.array_equal(serial.dst, dst)
-
-
-def test_workers_share_table_via_mmap(disk_cache):
-    net = networks.build("hypercube", n=5)
-    svc = RouteService.open(net, shards=2)
-    probes = worker_backends(svc, jobs=4)
-    assert probes  # at least one worker answered
-    assert all(p == {"mmap": True, "shards": 2} for p in probes)
-
-
-def test_parallel_resolve_requires_spec_for_fanout():
-    svc = RouteService.from_table(NextHopTable(networks.ring(8)))
-    # serial path never needs a spec
-    out = parallel_resolve(svc, [0, 1], [4, 5], jobs=1)
-    assert out.distance.tolist() == [4, 4]
-    with pytest.raises(ValueError, match="not mmap-backed"):
-        parallel_resolve(svc, list(range(8)), list(range(8)), jobs=2, batch=2)
-
-
-def test_merge_batches_validates_and_pads():
-    with pytest.raises(ValueError, match="empty batch list"):
-        merge_batches([])
-    svc = RouteService.from_table(NextHopTable(networks.ring(8)))
-    a = svc.resolve([0], [1], paths=True)  # width 2
-    b = svc.resolve([0], [4], paths=True)  # width 5
-    merged = merge_batches([a, b])
-    assert isinstance(merged, ResolveBatch)
-    assert merged.paths.shape == (2, 5)
-    assert merged.path_lists() == [[0, 1], [0, 1, 2, 3, 4]]
 
 
 # ----------------------------------------------------------------------
@@ -639,11 +606,13 @@ def test_cli_serve_query(capsys):
     assert "0 -> 3" in out and "[0, 1, 2, 3]" in out
 
 
-def test_cli_serve_bench_jobs_requires_cache():
+def test_cli_serve_bench_rejects_jobs(capsys):
+    # serving runs in one process: --jobs is a usage error, not ignored
     from repro.__main__ import main
 
-    with pytest.raises(SystemExit, match="--cache-dir"):
-        main(
-            ["serve", "bench", "--network", "ring", "--param", "n=8",
-             "--jobs", "2", "--queries", "100", "--batch", "50"]
-        )
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "bench", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "repro: error: unrecognized arguments: --jobs 2\n"
+    )

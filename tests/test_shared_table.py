@@ -75,6 +75,28 @@ def test_fault_sweep_builds_at_most_two_tables(counters):
     assert json.dumps(serial) == json.dumps(parallel)
 
 
+def test_serial_fault_sweep_builds_one_table(counters):
+    # the healthy trials build the table with the distances the faulted
+    # trials' ResilientRouter needs, so both share one build
+    cases = [
+        (networks.build("hsn", l=2, n=3), [0, 2], 2),
+        (networks.build("hsn", l=3, n=3), [0, 4, 16], 1),
+    ]
+    for net, counts, trials in cases:
+        before = _builds(counters)
+        serial = fault_sweep(net, counts, trials=trials, cycles=40, jobs=1)
+        assert _builds(counters) - before == 1, net.name
+    # the workers of a parallel sweep build their own: none in the parent
+    before = _builds(counters)
+    fresh = networks.build("hsn", l=2, n=3)
+    parallel = fault_sweep(fresh, [0, 2], trials=2, cycles=40, jobs=2)
+    assert _builds(counters) == before
+    assert fresh._next_hops is None
+    again = fault_sweep(networks.build("hsn", l=2, n=3), [0, 2], trials=2, cycles=40)
+    assert json.dumps(parallel) == json.dumps(again)
+    assert serial[0]["faults"] == 0 and serial[-1]["faults"] == 16
+
+
 def test_every_consumer_reuses_one_build(counters):
     net = networks.hypercube(4)
     plan = FaultPlan().fail_link(0, 0, 1)
