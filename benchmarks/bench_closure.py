@@ -15,9 +15,13 @@ Three HSN(4,Q4) builds (N=65,536), each against the path it replaced:
 For each, the labels, the arc arrays (``edges_src``/``edges_dst``/
 ``edges_gen``) and the node numbering must be identical, and the engine
 must be at least its ``min_speedup`` faster (best of ``ROUNDS`` engine
-builds against one oracle build, GC parked).  Run it directly (exits
-non-zero on a mismatch or a missed budget; prints one JSON record per
-build, appended to ``$REPRO_BENCH_TRAJECTORY`` when set)::
+builds against one oracle build, GC parked).  The engines keep labels as
+a ``uint8`` label matrix and build the tuple list on first read, so each
+record also carries ``labels_ms``: that first ``.labels`` read of the
+last engine build, timed apart from the build (GC parked likewise).
+Run it directly (exits non-zero on a mismatch or a missed budget; prints
+one JSON record per build, appended to ``$REPRO_BENCH_TRAJECTORY`` when
+set)::
 
     PYTHONPATH=src python benchmarks/bench_closure.py
 """
@@ -57,14 +61,17 @@ def closure_case(bench: str, engine, oracle) -> dict:
     """Time ``engine()`` against ``oracle()``; check the graphs are identical."""
     built = {}
     engine_s = min(_timed(lambda: built.__setitem__("engine", engine())) for _ in range(ROUNDS))
+    got = built["engine"]
+    labels_s = _timed(lambda: got.labels)
     oracle_s = _timed(lambda: built.__setitem__("oracle", oracle()))
-    got, want = built["engine"], built["oracle"]
+    want = built["oracle"]
     return {
         "bench": bench,
         "network": got.name,
         "nodes": got.num_nodes,
         "arcs": len(got.edges_src),
         "engine_s": round(engine_s, 4),
+        "labels_ms": round(labels_s * 1e3, 2),
         "oracle_s": round(oracle_s, 4),
         "speedup": round(oracle_s / engine_s, 2),
         "identical": bool(

@@ -63,7 +63,7 @@ def test_fig1_radix4_ranking(benchmark):
         out = set()
         for lab in g.labels:
             blocks = (lab[:4], lab[4:])
-            out.add(tuple(nuc.index[b] for b in blocks))
+            out.add(tuple(nuc.node_of(b) for b in blocks))
         return out
 
     ranks = benchmark(ranking)

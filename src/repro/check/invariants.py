@@ -278,8 +278,9 @@ def _generator_closure_problems(net: IPGraph) -> list[str]:
                     f"{type(exc).__name__}: {exc}"
                 )
                 continue
-            j = net.index.get(img)
-            if j is None:
+            try:
+                j = net.node_of(img)
+            except KeyError:
                 problems.append(
                     f"generator {gen.name} maps node {i} ({lab!r}) outside the "
                     f"vertex set (to {img!r})"

@@ -35,7 +35,16 @@ import numpy as np
 from repro import obs
 from repro.cache.memory import memoize_lru
 
-from .ipgraph import NUCLEUS, SUPER, Generator, IPGraph, _arc_table, _report_closure, build_ip_graph
+from .ipgraph import (
+    NUCLEUS,
+    SUPER,
+    Generator,
+    IPGraph,
+    _arc_table,
+    _fits_label_matrix,
+    _report_closure,
+    build_ip_graph,
+)
 from .permutation import (
     Permutation,
     block_permutation,
@@ -249,6 +258,18 @@ def _block_keys(nucleus: NucleusSpec, nuc: IPGraph, l: int, symmetric: bool) -> 
     return [tuple(c * nucleus.m + sym[s] for s in lab) for c in range(l) for lab in nuc.labels]
 
 
+def _symbol_table(keys: Sequence[tuple]) -> np.ndarray:
+    """``(len(keys), m)`` table of the ``m`` symbols of each block key:
+    ``uint8`` when every symbol is an ``int`` in ``0..255``, else
+    ``object`` (symbols kept as they are, tuples included)."""
+    symbols = [s for key in keys for s in key]
+    if _fits_label_matrix(symbols):
+        table = np.array(symbols, dtype=np.uint8)
+    else:
+        table = np.fromiter(symbols, dtype=object, count=len(symbols))
+    return table.reshape(len(keys), -1)
+
+
 def _super_closure(
     succ: np.ndarray,
     keys: Sequence[tuple],
@@ -256,7 +277,7 @@ def _super_closure(
     symmetric: bool,
     max_nodes: int,
     name: str,
-) -> tuple[list[tuple], np.ndarray]:
+) -> tuple[np.ndarray | list[tuple], np.ndarray]:
     """BFS closure of a super graph on digit codes ``a·M^l + Σ d_i·M^i``.
 
     ``d_i`` is the nucleus state at block position ``i`` (0 = front) and
@@ -269,6 +290,11 @@ def _super_closure(
     the labels (each the concatenated ``keys`` of its blocks ``color·M +
     d_i``) and the node-major ``(E, 3)`` arcs ``(src, dst, gen)``; raises
     ``ValueError`` naming ``|A|·M^l`` when it exceeds ``max_nodes``.
+
+    The labels are a gather of the block codes from a table of the
+    ``l·M`` keys: the ``uint8`` label matrix when every key symbol is an
+    ``int`` in ``0..255`` (checked, never cast), otherwise the list of
+    label tuples gathered from an object table.
     """
     (M, s), l = succ.shape, perms[0].size
     if symmetric:
@@ -306,8 +332,10 @@ def _super_closure(
             levels.append((len(front), int(np.count_nonzero(moves >= 0)), len(fresh)))
         a, digits = np.divmod(np.concatenate(codes), base)
         blocks = digits[:, None] // weight % M + np.array(arrs, dtype=np.int64)[a] * M
-        table = np.fromiter(keys, dtype=object, count=len(keys))
-        labels = [sum(parts, ()) for parts in zip(*(table[b].tolist() for b in blocks.T))]
+        gathered = _symbol_table(keys)[blocks].reshape(len(blocks), -1)
+        labels: np.ndarray | list[tuple] = (
+            gathered if gathered.dtype == np.uint8 else list(map(tuple, gathered.tolist()))
+        )
         dst = np.concatenate(dsts)
         edges = _arc_table(dst, ngen)[dst >= 0]
         _report_closure(sp, t0, levels, len(edges))

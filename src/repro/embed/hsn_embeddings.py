@@ -55,7 +55,7 @@ def product_into_hsn(
     def host_label(states: tuple[int, ...]) -> tuple:
         return tuple(s for v in states for s in nuc_graph.labels[v])
 
-    node_map = [host.index[host_label(guest_coords(lab))] for lab in guest.labels]
+    node_map = [host.node_of(host_label(guest_coords(lab))) for lab in guest.labels]
 
     # constructive 3-hop router
     swaps = [None] + [
@@ -71,8 +71,8 @@ def product_into_hsn(
         if b == 0:
             return [hu, hv]
         sw = swaps[b]
-        mid1 = host.index[sw(lu)]
-        mid2 = host.index[sw(lv)]
+        mid1 = host.node_of(sw(lu))
+        mid2 = host.node_of(sw(lv))
         # when blocks 0 and b are equal the swap is a self-loop and the
         # corresponding hop collapses (the path shortens to 2 edges)
         path = [hu, mid1, mid2, hv]
@@ -96,7 +96,7 @@ def hypercube_into_hsn(l: int, n: int, max_nodes: int = 2_000_000) -> Embedding:
         label = []
         for j, b in enumerate(bits):
             label.extend((2 * j + 1, 2 * j) if b else (2 * j, 2 * j + 1))
-        return nuc_graph.index[tuple(label)]
+        return nuc_graph.node_of(label)
 
     def coords(lab: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(nuc_state(lab[i * n : (i + 1) * n]) for i in range(l))

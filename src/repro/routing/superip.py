@@ -258,7 +258,7 @@ class SuperIPRouter:
         """
         self._check_orientation(graph)
         labels = self.route_labels(graph.label_of(src), graph.label_of(dst))
-        return [graph.index[lab] for lab in labels]
+        return [graph.node_of(lab) for lab in labels]
 
     def backend(self, graph: IPGraph) -> "SuperIPBackend":
         """This router bound to ``graph`` as a
@@ -321,7 +321,7 @@ class SuperIPBackend:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Next node and state of each packet (one walker hop each)."""
         router, blocks_of, span = self.router, self._blocks, self._span
-        index, join, walk = self.graph.index, router._label_of, router._walk
+        node_of, join, walk = self.graph.node_of, router._label_of, router._walk
         nxt = np.empty(len(nodes), dtype=np.int64)
         new = np.empty(len(nodes), dtype=np.int64)
         for i, (u, d, s) in enumerate(zip(nodes.tolist(), dsts.tolist(), state.tolist())):
@@ -336,7 +336,7 @@ class SuperIPBackend:
                     f"sorting router ran past its program at node {u} "
                     f"toward node {d} (state {s})"
                 )
-            nxt[i] = index[join(blocks)]
+            nxt[i] = node_of(join(blocks))
             new[i] = 1 + p * span + k
         return nxt, new
 

@@ -116,8 +116,10 @@ class NextHopTable:
         csr = net.adjacency_csr()
         indptr, indices = csr.indptr, csr.indices
         # BFS from each destination over reversed arcs reaches u at
-        # dist(u -> dst); an undirected network is its own reverse
-        toward = csr.T.tocsr() if net.directed else net
+        # dist(u -> dst); an undirected network is its own reverse.  The
+        # reverse is a CSC view, which the BFS pulls along as a CSR view
+        # of the network's own arrays: no copy per batch
+        toward = csr.T if net.directed else net
         self.net = net
         self._indptr = indptr
         self._indices = indices

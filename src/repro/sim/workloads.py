@@ -86,8 +86,8 @@ def random_permutation_traffic(
 
 
 def _bit_label_pairs(net: Network, f: Callable) -> list[tuple[int, int]]:
-    index = net.index
-    return [(i, index[f(lab)]) for i, lab in enumerate(net.labels)]
+    node_of = net.node_of
+    return [(i, node_of(f(lab))) for i, lab in enumerate(net.labels)]
 
 
 def bit_reversal_pairs(net: Network) -> list[tuple[int, int]]:

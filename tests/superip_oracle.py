@@ -213,7 +213,7 @@ class SuperIPRouter:
         self.l = sgs.l
         self.m = nucleus.m
         self._nuc_graph = nucleus.build()
-        self._nuc_index = self._nuc_graph.index
+        self._nuc_node_of = self._nuc_graph.node_of
         self._nuc_gens = [g.perm for g in self._nuc_graph.generators]
         # next-generator table per destination nucleus node (lazy)
         self._next_gen_cache: dict[int, list[int]] = {}
@@ -246,11 +246,11 @@ class SuperIPRouter:
         # using inverse generators.
         inv = [p.inverse() for p in self._nuc_gens]
         labels = g.labels
-        index = g.index
+        node_of = g.node_of
         while q:
             v = q.popleft()
             for gi, pinv in enumerate(inv):
-                u = index[pinv(labels[v])]
+                u = node_of(pinv(labels[v]))
                 if dist[u] == -1:
                     dist[u] = dist[v] + 1
                     next_gen[u] = gi
@@ -265,11 +265,11 @@ class SuperIPRouter:
         ``target_block``; returns the successive block states (excluding the
         start)."""
         cur = blocks[0]
-        dst_node = self._nuc_index[target_block]
+        dst_node = self._nuc_node_of(target_block)
         table = self._next_gen_table(dst_node)
         states = []
         while cur != target_block:
-            gi = table[self._nuc_index[cur]]
+            gi = table[self._nuc_node_of(cur)]
             cur = self._nuc_gens[gi](cur)
             states.append([cur] + blocks[1:])
         return states
@@ -365,11 +365,11 @@ class SuperIPRouter:
         offset = c * self.m
         cur_n = tuple(s - offset for s in cur)
         tgt_n = tuple(s - offset for s in target_block)
-        dst_node = self._nuc_index[tgt_n]
+        dst_node = self._nuc_node_of(tgt_n)
         table = self._next_gen_table(dst_node)
         states = []
         while cur_n != tgt_n:
-            gi = table[self._nuc_index[cur_n]]
+            gi = table[self._nuc_node_of(cur_n)]
             cur_n = self._nuc_gens[gi](cur_n)
             states.append([tuple(s + offset for s in cur_n)] + blocks[1:])
         return states
@@ -403,7 +403,7 @@ class SuperIPRouter:
     def route_nodes(self, graph: IPGraph, src: int, dst: int) -> list[int]:
         """Route between node ids of a built graph; returns node-id path."""
         labels = self.route_labels(graph.labels[src], graph.labels[dst])
-        return [graph.index[lab] for lab in labels]
+        return [graph.node_of(lab) for lab in labels]
 
     def next_hop_function(self, graph: IPGraph):
         """A ``(u, dst) -> v`` callable for the packet simulator that follows
@@ -512,4 +512,4 @@ class ExplicitSuperIPRouter:
     def route_nodes(self, graph: IPGraph, src: int, dst: int) -> list[int]:
         """Node-id path on a graph built by ``explicit_super_graph``."""
         labels = self.route_labels(graph.labels[src], graph.labels[dst])
-        return [graph.index[lab] for lab in labels]
+        return [graph.node_of(lab) for lab in labels]

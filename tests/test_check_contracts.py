@@ -5,10 +5,12 @@ and — via mutation tests — demonstrably *fail* on corrupted networks, so
 a regression in any family construction is caught by CI.
 """
 
+import numpy as np
 import pytest
 
 from repro.check import FAMILY_SPECS, Report, check_family, check_network, run_contracts
 from repro.check.__main__ import main as check_main
+from repro.core.ipgraph import IPGraph
 from repro.core.network import Network
 from repro.networks import available, build
 
@@ -89,10 +91,13 @@ class TestMutations:
 
     def test_corrupted_vertex_set_fires_ctr003(self):
         g = build("star_ip", n=3)
-        victim = g.labels[2]
-        del g.index[victim]
-        g.labels[2] = ("corrupt",)
-        g.index[("corrupt",)] = 2
+        # corrupt the label store itself: node 2's row becomes (0, 0, 0),
+        # which no generator maps into the vertex set; label_of / node_of
+        # still round-trip, so only the closure contract can notice
+        rows = g._label_rows.copy()
+        rows[2] = 0
+        arcs = np.column_stack([g.edges_src, g.edges_dst, g.edges_gen])
+        g = IPGraph(rows, g.generators, arcs, name="corrupt-star")
         r = Report()
         check_network(g, "mutant", r)
         assert "CTR003" in {f.code for f in r.findings}
