@@ -2,8 +2,9 @@
 
 Replays one 16-link-fault trial of :func:`repro.fault.fault_sweep` on
 HSN(3,Q3) (N=512) with the resilient router's stage-3 detours computed
-by the router itself (one survivor CSR per fault epoch, one BFS distance
-row per destination) and checks three things:
+by the router itself (one survivor CSR per fault epoch, one BFS from the
+destination per detour, stopped at the level that labels the packet's
+node) and checks three things:
 
 * **identity** — with the independent shortest-survivor oracle of
   ``tests/fault_view.py`` patched in (networkx BFS on the rebuilt
@@ -17,6 +18,10 @@ row per destination) and checks three things:
   engine (flow structures built once per fault epoch, each path kept
   per epoch as the old router did); best of ``ROUNDS`` router runs
   against one engine replay, GC parked.
+
+The record also carries ``bfs_levels``, the levels those searches
+expanded over the trial (the ``routing.resilient.bfs_levels`` counter;
+the sum of the detours' hop counts when every detour exists).
 
 Run it directly (exits non-zero on a mismatch or a missed budget; prints
 one JSON record, appended to ``$REPRO_BENCH_TRAJECTORY`` when set)::
@@ -81,6 +86,18 @@ def _trial(net, compute) -> tuple[list[dict], list, float]:
     return rows, queries, spent[0]
 
 
+def _bfs_levels(net) -> int:
+    """BFS levels the router's detours expanded over one trial."""
+    obs.reset()
+    obs.enable()
+    try:
+        _trial(net, ResilientRouter._compute_survivor_path)
+        return obs.report()["counters"].get("routing.resilient.bfs_levels", 0)
+    finally:
+        obs.disable()
+        obs.reset()
+
+
 def _disjoint_replay(queries) -> tuple[list, float]:
     """The shortest networkx node-disjoint path for every query, and the
     seconds that engine took: per router and epoch one survivor graph and
@@ -129,6 +146,7 @@ def fault_sweep_case() -> dict:
         "nodes": net.num_nodes,
         "faults": FAULTS,
         "survivor_paths": len(paths),
+        "bfs_levels": _bfs_levels(net),
         "kernel_s": round(kernel_s, 4),
         "disjoint_s": round(disjoint_s, 4),
         "speedup": round(disjoint_s / kernel_s, 2),

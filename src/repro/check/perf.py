@@ -131,8 +131,8 @@ HOT_PERIMETER: tuple[HotKernel, ...] = (
     ),
     HotKernel(
         "repro.fault.resilient.ResilientRouter._compute_survivor_path",
-        "per-deroute survivor BFS (one row per fault epoch and destination) "
-        "and shortest-path walk",
+        "per-deroute survivor BFS (one sparse mat-vec per level, stopped at "
+        "the packet's level) and shortest-path walk",
     ),
     HotKernel(
         "repro.sim.simulator.PacketSimulator.run",

@@ -8,8 +8,8 @@ The subsystem behind the paper's graceful-degradation story:
   down-interval timelines (:mod:`repro.fault.plan`);
 * :class:`ResilientRouter` — primary → alternate-minimal → survivor-path
   adaptive routing on undirected networks, reading the timeline directly
-  and keeping one detour record (survivor CSR, BFS rows) per fault epoch
-  (:mod:`repro.fault.resilient`);
+  and keeping one survivor CSR per fault epoch, searched by an early-exit
+  BFS per detour (:mod:`repro.fault.resilient`);
 * :func:`fault_sweep` / :func:`fault_comparison` — Monte-Carlo resilience
   curves, exposed as the ``faults`` CLI subcommand
   (:mod:`repro.fault.sweep`);

@@ -18,10 +18,10 @@ on star-graph-class networks exploit path diversity):
 The router never mutates the network: it reads the compiled
 :class:`~repro.fault.plan.FaultTimeline` directly.  It keeps one record
 for the fault epoch it last derouted in, replaced when the epoch
-changes: the survivor graph as a CSC matrix (the intact arcs whose link
-and ends are up; symmetric, so its arrays are those of its CSR) and one
-:func:`~repro.metrics.distances.multi_source_bfs` distance row per
-destination, which serves every detour toward it.
+changes: the survivor graph as a CSR matrix (the intact arcs whose link
+and ends are up).  Each detour runs one level-synchronous BFS from the
+destination on it, one sparse mat-vec per level, and stops at the level
+that labels the packet's node.
 Survivor detours are paths of the undirected survivor graph, so the
 router refuses a directed network.
 """
@@ -33,7 +33,6 @@ import scipy.sparse as sp
 
 from repro import obs
 from repro.core.network import Network
-from repro.metrics.distances import multi_source_bfs
 from repro.routing.table import shared_table
 
 from .plan import FaultTimeline
@@ -78,10 +77,10 @@ class ResilientRouter:
         # heads are sorted), and its link's column in the timeline's array
         # queries (-1: never fails)
         coo = net.adjacency_csr().tocoo()
-        self._arc_src, self._arc_dst = coo.row.astype(np.int64), coo.col.astype(np.int64)
+        self._arc_src, self._arc_dst = coo.row, coo.col
         self._arc_col = timeline.link_columns(self._arc_src, self._arc_dst)
-        # (epoch, survivor adjacency, distance rows by dst) of the last deroute
-        self._record: tuple[int, sp.csc_matrix | None, dict] = (-1, None, {})
+        # (epoch, survivor adjacency) of the last deroute
+        self._record: tuple[int, sp.csr_matrix | None] = (-1, None)
 
     # ------------------------------------------------------------------
     def hop_alive(self, u: int, v: int, t: int) -> bool:
@@ -130,22 +129,23 @@ class ResilientRouter:
         return -1, UNREACHABLE, ()
 
     # ------------------------------------------------------------------
-    def _survivor_csr(self, t: int) -> sp.csc_matrix:
+    def _survivor_csr(self, t: int) -> sp.csr_matrix:
         """The survivor graph at ``t``: the intact arcs whose link and both
         endpoints are up, in new arrays (the network's cached CSR is
-        shared, so it is never masked in place).
-
-        Built as CSC: the graph is symmetric, so its arrays are those of
-        its CSR (column ``v`` lists ``v``'s neighbors, sorted), and the
-        BFS pulls its transpose as a CSR view instead of a copy."""
+        shared, so it is never masked in place).  The masked arcs stay
+        row-major with sorted heads, so they are the CSR's ``indices`` as
+        they stand and ``indptr`` is the running count of their tails."""
         tl = self.timeline
         alive = ~tl.links_down_during(self._arc_col, t, t + 1)
         if tl.node_down:
             alive &= tl.nodes_up_at(self._arc_src, t)
             alive &= tl.nodes_up_at(self._arc_dst, t)
-        src, dst = self._arc_src[alive], self._arc_dst[alive]
-        data = np.ones(len(src), dtype=np.int8)
-        return sp.csc_matrix((data, (src, dst)), shape=(self._n, self._n))
+        n = self._n
+        indices = self._arc_dst[alive]
+        indptr = np.zeros(n + 1, dtype=indices.dtype)  # the intact CSR's width
+        np.cumsum(np.bincount(self._arc_src[alive], minlength=n), out=indptr[1:])
+        data = np.ones(len(indices), dtype=bool)
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
     def _compute_survivor_path(
         self, epoch: int, u: int, dst: int, t: int
@@ -153,23 +153,32 @@ class ResilientRouter:
         """The detour itself: the shortest ``u -> dst`` path of the survivor
         graph of ``epoch`` (in force at ``t``), each step to the smallest-id
         neighbor one hop closer to ``dst``; ``None`` for ``u == dst`` or
-        when no path survives (a dead endpoint has no live link)."""
+        when no path survives (a dead endpoint has no live link).
+
+        The BFS from ``dst`` stops at the level that reaches ``u``: the
+        walk only reads the levels nearer ``dst`` than ``u``, which are
+        complete by then."""
         if u == dst:
             return None
         if self._record[0] != epoch:
-            self._record = (epoch, self._survivor_csr(t), {})
-        _, adj, rows = self._record
-        dist = rows.get(dst)
-        if dist is None:
-            dist = rows[dst] = multi_source_bfs(adj, [dst])[:, 0]
-        hops = int(dist[u])
-        if hops < 0:
+            self._record = (epoch, self._survivor_csr(t))
+        adj = self._record[1]
+        seen = np.zeros(self._n, dtype=bool)
+        seen[dst] = True
+        levels = [seen.copy()]  # levels[k]: the nodes k hops from dst
+        while not seen[u] and levels[-1].any():
+            # one sparse mat-vec per level (the graph is symmetric)
+            levels.append((adj @ levels[-1]) > seen)  # reached, not yet seen
+            seen |= levels[-1]
+        hops = len(levels) - 1
+        obs.registry().incr("routing.resilient.bfs_levels", hops)
+        if not seen[u]:
             return None
         indptr, indices = adj.indptr, adj.indices
         path = [u]
         for k in range(hops - 1, -1, -1):  # one step per hop, distance k left
             nbrs = indices[indptr[path[-1]] : indptr[path[-1] + 1]]
-            path.append(int(nbrs[dist[nbrs] == k][0]))  # indices are sorted
+            path.append(int(nbrs[levels[k][nbrs]][0]))  # indices are sorted
         return tuple(path)
 
     def _survivor_path(self, u: int, dst: int, t: int) -> tuple[int, ...] | None:

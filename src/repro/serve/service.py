@@ -220,7 +220,10 @@ class RouteService:
         keyed by
         ``cache_key("serve.shard", graph=<registry key>, ...)``; later
         opens, in this process or any other on the same cache, map the
-        same files read-only.
+        same files read-only.  A spill that cannot be read, or that holds
+        an array of another shape than its shard's block, counts
+        ``cache.error``, is removed (the next open writes it again) and
+        the service falls back to memory.
         """
         from repro.cache import cache_key, cached_next_hop_table, get_cache
         from repro.routing.table import _held_table, shared_table
@@ -257,8 +260,19 @@ class RouteService:
                 cache.export_mmap(
                     keys[i], {"table": table.table[lo:hi], "dist": table.dist[lo:hi]}
                 )
-        blocks = [cache.load_mmap(k, "table") for k in keys]
-        dist_blocks = [cache.load_mmap(k, "dist") for k in keys]
+        blocks: list = []
+        dist_blocks: list = []
+        for i, k in enumerate(keys):
+            want = (row_starts[i + 1] - row_starts[i], n)
+            for nm, out in zip(names, (blocks, dist_blocks)):
+                block = cache.load_mmap(k, nm)
+                if block is not None and (
+                    block.shape != want or not block.flags.c_contiguous
+                ):  # readable, but not this shard's block: as corrupt as garbage
+                    reg.incr("cache.error")
+                    cache.mmap_path(k, nm).unlink(missing_ok=True)
+                    block = None
+                out.append(block)
         if any(b is None for b in blocks + dist_blocks):  # corrupt spill
             table = cached_next_hop_table(net, with_distances=True, cache=cache)
             reg.incr("serve.open.memory")

@@ -1,11 +1,18 @@
 """Tests for the fault-aware ResilientRouter and the NextHopTable upgrades."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro import networks as nw
+from repro import obs
 from repro.core.network import Network, RoutingError
-from repro.fault import FaultPlan, ResilientRouter, fault_sweep, resilient
+from repro.fault import FaultPlan, ResilientRouter, fault_sweep
 from repro.metrics.distances import bfs_distances
 from repro.routing.table import NextHopTable, shortest_path
 from repro.sim.simulator import PacketSimulator
@@ -163,45 +170,101 @@ class TestResilientRouter:
         g = nw.hypercube(3)
         r = self._router(g, FaultPlan().fail_link(0, 0, 1))
         p1 = r._survivor_path(0, 1, 0)
-        rows = r._record[2]
+        epoch, csr = r._record
         p2 = r._survivor_path(0, 1, 0)
         assert p1 == p2 == (0, 2, 3, 1)  # smallest-id step, distance 3
-        assert r._record[2] is rows and list(rows) == [1]  # one BFS row
+        assert r._record[0] == epoch and r._record[1] is csr  # one CSR
 
 
 class TestBoundedCaches:
-    def test_record_is_bounded_and_reset_per_epoch(self, monkeypatch):
-        # at most one BFS row per destination, and a new record per epoch
-        bfs_calls = []
-        bfs = resilient.multi_source_bfs
-
-        def counted(csr, sources):
-            bfs_calls.append(list(sources))
-            return bfs(csr, sources)
-
-        monkeypatch.setattr(resilient, "multi_source_bfs", counted)
+    def test_record_is_bounded_and_reset_per_epoch(self):
+        # one survivor CSR per epoch, reused by every detour in it and
+        # replaced whenever epoch(t) changes, also back to an earlier one
         g = nw.hypercube(3)
         plan = FaultPlan().fail_link(0, 0, 1).fail_link(0, 2, 3).fail_node(10, 7)
         r = ResilientRouter(g, plan.compile(g))
+        r._survivor_path(0, 1, 0)
+        epoch, csr = r._record
+        assert epoch == r.timeline.epoch(0)
         for u in (0, 2, 4):
             for dst in (1, 3):
                 if u != dst:
                     r._survivor_path(u, dst, 0)
-        epoch, csr, rows = r._record
-        assert epoch == r.timeline.epoch(0)
-        assert list(rows) == [1, 3]  # one row serves every u
-        assert bfs_calls == [[1], [3]]
+                    assert r._record[1] is csr
         r._survivor_path(0, 1, 20)  # later epoch: a fresh record
-        epoch, later_csr, rows = r._record
-        assert epoch == r.timeline.epoch(20) != r.timeline.epoch(0)
+        later, later_csr = r._record
+        assert later == r.timeline.epoch(20) != epoch
         assert later_csr is not csr
-        assert list(rows) == [1]
-        assert bfs_calls == [[1], [3], [1]]
+        assert later_csr[7].nnz == 0  # the dead node has no live arc
+        r._survivor_path(0, 1, 5)  # back to the first epoch: rebuilt again
+        back, back_csr = r._record
+        assert back == epoch and back_csr is not csr and back_csr is not later_csr
+        assert (back_csr != csr).nnz == 0
+
+    def test_near_far_near_queries_match_oracle(self):
+        # one dst in one epoch: the early-exit search of a near u must not
+        # leave anything behind that changes the far u's path, or back
+        g = nw.build("hsn", l=2, n=3)
+        plan = FaultPlan.random_link_faults(g, 10, np.random.default_rng(7))
+        timeline = plan.compile(g)
+        r = ResilientRouter(g, timeline)
+        view = FaultyNetwork.at(g, timeline, 0)
+        dst = 0
+        want = {u: shortest_survivor_path(view, u, dst) for u in range(1, g.num_nodes)}
+        near = min(want, key=lambda u: len(want[u]))
+        far = max(want, key=lambda u: len(want[u]))
+        assert len(want[near]) == 2 and len(want[far]) >= 5
+        for u in (near, far, near, far):
+            assert r._survivor_path(u, dst, 0) == want[u], u
+
+    def test_bfs_levels_counter_sums_detour_hops(self):
+        g = nw.build("hsn", l=2, n=3)
+        timeline = FaultPlan.random_link_faults(
+            g, 12, np.random.default_rng(3)
+        ).compile(g)
+        r = ResilientRouter(g, timeline)
+        pairs = np.random.default_rng(4).integers(0, g.num_nodes, size=(60, 2))
+        obs.reset()
+        obs.enable()
+        try:
+            paths = [r._survivor_path(u, d, 0) for u, d in pairs.tolist() if u != d]
+            counters = obs.report()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert all(p is not None for p in paths)
+        assert counters["routing.resilient.survivor_paths"] == len(paths)
+        assert counters["routing.resilient.bfs_levels"] == sum(len(p) - 1 for p in paths)
+
+
+def test_faulted_sweep_does_not_import_sparse_linalg():
+    # scipy.sparse.csgraph would pull in scipy.sparse.linalg: ~10 MiB of
+    # RSS and import time on every faulted run, for a search that needs
+    # only a sparse mat-vec per level
+    code = (
+        "import sys\n"
+        "from repro import networks, obs\n"
+        "from repro.fault import fault_sweep\n"
+        "obs.enable()\n"
+        "net = networks.build('hsn', l=2, n=3)\n"
+        "fault_sweep(net, [12], trials=1, cycles=40, rate=0.2, seed=3, jobs=1)\n"
+        "print(obs.report()['counters']['routing.resilient.survivor_paths'] > 0,\n"
+        "      'scipy.sparse.linalg' in sys.modules)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["True", "False"]
 
 
 class TestSurvivorFlowReuse:
-    """The epoch record (one survivor CSR per epoch, one BFS row per
-    destination) must not change any detour, however the queries move
+    """The epoch record (one survivor CSR per epoch) and the early-exit
+    search must not change any detour, however the queries move
     through the epochs: each is the shortest-survivor oracle's path, and
     never longer than the shortest node-disjoint path the router used to
     take."""

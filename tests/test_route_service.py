@@ -346,16 +346,36 @@ def _shard_spill(store, net, shard: int, shards: int, name: str):
     return store.mmap_path(key, name)
 
 
-def test_open_rejects_a_spill_of_the_wrong_width(disk_cache):
+def test_open_rejects_a_spill_of_the_wrong_width(disk_cache, counters):
+    # a readable spill of the wrong shape is treated like a corrupt one:
+    # counted, removed and answered from memory, then written again
     net = networks.build("hypercube", n=4)
     RouteService.open(net, shards=2)
-    np.save(_shard_spill(disk_cache, net, 1, 2, "table"), np.zeros((8, 15), dtype=np.int32))
-    with pytest.raises(
-        ValueError,
-        match=r"^table block 1 has shape \(8, 15\), expected \(8, 16\) "
-        r"\(dst rows 8\.\.15 of 'Q4'\)$",
-    ):
-        RouteService.open(net, shards=2)
+    bad = _shard_spill(disk_cache, net, 1, 2, "table")
+    np.save(bad, np.zeros((8, 15), dtype=np.int32))
+    svc = RouteService.open(net, shards=2)
+    assert svc.source == "memory"
+    assert counters().get("cache.error", 0) == 1
+    assert counters().get("serve.open.memory", 0) == 1
+    assert not bad.exists()
+    ref = NextHopTable(net, with_distances=True)
+    src, dst = seeded_queries(net.num_nodes, 200, seed=2)
+    got = svc.resolve(src, dst)
+    assert np.array_equal(got.next_hop, ref.table[dst, src])
+    assert np.array_equal(got.distance, ref.dist[dst, src])
+    again = RouteService.open(net, shards=2)
+    assert again.source == "mmap" and np.load(bad).shape == (8, 16)
+    assert np.array_equal(again.resolve(src, dst).next_hop, ref.table[dst, src])
+
+
+def test_open_rebuilds_a_fortran_ordered_spill(disk_cache, counters):
+    net = networks.build("hypercube", n=4)
+    RouteService.open(net, shards=2)
+    spill = _shard_spill(disk_cache, net, 0, 2, "dist")
+    np.save(spill, np.asfortranarray(np.load(spill)))
+    svc = RouteService.open(net, shards=2)
+    assert svc.source == "memory" and counters().get("cache.error", 0) == 1
+    assert RouteService.open(net, shards=2).source == "mmap"
 
 
 def test_resolve_batch_path_helpers():
