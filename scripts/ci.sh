@@ -89,7 +89,7 @@ PYEOF
 echo "OK"
 
 echo
-echo "== percolation + orbit-collapse budgets (>=10x collapse, sweep <30s) =="
+echo "== percolation + exhaustive budgets (Q5 k=5: 32 of 201376 disconnect in <4s, sweep <30s) =="
 python benchmarks/bench_percolation.py
 
 echo

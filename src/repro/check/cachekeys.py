@@ -26,9 +26,8 @@ that each of its *influencing inputs* flows into the key material:
 stores the artifact, it does not influence it).  Genuine
 non-influencing knobs — batching sizes, verbosity — are suppressed at
 the call site with ``# repro: noqa[RPR012]`` plus a one-line reason,
-e.g. ``node_limit`` / ``max_size`` in the orbit-group key of
-:mod:`repro.fault.orbits` (feasibility guards; the enumerated group is
-identical whenever the call succeeds).
+e.g. a size guard that only decides whether the artifact is built at
+all (the stored content is identical whenever the call succeeds).
 """
 
 from __future__ import annotations

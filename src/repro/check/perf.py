@@ -12,7 +12,7 @@ The **hot-path perimeter** is declared once — :data:`HOT_PERIMETER`, a
 tuple of :class:`HotKernel` records naming the closure engine, the
 ``NextHopTable`` construction, the BFS distance kernel, the
 survivor-detour BFS, the simulator event core and its
-fault decision stage, the percolation component labeling, and the orbit signature kernels —
+fault decision stage, and the percolation component labeling —
 and closed over the import-aware call graph
 (:mod:`repro.check.callgraph`), exactly like the determinism perimeters
 of :mod:`repro.check.determinism`.  Every function reachable from a hot
@@ -160,14 +160,6 @@ HOT_PERIMETER: tuple[HotKernel, ...] = (
         "repro.fault.percolation.masked_components",
         "batched connected-component labeling",
         contracts=(("label", "int64"), ("flat_src", "int64"), ("flat_dst", "int64")),
-    ),
-    HotKernel(
-        "repro.fault.orbits.fault_signature",
-        "canonical fault-signature kernel",
-    ),
-    HotKernel(
-        "repro.fault.orbits._canonical_codes",
-        "orbit-canonical code kernel",
     ),
 )
 

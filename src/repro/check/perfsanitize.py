@@ -14,7 +14,7 @@ and checks three things the AST cannot see:
   burns cycles.
 * **SAN005 — per-unit cost regression.**  Each workload also runs
   un-profiled (best of ``repeats``) and reports a per-unit cost
-  (µs per node / packet / mask-row / signature).  Costs are compared
+  (µs per node / packet / query / mask entry).  Costs are compared
   against ``benchmarks/perf_budgets.json``; a measured cost above its
   recorded budget is a regression finding.  Budgets are recorded with a
   generous (default 6x) margin over the measuring machine so that normal
@@ -41,7 +41,6 @@ model, so rendering and exit codes match every other tier.
 from __future__ import annotations
 
 import cProfile
-import itertools
 import json
 import os
 import time
@@ -223,30 +222,6 @@ def _wl_percolation(smoke: bool) -> Callable[..., int]:
     return run
 
 
-def _wl_orbits(smoke: bool) -> Callable[..., int]:
-    import numpy as np
-
-    from repro.fault.orbits import cached_automorphism_group, fault_signature
-    from repro.networks import build
-
-    net = build("hypercube", n=3) if smoke else build("hypercube", n=4)
-    # materialize the group here so the thunk times the signature kernel,
-    # not VF2 enumeration (which is deliberately outside the perimeter)
-    group = cached_automorphism_group(net)
-    patterns = list(itertools.combinations(range(net.num_nodes), 2))
-
-    def run(record: dict | None = None) -> int:
-        if record is not None:
-            sig = fault_signature(net, (0, 3), group=group)
-            record.update(group=group, signature=np.asarray(sig, dtype=np.int64))
-            return 1
-        for p in patterns:
-            fault_signature(net, p, group=group)
-        return len(patterns)
-
-    return run
-
-
 WORKLOADS: tuple[Workload, ...] = (
     Workload(
         "closure_fast",
@@ -277,12 +252,6 @@ WORKLOADS: tuple[Workload, ...] = (
         "repro.fault.percolation.masked_components",
         "mask-entry",
         _wl_percolation,
-    ),
-    Workload(
-        "orbit_signatures",
-        "repro.fault.orbits.fault_signature",
-        "signature",
-        _wl_orbits,
     ),
 )
 
@@ -401,11 +370,12 @@ load_budgets = load_contracts = load_profiles
 
 
 def write_profile(path: str | Path, profile: str, entries: dict, meta: dict) -> dict:
-    """Merge ``entries`` into ``profile`` and ``meta`` into ``_meta`` of
-    the JSON file at ``path`` (the other profile's entries are kept);
+    """Merge ``entries`` into ``profile`` of the JSON file at ``path``
+    (the other profile's entries are kept) and set its ``_meta`` to
+    ``meta``, so a retired meta key does not outlive a re-record;
     returns the written dict."""
     data = load_profiles(path)
-    data.setdefault("_meta", {}).update(meta)
+    data["_meta"] = dict(meta)
     data.setdefault("profiles", {}).setdefault(profile, {}).update(entries)
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)

@@ -19,25 +19,20 @@ The subsystem behind the paper's graceful-degradation story:
   over a survival-probability grid, per-family threshold estimates, and
   degraded-traffic probes around the threshold
   (:mod:`repro.fault.percolation`);
-* :func:`exhaustive_fault_sweep` / :func:`brute_force_fault_sweep` /
-  :func:`fault_signature` — symmetry-collapsed exhaustive certification
-  of all ``k``-fault patterns, one evaluation per automorphism orbit
-  (:mod:`repro.fault.orbits`).
+* :func:`exhaustive_fault_sweep` — certification of all ``k``-fault
+  patterns, labeled in ``(B, n)`` mask batches by the same component
+  labeler, with the disconnecting patterns as counterexamples
+  (:mod:`repro.fault.percolation`).
 
 Pass a :class:`FaultPlan` to :class:`repro.sim.PacketSimulator` to simulate
 in degraded mode; an empty plan is bit-identical to the fault-free
 simulator.
 """
 
-from .orbits import (
-    brute_force_fault_sweep,
-    cached_automorphism_group,
-    exhaustive_fault_sweep,
-    fault_signature,
-)
 from .percolation import (
     default_probability_grid,
     estimate_threshold,
+    exhaustive_fault_sweep,
     masked_components,
     percolation_comparison,
     percolation_sweep,
@@ -48,8 +43,6 @@ from .resilient import ResilientRouter
 from .sweep import default_resilience_cases, fault_comparison, fault_sweep
 
 __all__ = [
-    "brute_force_fault_sweep",
-    "cached_automorphism_group",
     "default_probability_grid",
     "default_resilience_cases",
     "estimate_threshold",
@@ -57,7 +50,6 @@ __all__ = [
     "FaultEvent",
     "fault_comparison",
     "FaultPlan",
-    "fault_signature",
     "fault_sweep",
     "FaultTimeline",
     "masked_components",

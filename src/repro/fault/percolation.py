@@ -24,6 +24,10 @@ Engine shape:
   renamed to its smallest node id by one first-occurrence pass — no
   per-node Python loops (the ``percolation.components`` obs counter
   tallies components found).
+* **Exhaustive certification.**  :func:`exhaustive_fault_sweep` labels
+  every ``k``-fault pattern, not a sample: patterns stream through the
+  same labeler in fixed-size ``(B, n)`` mask chunks, and the patterns that
+  disconnect the network come back as counterexamples.
 * **Deterministic fan-out.**  Trials are independent tasks whose RNG
   streams derive from ``(seed, trial)`` alone, so ``jobs`` fans them out
   over a process pool with bit-identical results to the serial run (see
@@ -37,6 +41,7 @@ reproducible regardless of aggregation order.
 from __future__ import annotations
 
 import math
+from itertools import combinations, islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,6 +61,7 @@ __all__ = [
     "threshold_traffic_runs",
     "default_probability_grid",
     "masked_components",
+    "exhaustive_fault_sweep",
 ]
 
 
@@ -146,25 +152,120 @@ def masked_components(
     return label
 
 
-def _component_sums(label_row: np.ndarray, alive_row: np.ndarray) -> dict:
-    """Integer connectivity primitives of one survivor graph."""
-    live = label_row[alive_row]
-    alive = int(len(live))
-    if alive == 0:
-        return {
-            "alive": 0,
-            "components": 0,
-            "giant": 0,
-            "conn_pairs": 0,
-            "total_pairs": 0,
-        }
-    _, counts = np.unique(live, return_counts=True)
+def _component_sums(labels: np.ndarray) -> dict[str, np.ndarray]:
+    """Integer connectivity primitives of a batch of survivor graphs.
+
+    ``labels`` is :func:`masked_components` output, ``(B, n)`` with dead
+    nodes at ``-1``.  One ``bincount`` over row-offset labels (shifted by
+    one, so each row's dead nodes land in its own leading bin) gives every
+    component's size; returns per-row ``int64`` arrays ``alive``,
+    ``components``, ``giant``, ``conn_pairs`` (ordered connected pairs)
+    and ``total_pairs``.
+    """
+    batch, n = labels.shape
+    keys = labels + (np.arange(batch, dtype=np.int64)[:, None] * (n + 1) + 1)
+    counts = np.bincount(keys.ravel(), minlength=batch * (n + 1)).reshape(batch, n + 1)
+    sizes = counts[:, 1:]
+    alive = n - counts[:, 0]
     return {
         "alive": alive,
-        "components": int(len(counts)),
-        "giant": int(counts.max()),
-        "conn_pairs": int((counts * (counts - 1)).sum()),
+        "components": np.count_nonzero(sizes, axis=1),
+        "giant": sizes.max(axis=1, initial=0),
+        "conn_pairs": np.einsum("ij,ij->i", sizes, sizes) - alive,
         "total_pairs": alive * (alive - 1),
+    }
+
+
+# ----------------------------------------------------------------------
+# exhaustive k-fault certification
+# ----------------------------------------------------------------------
+#: mask entries (nodes + links per pattern) labeled per masked_components
+#: call; a chunk of ``EXHAUSTIVE_CHUNK // (n + m)`` patterns keeps each
+#: call's flat CSR at a few MiB
+EXHAUSTIVE_CHUNK = 1 << 20
+
+
+def _validated_k(k, count: int, kind: str, net: Network) -> int:
+    """``k`` as an int in ``[0, count]`` faultable elements (fewer than N
+    for nodes), or a ``ValueError`` naming the bad value."""
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+        raise ValueError(f"fault count k must be an integer, got {k!r}")
+    if k < 0:
+        raise ValueError(f"fault count k must be >= 0, got {k}")
+    if kind == "node" and k >= count:
+        raise ValueError(
+            f"cannot fault every node: k={k} but {net.name!r} has N={count} nodes"
+        )
+    if k > count:
+        raise ValueError(f"cannot fault {k} {kind}s: {net.name!r} has only {count}")
+    return int(k)
+
+
+def exhaustive_fault_sweep(net: Network, k: int, *, kind: str = "node") -> dict:
+    """Certify *every* pattern of ``k`` node or link faults.
+
+    Streams all ``C(·, k)`` patterns of :func:`itertools.combinations`
+    in chunks of ``EXHAUSTIVE_CHUNK // (n + m)``; each chunk becomes one
+    ``(B, n)`` node mask or ``(B, m)`` link mask (links in
+    :func:`edge_list` order), labeled by one :func:`masked_components`
+    call and reduced by one :func:`_component_sums`.
+
+    Returns a dict with ``"summary"`` — integer sums over all patterns
+    (``"sums"``) and the counts and ratios derived from them — and
+    ``"disconnecting"``, every pattern whose survivor graph is not one
+    component, in enumeration order: node-id tuples for ``kind="node"``,
+    tuples of undirected ``(u, v)`` pairs (``u < v``) for ``kind="link"``.
+    Raises ``ValueError`` for a non-integer or negative ``k``, ``k >= N``
+    node faults, more link faults than links, or an unknown ``kind``.
+    """
+    if kind not in ("node", "link"):
+        raise ValueError(f"fault kind must be 'node' or 'link', got {kind!r}")
+    n = net.num_nodes
+    edges = _undirected_edges(net)
+    count = n if kind == "node" else len(edges)
+    k = _validated_k(k, count, kind, net)
+    rows = max(1, EXHAUSTIVE_CHUNK // (n + len(edges)))
+    sums = dict.fromkeys(("alive", "components", "giant", "conn_pairs", "total_pairs"), 0)
+    patterns = connected = 0
+    min_giant = n
+    disconnecting = []
+    combos = combinations(range(count), k)
+    with obs.span("fault.exhaustive", network=net.name, k=k, kind=kind):
+        while block := list(islice(combos, rows)):
+            idx = np.array(block, dtype=np.int64).reshape(len(block), k)
+            node_alive = np.ones((len(block), n), dtype=bool)
+            edge_alive = np.ones((len(block), len(edges)), dtype=bool)
+            hit = node_alive if kind == "node" else edge_alive
+            hit[np.arange(len(block))[:, None], idx] = False
+            out = _component_sums(masked_components(net, node_alive, edge_alive))
+            for key in sums:
+                sums[key] += int(out[key].sum())
+            ok = (out["alive"] > 0) & (out["components"] == 1)
+            patterns += len(block)
+            connected += int(np.count_nonzero(ok))
+            min_giant = min(min_giant, int(out["giant"].min()))
+            if kind == "node":
+                disconnecting.extend(tuple(p) for p in idx[~ok].tolist())
+            else:
+                disconnecting.extend(tuple(map(tuple, p)) for p in edges[idx[~ok]].tolist())
+    summary = {
+        "patterns": patterns,
+        "connected_patterns": connected,
+        "disconnected_patterns": patterns - connected,
+        "all_connected": connected == patterns,
+        "mean_components": sums["components"] / patterns,
+        "min_giant": min_giant,
+        "routability": (
+            sums["conn_pairs"] / sums["total_pairs"] if sums["total_pairs"] else 1.0
+        ),
+        "sums": sums,
+    }
+    return {
+        "network": net.name,
+        "kind": kind,
+        "k": k,
+        "summary": summary,
+        "disconnecting": disconnecting,
     }
 
 
@@ -211,9 +312,9 @@ def _percolation_trial(ctx: dict, trial: int) -> list[dict]:
     node_alive, edge_alive, _ = _survival_masks(
         net, num_edges, probs, ctx["kind"], rng
     )
-    labels = masked_components(net, node_alive, edge_alive)
+    sums = _component_sums(masked_components(net, node_alive, edge_alive))
     return [
-        _component_sums(labels[i], node_alive[i]) for i in range(len(probs))
+        {key: int(col[i]) for key, col in sums.items()} for i in range(len(probs))
     ]
 
 

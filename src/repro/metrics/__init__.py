@@ -58,7 +58,6 @@ from .spectral import (
 from .symmetry import (
     automorphism_group,
     automorphism_orbits,
-    edge_orbits,
     is_vertex_transitive,
     looks_vertex_transitive,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "approx_average_distance",
     "automorphism_group",
     "automorphism_orbits",
-    "edge_orbits",
     "average_distance",
     "average_intercluster_distance",
     "bfs_distances",

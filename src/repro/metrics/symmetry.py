@@ -5,15 +5,11 @@ vertex-symmetric and regular (being Cayley graphs), in contrast to plain
 super-IP graphs, which generally are neither.  These checks verify both
 claims on constructed instances.
 
-Beyond the boolean transitivity tests, this module exposes the orbit
-machinery itself: :func:`automorphism_group` enumerates the full
-automorphism group of a small graph (VF2, deterministic order) and
-:func:`automorphism_orbits` / :func:`edge_orbits` partition nodes and
-undirected edges into equivalence classes under it.  Orbits are what make
-exhaustive fault certification tractable (Ganesan, arXiv:1703.08109):
-two fault patterns in the same orbit degrade the network identically, so
-only one representative per orbit needs to be simulated
-(:mod:`repro.fault.orbits`).
+Beyond the boolean transitivity tests, this module exposes the group
+itself: :func:`automorphism_group` enumerates the full automorphism group
+of a small graph (VF2, deterministic order) and
+:func:`automorphism_orbits` partitions the nodes into equivalence classes
+under it — a single class is exactly vertex-transitivity.
 
 Exact vertex-transitivity is decided by rooted-graph isomorphism tests
 (via networkx VF2) and is only feasible for small graphs;
@@ -33,7 +29,6 @@ from .distances import bfs_distances
 __all__ = [
     "automorphism_group",
     "automorphism_orbits",
-    "edge_orbits",
     "looks_vertex_transitive",
     "is_vertex_transitive",
 ]
@@ -114,12 +109,7 @@ def automorphism_group(
 
 
 @memoize_lru(maxsize=8)
-def _orbits_cached(net: Network) -> np.ndarray:
-    group = automorphism_group(net)
-    return group.min(axis=0)
-
-
-def automorphism_orbits(net: Network, group: np.ndarray | None = None) -> np.ndarray:
+def automorphism_orbits(net: Network) -> np.ndarray:
     """Node-orbit labels under the full automorphism group.
 
     Returns an ``(n,)`` int array where ``orbit[v]`` is the smallest node
@@ -127,55 +117,12 @@ def automorphism_orbits(net: Network, group: np.ndarray | None = None) -> np.nda
     one to the other.  A vertex-transitive graph has a single orbit (all
     labels 0).
 
-    With ``group=None`` the group is enumerated via
-    :func:`automorphism_group` and the result is memoized per network
-    instance (:func:`repro.cache.memoize_lru`, so
-    ``repro.cache.clear_memory_caches()`` flushes it); passing a
-    precomputed ``group`` bypasses both.  Same size limits as
-    :func:`automorphism_group`.
+    The group is enumerated via :func:`automorphism_group` and the result
+    is memoized per network instance (:func:`repro.cache.memoize_lru`, so
+    ``repro.cache.clear_memory_caches()`` flushes it).  Same size limits
+    as :func:`automorphism_group`.
     """
-    if group is not None:
-        if group.ndim != 2 or group.shape[1] != net.num_nodes:
-            raise ValueError(
-                f"group must be (G, {net.num_nodes}), got {group.shape}"
-            )
-        return group.min(axis=0)
-    return _orbits_cached(net)
-
-
-def edge_orbits(
-    net: Network, group: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits of *undirected edges* under the automorphism group.
-
-    Returns ``(edges, labels)``: ``edges`` is the ``(m, 2)`` sorted
-    undirected edge list (``u < v`` per row, rows lexicographic) and
-    ``labels[i]`` is the orbit id of edge ``i`` — the index into
-    ``edges`` of the lexicographically smallest edge in its orbit.
-    Edge-transitive graphs have a single orbit (all labels 0).
-    """
-    if group is None:
-        group = automorphism_group(net)
-    csr = net.adjacency_csr(directed=False)
-    coo = csr.tocoo()
-    mask = coo.row < coo.col
-    edges = np.stack(
-        [coo.row[mask].astype(np.int64), coo.col[mask].astype(np.int64)], axis=1
-    )
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    edges = edges[order]
-    n = net.num_nodes
-    if len(edges) == 0:
-        return edges, np.empty(0, dtype=np.int64)
-    # image of every edge under every g, as packed codes lo*n + hi
-    img_u = group[:, edges[:, 0]]  # (G, m)
-    img_v = group[:, edges[:, 1]]
-    codes = np.minimum(img_u, img_v) * n + np.maximum(img_u, img_v)
-    min_codes = codes.min(axis=0)  # canonical (smallest) edge per orbit
-    own_codes = edges[:, 0] * n + edges[:, 1]
-    # orbit id = index of the canonical edge in the sorted edge list
-    labels = np.searchsorted(own_codes, min_codes)
-    return edges, labels
+    return automorphism_group(net).min(axis=0)
 
 
 def _rooted_graph(g, root: int, n: int):

@@ -42,6 +42,7 @@ from repro.check.perfsanitize import (
     run_workload,
     update_budgets,
     write_contracts,
+    write_profile,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -653,6 +654,14 @@ class TestPerfSanitize:
         data = load_budgets(budgets)
         assert "trivial" in data["profiles"]["smoke"]
         assert "other" in data["profiles"]["full"]
+
+    def test_rerecord_replaces_meta(self, tmp_path):
+        path = tmp_path / "profiles.json"
+        write_profile(path, "smoke", {"a": 1}, {"generated_by": "old tool", "note": "x"})
+        data = write_profile(path, "full", {"b": 2}, {"note": "y"})
+        assert data["_meta"] == {"note": "y"}
+        assert json.loads(path.read_text())["_meta"] == {"note": "y"}
+        assert data["profiles"] == {"smoke": {"a": 1}, "full": {"b": 2}}
 
     def test_registered_workloads_have_perimeter_kernels(self):
         from repro.check.perfsanitize import WORKLOADS

@@ -1,9 +1,12 @@
 """Tests for cost figures of merit, Moore bounds, and symmetry checks."""
 
+import numpy as np
 import pytest
 
 from repro import networks as nw
 from repro.metrics import (
+    automorphism_group,
+    automorphism_orbits,
     dd_cost,
     diameter_optimality_ratio,
     id_cost,
@@ -162,3 +165,22 @@ class TestSymmetry:
         assert g.is_vertex_transitive()
         with pytest.raises(ValueError):
             nw.hsn_hypercube(2, 4).is_vertex_transitive(max_nodes=10)
+
+
+class TestOrbitAPIs:
+    def test_hypercube_single_node_orbit(self):
+        g = nw.hypercube(3)
+        assert (automorphism_orbits(g) == 0).all()
+
+    def test_path_orbits_mirror(self):
+        g = nw.build("path", n=4)
+        orbits = automorphism_orbits(g)
+        assert orbits.tolist() == [0, 1, 1, 0]
+
+    def test_group_is_sorted_with_identity_first(self):
+        g = nw.ring(6)
+        group = automorphism_group(g)
+        assert group.shape == (12, 6)  # dihedral group D6
+        assert (group[0] == np.arange(6)).all()
+        for a, b in zip(group, group[1:]):
+            assert tuple(a) < tuple(b)
