@@ -28,6 +28,16 @@ Engine and oracle run interleaved, best of ``ROUNDS``, GC parked; every
 batch of the first round is compared with the oracle (values and dtypes),
 and any mismatch fails the run.
 
+A third record, ``"bench": "table_cache"``, times the artifact cache's
+next-hop table on HSN(2,Q5) (N=1024) and HSN(3,Q4) (N=4096): a cold
+``NextHopTable`` build, a cache miss (build, write the ``.npy`` spills,
+map them), a hit on a freshly loaded network (map the spills) and
+``RouteService.open(shards=4)`` on another, plus the spill bytes on
+disk.  Best of ``ROUNDS``, GC parked, a fresh cache directory per round.
+A hit must be faster than a cold build at both sizes, its arrays must
+share memory with the mapped spills, and every open block must be an
+``np.memmap`` view of them.
+
 Methodology mirrors ``bench_percolation.py``: GC parked during timing,
 best-of-``ROUNDS`` for the timed section.  Results are printed as JSON;
 set ``REPRO_BENCH_TRAJECTORY=<path>`` to append the record to a JSONL
@@ -75,6 +85,10 @@ KERNEL_BATCHES = 16
 MIN_SHARDED_RATIO = 1.5  # oracle / engine time, 4 mmap shards
 MIN_FLAT_RATIO = 1.0  # oracle / engine time, 1 shard, QUERIES queries
 
+# table cache: HSN(2, Q5) and HSN(3, Q4) — 1024 and 4096 nodes
+TABLE_CACHE_SIZES = ((2, 5), (3, 4))
+TABLE_CACHE_SHARDS = 4
+
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as d:
@@ -82,6 +96,7 @@ def main() -> int:
         try:
             ok = _run() == 0
             ok = _resolve_kernel() == 0 and ok
+            ok = _table_cache() == 0 and ok
             return 0 if ok else 1
         finally:
             cache.set_cache(None)
@@ -264,6 +279,106 @@ def _resolve_kernel() -> int:
             "cases": rows,
         }
     )
+    return 0 if ok else 1
+
+
+def _timed(fn):
+    """``(seconds, fn())``."""
+    t0 = time.perf_counter()
+    out = fn()
+    return time.perf_counter() - t0, out
+
+
+def _table_cache_round(l: int, n: int) -> dict:
+    """One round on HSN(l, Q_n) in a fresh cache directory: seconds per
+    phase, spill bytes, and whether the hit and the open share memory
+    with the mapped spills."""
+    prev = cache.get_cache()
+    with tempfile.TemporaryDirectory() as d:
+        store = cache.configure(d, min_nodes=1)
+        try:
+            net = networks.build("hsn", l=l, n=n)
+            cold_s, _ = _timed(lambda: NextHopTable(net, with_distances=True))
+            net = networks.build("hsn", l=l, n=n)  # reloaded: holds no table
+            miss_s, _ = _timed(lambda: cached_next_hop_table(net, with_distances=True))
+            warm = networks.build("hsn", l=l, n=n)  # reloaded: holds no table
+            hit_s, hit = _timed(lambda: cached_next_hop_table(warm, with_distances=True))
+            fresh = networks.build("hsn", l=l, n=n)
+            open_s, _ = _timed(lambda: RouteService.open(fresh, shards=TABLE_CACHE_SHARDS))
+            svc = RouteService.open(warm, shards=TABLE_CACHE_SHARDS)
+            spills = [
+                store.mmap_path(
+                    cache.cache_key("routing.next_hop_table", graph=warm.cache_key, array=name)
+                ).resolve()
+                for name in ("table", "dist")
+            ]
+            # the hit's arrays are the maps of the spill files themselves,
+            # and every open block is a view of those maps
+            hit_shares = all(
+                isinstance(a, np.memmap) and a.filename == path
+                for a, path in zip((hit.table, hit.dist), spills)
+            )
+            open_shares = svc.mmap_backed and all(
+                np.shares_memory(b, whole)
+                for blocks, whole in ((svc._blocks, hit.table), (svc._dist_blocks, hit.dist))
+                for b in blocks
+            )
+            return {
+                "num_nodes": net.num_nodes,
+                "cold_s": cold_s,
+                "miss_s": miss_s,
+                "hit_s": hit_s,
+                "open_s": open_s,
+                "spill_bytes": sum(p.stat().st_size for p in spills),
+                "hit_shares_spill": bool(hit_shares),
+                "open_shares_spill": bool(open_shares),
+            }
+        finally:
+            cache.set_cache(prev)
+
+
+def _table_cache() -> int:
+    ok = True
+    rows = []
+    for l, n in TABLE_CACHE_SIZES:
+        best: dict = {}
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(ROUNDS):
+                got = _table_cache_round(l, n)
+                for k, v in got.items():
+                    if k.endswith("_s"):
+                        best[k] = min(best.get(k, v), v)
+                    elif k.endswith("_spill"):
+                        best[k] = best.get(k, True) and v
+                    else:
+                        best[k] = v
+        finally:
+            gc.enable()
+        row = {"network": f"HSN({l},Q{n})", "num_nodes": best["num_nodes"]}
+        for k in ("cold_s", "miss_s", "hit_s", "open_s"):
+            row[k[:-2] + "_ms"] = round(best[k] * 1e3, 3)
+        row["shards"] = TABLE_CACHE_SHARDS
+        row["spill_bytes"] = best["spill_bytes"]
+        row["hit_shares_spill"] = best["hit_shares_spill"]
+        row["open_shares_spill"] = best["open_shares_spill"]
+        rows.append(row)
+        if not row["hit_ms"] < row["cold_ms"]:
+            print(
+                f"FAIL: table_cache {row['network']}: a hit ({row['hit_ms']} ms) "
+                f"is not faster than a cold build ({row['cold_ms']} ms)",
+                file=sys.stderr,
+            )
+            ok = False
+        if not (row["hit_shares_spill"] and row["open_shares_spill"]):
+            print(
+                f"FAIL: table_cache {row['network']}: the hit or the open "
+                f"blocks are not views of the mapped spills",
+                file=sys.stderr,
+            )
+            ok = False
+    obs.emit_record({"bench": "table_cache", "rounds": ROUNDS, "cases": rows})
     return 0 if ok else 1
 
 

@@ -34,7 +34,9 @@ by opening the same ``--cache-dir``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from collections.abc import Callable
 
 
 def _parse_params(items: list[str]) -> dict:
@@ -309,10 +311,10 @@ def cmd_cache(args) -> int:
     if entries:
         print(f"{'key':<16} {'type':<4} {'kind':<24} {'schema':>6} {'ruleset':>7} engine")
         for p in entries:
-            key, suffix = p.name.split(".")[0], p.name.split(".")[1]
-            prov = store.provenance(key, suffix) or {}
+            key = p.name.split(".")[0]
+            prov = store.provenance(key) or {}
             print(
-                f"{key[:16]:<16} {suffix:<4} {prov.get('kind', '?'):<24} "
+                f"{key[:16]:<16} {p.suffix[1:]:<4} {prov.get('kind', '?'):<24} "
                 f"{prov.get('schema', '?'):>6} {prov.get('ruleset', '?'):>7} "
                 f"{prov.get('engine', '?')}"
             )
@@ -474,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
         "--shards",
         type=int,
         default=1,
-        help="split the table into N dst-row shards (each its own mmap spill)",
+        help="split the table into N dst-row shards (row views of one mmap spill)",
     )
     p_srv.add_argument("--seed", type=int, default=0)
     p_srv.add_argument(
@@ -545,5 +547,19 @@ def main(argv: list[str] | None = None) -> int:
     return rc
 
 
+def exit_with(entry: Callable[[], int]) -> None:
+    """Exit with ``entry()``'s status; when the reader of stdout has gone
+    (``... | head``), exit quietly with status 1 instead of a traceback."""
+    try:
+        rc = entry()
+        sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
+    except BrokenPipeError:
+        # the recipe of the Python docs (signal module, "Note on SIGPIPE"):
+        # point stdout at devnull so the flush at shutdown cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        rc = 1
+    sys.exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_with(main)

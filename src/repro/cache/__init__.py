@@ -2,9 +2,11 @@
 
 Two layers, one package:
 
-* **Disk** (:mod:`repro.cache.artifacts`) — a content-addressed ``.npz``
-  store for built graphs and routing tables, keyed by a stable hash of
-  family name, parameters, generator set, and engine version.  Opt-in:
+* **Disk** (:mod:`repro.cache.artifacts`) — a content-addressed store
+  for built graphs (``.npz`` archives) and routing tables (raw ``.npy``
+  spills, mapped read-only by :func:`cached_next_hop_table`), keyed by a
+  stable hash of family name, parameters, generator set, and engine
+  version.  Opt-in:
   call :func:`configure` (or pass ``--cache-dir`` to the CLI) to turn it
   on; :func:`repro.networks.registry.build` and
   :func:`repro.core.superip.build_super_ip_graph` consult it

@@ -9,10 +9,11 @@ later sweep.  This module provides:
   the artifact (family name, parameters, generator permutations, cache
   schema + engine version), so any change to the inputs *or* to the engine
   release invalidates the entry;
-* :class:`ArtifactCache` — a directory of ``.npz`` archives addressed by
-  key (two-level fan-out on the key prefix), storing whole networks via
-  :mod:`repro.io` (CSR arc arrays + label arrays + generator metadata) and
-  raw array bundles (distance / next-hop tables);
+* :class:`ArtifactCache` — a directory of artifacts addressed by key
+  (two-level fan-out on the key prefix): whole networks as ``.npz``
+  archives via :mod:`repro.io` (CSR arc arrays + label arrays + generator
+  metadata), and single arrays (next-hop tables, distance matrices) as raw
+  ``.npy`` spills that every reader maps read-only;
 * a process-wide default cache: :func:`configure` (honouring
   ``$REPRO_CACHE_DIR`` and falling back to ``~/.cache/repro``),
   :func:`get_cache`, :func:`set_cache`.
@@ -21,9 +22,10 @@ Caching is **opt-in**: the default cache is ``None`` until
 :func:`configure` is called (the CLI does so under ``--cache-dir``), and
 library call sites treat a missing cache as "build from scratch".
 
-Obs accounting: ``cache.hit`` / ``cache.miss`` counters, ``cache.bytes``
-(bytes written), ``cache.bytes.read`` (bytes loaded on hits), and
-``cache.skip`` for artifacts that cannot be serialized.
+Obs accounting: ``cache.hit`` / ``cache.miss`` counters, ``cache.store``
+and ``cache.bytes`` (artifacts and bytes written), ``cache.bytes.read``
+(bytes of the artifacts found on hits), ``cache.error`` for unreadable
+artifacts, and ``cache.skip`` for networks that are not stored.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def _jsonable(obj: Any) -> Any:
 
 
 #: key -> {kind, schema, engine, ruleset} for every key computed in-process;
-#: store_* persists the entry as a ``.json`` manifest beside the artifact
+#: every store persists the entry as a ``.json`` manifest beside the artifact
 _PROVENANCE: dict[str, dict[str, Any]] = {}
 
 
@@ -129,7 +131,7 @@ def cache_key(kind: str, **parts: Any) -> str:
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     key = hashlib.sha256(blob).hexdigest()
-    # in-process memo: store_* reads it in the same process that computed
+    # in-process memo: a store reads it in the same process that computed
     # the key (build → key → store); each worker keeps its own consistent copy
     _PROVENANCE[key] = {  # repro: noqa[RPR011]
         "kind": kind,
@@ -144,17 +146,20 @@ def cache_key(kind: str, **parts: Any) -> str:
 # the on-disk cache
 # ----------------------------------------------------------------------
 class ArtifactCache:
-    """A directory of ``.npz`` artifacts addressed by :func:`cache_key`.
+    """A directory of artifacts addressed by :func:`cache_key`: whole
+    networks as ``.npz`` archives and arrays as raw ``.npy`` spills.
 
     Writes are atomic (temp file + ``os.replace``), so concurrent workers
     racing on the same key at worst redo the serialization — readers never
-    observe a partial archive.
+    observe a partial file.  Every artifact gets a provenance manifest
+    (``<key>.json``) beside it.
 
     Networks smaller than ``min_nodes`` are never stored: for tiny
     instances the fixed ``.npz`` open/decompress cost exceeds the build
     itself, so caching them makes warm runs *slower* (measured in
     ``benchmarks/bench_parallel_sweep.py``).  Pass ``min_nodes=1`` to cache
-    everything.
+    everything.  Spills are stored at any size: mapping one costs about a
+    millisecond whatever the array.
     """
 
     def __init__(self, root: str | Path, min_nodes: int = 64) -> None:
@@ -166,34 +171,38 @@ class ArtifactCache:
         return f"ArtifactCache({str(self.root)!r})"
 
     # -- paths ----------------------------------------------------------
-    def path_for(self, key: str, suffix: str = "net") -> Path:
-        """On-disk location of an artifact (``<root>/<k[:2]>/<k>.<suffix>.npz``)."""
-        return self.root / key[:2] / f"{key}.{suffix}.npz"
+    def path_for(self, key: str) -> Path:
+        """On-disk location of a network archive (``<root>/<k[:2]>/<k>.net.npz``)."""
+        return self.root / key[:2] / f"{key}.net.npz"
 
-    def contains(self, key: str, suffix: str = "net") -> bool:
-        """Whether an artifact exists for ``key`` (no counters touched)."""
-        return self.path_for(key, suffix).exists()
+    def mmap_path(self, key: str) -> Path:
+        """On-disk location of an array spill (``<root>/<k[:2]>/<k>.npy``)."""
+        return self.root / key[:2] / f"{key}.npy"
 
-    def manifest_path(self, key: str, suffix: str = "net") -> Path:
+    def manifest_path(self, key: str) -> Path:
         """Location of the artifact's provenance manifest (``.json``)."""
-        return self.root / key[:2] / f"{key}.{suffix}.json"
+        return self.root / key[:2] / f"{key}.json"
 
-    def _write_manifest(self, key: str, suffix: str, nbytes: int) -> None:
-        """Record the key's provenance (kind/schema/engine/ruleset) beside
-        the artifact so ``repro cache info`` can explain stale entries even
-        across engine upgrades.  Best-effort: a missing manifest never
-        affects loads (artifacts are addressed purely by key)."""
+    def _record_store(self, key: str, nbytes: int) -> None:
+        """Count a published artifact (``cache.store``/``cache.bytes``)
+        and record the key's provenance (kind/schema/engine/ruleset)
+        beside it, so ``repro cache info`` can explain stale entries even
+        across engine upgrades.  The manifest is best-effort: a missing
+        one never affects loads (artifacts are addressed purely by key)."""
+        reg = obs.registry()
+        reg.incr("cache.store")
+        reg.incr("cache.bytes", nbytes)
         prov = dict(_PROVENANCE.get(key, {"kind": "unknown"}))
         prov["bytes"] = int(nbytes)
-        path = self.manifest_path(key, suffix)
+        path = self.manifest_path(key)
         try:
             path.write_text(json.dumps(prov, sort_keys=True))
         except OSError:  # pragma: no cover — manifest is advisory only
             pass
 
-    def provenance(self, key: str, suffix: str = "net") -> dict[str, Any] | None:
+    def provenance(self, key: str) -> dict[str, Any] | None:
         """The stored provenance manifest for an artifact, or ``None``."""
-        path = self.manifest_path(key, suffix)
+        path = self.manifest_path(key)
         if not path.exists():
             return None
         try:
@@ -206,7 +215,7 @@ class ArtifactCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         # pid only names the scratch file (concurrent-writer safety); the
         # published artifact's path and bytes are pid-independent
-        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npz")  # repro: noqa[RPR010]
+        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp{path.suffix}")  # repro: noqa[RPR010]
         try:
             writer(tmp)
             nbytes = tmp.stat().st_size
@@ -229,157 +238,86 @@ class ArtifactCache:
         from repro.core.network import Network
         from repro.io import save_network
 
-        reg = obs.registry()
         if type(net) not in (Network, IPGraph) or net.num_nodes < self.min_nodes:
-            reg.incr("cache.skip")
+            obs.registry().incr("cache.skip")
             return False
-        path = self.path_for(key, "net")
         try:
-            nbytes = self._atomic_write(path, lambda tmp: save_network(net, tmp))
+            nbytes = self._atomic_write(self.path_for(key), lambda tmp: save_network(net, tmp))
         except TypeError:  # labels not JSON-serializable
-            reg.incr("cache.skip")
+            obs.registry().incr("cache.skip")
             return False
-        self._write_manifest(key, "net", nbytes)
-        reg.incr("cache.store")
-        reg.incr("cache.bytes", nbytes)
+        self._record_store(key, nbytes)
         return True
 
     def load_network(self, key: str) -> "Network | None":
         """Load the network stored under ``key`` (None on a miss)."""
         from repro.io import load_network
 
-        reg = obs.registry()
-        path = self.path_for(key, "net")
-        if not path.exists():
-            reg.incr("cache.miss")
-            return None
-        try:
-            net = load_network(path)
-        except (OSError, ValueError, KeyError):  # corrupt/foreign archive
-            reg.incr("cache.error")
-            path.unlink(missing_ok=True)
-            reg.incr("cache.miss")
-            return None
-        reg.incr("cache.hit")
-        reg.incr("cache.bytes.read", path.stat().st_size)
-        return net
+        return self._load(self.path_for(key), load_network)
 
-    # -- raw array bundles (distance / next-hop tables) ----------------
-    def store_arrays(self, key: str, arrays: dict[str, np.ndarray], suffix: str = "tbl") -> bool:
-        """Persist a named bundle of arrays under ``key``."""
-        reg = obs.registry()
-        path = self.path_for(key, suffix)
-        nbytes = self._atomic_write(
-            path, lambda tmp: np.savez_compressed(tmp, **arrays)
-        )
-        self._write_manifest(key, suffix, nbytes)
-        reg.incr("cache.store")
-        reg.incr("cache.bytes", nbytes)
-        return True
+    # -- raw .npy spills (zero-copy shared arrays) ----------------------
+    def export_mmap(self, key: str, array: np.ndarray) -> np.memmap:
+        """Write ``array`` as the raw ``.npy`` spill of ``key`` and return
+        it mapped read-only (see :meth:`load_mmap`)."""
 
-    def load_arrays(self, key: str, suffix: str = "tbl") -> dict[str, np.ndarray] | None:
-        """Load an array bundle (None on a miss)."""
-        reg = obs.registry()
-        path = self.path_for(key, suffix)
-        if not path.exists():
-            reg.incr("cache.miss")
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                out = {name: data[name] for name in data.files}
-        except (OSError, ValueError, KeyError):
-            reg.incr("cache.error")
-            path.unlink(missing_ok=True)
-            reg.incr("cache.miss")
-            return None
-        reg.incr("cache.hit")
-        reg.incr("cache.bytes.read", path.stat().st_size)
-        return out
+        # np.save appends ".npy" to bare filenames; write through a file
+        # object so the atomic temp name is saved verbatim
+        def _save(tmp: Path) -> None:
+            with open(tmp, "wb") as fh:
+                np.save(fh, array)
 
-    # -- uncompressed mmap spills (shared read-only serving tables) -----
-    def mmap_path(self, key: str, name: str, suffix: str = "srv") -> Path:
-        """On-disk location of one array's uncompressed ``.npy`` spill.
+        path = self.mmap_path(key)
+        self._record_store(key, self._atomic_write(path, _save))
+        return np.load(path, mmap_mode="r", allow_pickle=False)
 
-        Compressed ``.npz`` archives cannot be memory-mapped (``np.load``
-        silently ignores ``mmap_mode`` for zip archives), so artifacts that
-        must be shared zero-copy across processes — the serving layer's
-        next-hop tables — are materialized once as raw ``.npy`` files
-        beside the canonical archive and opened with ``mmap_mode="r"``.
-        """
-        return self.root / key[:2] / f"{key}.{suffix}.{name}.npy"
+    def load_mmap(self, key: str) -> np.memmap | None:
+        """Map the spill of ``key`` read-only (``None`` on a miss).
 
-    def export_mmap(
-        self, key: str, arrays: dict[str, np.ndarray], suffix: str = "srv"
-    ) -> dict[str, Path]:
-        """Materialize ``arrays`` as mmap-able ``.npy`` spills under ``key``.
-
-        Idempotent: existing spills are kept (they are pure functions of the
-        key).  Writes are atomic like every other artifact.  Returns the
-        spill path per array name.
-        """
-        reg = obs.registry()
-        out: dict[str, Path] = {}
-        for name, arr in arrays.items():
-            path = self.mmap_path(key, name, suffix)
-            if not path.exists():
-                # np.save appends ".npy" to bare filenames; write through a
-                # file object so the atomic temp name is saved verbatim
-                def _save(tmp: Path, a: np.ndarray = arr) -> None:
-                    with open(tmp, "wb") as fh:
-                        np.save(fh, np.ascontiguousarray(a))
-
-                nbytes = self._atomic_write(path, _save)
-                reg.incr("cache.mmap.export")
-                reg.incr("cache.bytes", nbytes)
-            out[name] = path
-        return out
-
-    def load_mmap(self, key: str, name: str, suffix: str = "srv") -> np.ndarray | None:
-        """Open one spill memory-mapped read-only (``None`` on a miss).
-
-        The returned array is an ``np.memmap`` view backed by the page
-        cache, so any number of processes opening the same spill share one
+        The returned array is an ``np.memmap`` backed by the page cache,
+        so any number of processes opening the same spill share one
         physical copy of the data.
         """
+        return self._load(
+            self.mmap_path(key), lambda p: np.load(p, mmap_mode="r", allow_pickle=False)
+        )
+
+    def _load(self, path: Path, reader: Any) -> Any:
+        """``reader(path)``, counting ``cache.hit``/``cache.miss``; an
+        unreadable artifact counts ``cache.error``, is removed and is a miss."""
         reg = obs.registry()
-        path = self.mmap_path(key, name, suffix)
         if not path.exists():
             reg.incr("cache.miss")
             return None
         try:
-            arr = np.load(path, mmap_mode="r", allow_pickle=False)
-        except (OSError, ValueError):  # corrupt/foreign spill
+            out = reader(path)
+        except (OSError, ValueError, KeyError):  # corrupt/foreign file
             reg.incr("cache.error")
             path.unlink(missing_ok=True)
             reg.incr("cache.miss")
             return None
-        reg.incr("cache.mmap.open")
-        return arr
+        reg.incr("cache.hit")
+        reg.incr("cache.bytes.read", path.stat().st_size)
+        return out
 
     # -- maintenance ----------------------------------------------------
     def entries(self) -> list[Path]:
-        """Every artifact file currently in the cache."""
-        return sorted(self.root.glob("*/*.npz"))
+        """Every artifact file currently in the cache (archives and spills)."""
+        return sorted(p for p in self.root.glob("*/*") if p.suffix in (".npz", ".npy"))
 
     def size_bytes(self) -> int:
-        """Total bytes currently stored."""
+        """Total bytes of every artifact file."""
         return sum(p.stat().st_size for p in self.entries())
 
     def clear(self) -> int:
         """Delete every artifact (and its provenance manifest); returns the
         number of artifact files removed."""
-        removed = 0
-        for p in self.entries():
+        entries = self.entries()
+        for p in entries + list(self.root.glob("*/*.json")):
             p.unlink(missing_ok=True)
-            removed += 1
-        for m in self.root.glob("*/*.json"):
-            m.unlink(missing_ok=True)
-        for m in self.root.glob("*/*.npy"):  # serving-layer mmap spills
-            m.unlink(missing_ok=True)
         for d in sorted(self.root.glob("*")):
             if d.is_dir() and not any(d.iterdir()):
                 d.rmdir()
-        return removed
+        return len(entries)
 
 
 # ----------------------------------------------------------------------

@@ -284,4 +284,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from repro.__main__ import exit_with
+
+    exit_with(main)

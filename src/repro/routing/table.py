@@ -183,7 +183,7 @@ class NextHopTable:
         """The table (and distance matrix, if kept) as a named array bundle.
 
         The bundle round-trips through :meth:`from_arrays` and is what
-        :func:`repro.cache.cached_next_hop_table` persists to disk.
+        :func:`repro.cache.cached_next_hop_table` spills to disk.
         """
         out = {"table": self.table}
         if self.dist is not None:
@@ -203,17 +203,18 @@ class NextHopTable:
         topology they were built on (the artifact cache keys tables by the
         graph's own cache key, so a mismatch cannot happen through it).
         The table is made C-contiguous here, once, so :meth:`step`'s flat
-        view never copies it.
+        view never copies it; arrays that need no conversion are kept as
+        they are, so a mapped spill stays an ``np.memmap``.
         """
         n = net.num_nodes
-        table = np.ascontiguousarray(table, dtype=np.int32)
+        table = np.require(table, np.int32, "C")
         if table.shape != (n, n):
             raise ValueError(
                 f"next-hop table shape {table.shape} does not match "
                 f"{net.name!r} ({n} nodes)"
             )
         if dist is not None:
-            dist = np.asarray(dist, dtype=np.int32)
+            dist = np.require(dist, np.int32)
             if dist.shape != (n, n):
                 raise ValueError(
                     f"distance matrix shape {dist.shape} does not match "

@@ -2,14 +2,14 @@
 
 The serving front end over the routing + cache layers: a batched
 vectorized query API answered in one process from the stored next hops
-and distances, per-family sharding for tables too large to hold whole,
+and distances, optionally split into dst-row shards,
 and a seeded load-test harness.  Processes share a table by opening the
 same artifact cache: each maps the same read-only ``.npy`` spills
 (``np.load(..., mmap_mode="r")``).
 
 * :class:`RouteService` — ``resolve(src[], dst[]) → hops/distances/paths``
-  with numpy gathers (no per-query Python), backed in-memory, by one mmap
-  spill, or by sharded spills keyed off the registry cache key;
+  with numpy gathers (no per-query Python), backed in-memory or by the
+  mapped spills of the cached table, whole or in dst-row shards;
 * :func:`run_load_test` / :func:`seeded_queries` — replay millions of
   seeded queries, report qps and p50/p99 batch latency, and verify a
   seeded sample bit-for-bit against the scalar

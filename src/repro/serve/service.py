@@ -4,19 +4,20 @@
 answers ``resolve(src[], dst[])`` for whole batches at once by walking the
 query vector through a :class:`~repro.routing.table.NextHopTable` with
 numpy gathers — no per-query Python.  It serves one layout, the stored
-next hops plus the stored distances, backed three ways:
+next hops plus the stored distances, backed two ways and split into
+one or more row blocks:
 
 * **memory** — wrap an in-process table (:meth:`RouteService.from_table`);
 * **mmap** — open the table zero-copy from the artifact cache
-  (:meth:`RouteService.open`): the table is materialized once as
-  uncompressed ``.npy`` spills beside the canonical ``.npz`` artifact and
-  every process that opens the same cache maps the same read-only spills,
-  one physical copy through the page cache (``np.load(..., mmap_mode="r")``);
-* **sharded mmap** — for tables too large to treat as one artifact, the
-  ``dst``-major row space is split into ``shards`` row blocks, each its
-  own content-addressed spill keyed off the registry cache key; a batch
-  is split by shard once per resolve, and every gather is one ``take``
-  on a shard block's flat view at ``(dst - row_start)·N + node``.
+  (:meth:`RouteService.open`): the table and its distances are stored
+  once, as the raw ``.npy`` spills of
+  :func:`~repro.cache.cached_next_hop_table`, and every process that
+  opens the same cache maps the same read-only spills, one physical copy
+  through the page cache (``np.load(..., mmap_mode="r")``);
+* **sharded** — the ``dst``-major row space is split into ``shards``
+  row blocks, each a row slice of the one table; a batch is split by
+  shard once per resolve, and every gather is one ``take`` on a shard
+  block's flat view at ``(dst - row_start)·N + node``.
 
 Every answer is bit-identical to the scalar
 :meth:`~repro.routing.table.NextHopTable.next_hop` /
@@ -47,9 +48,8 @@ def shard_row_starts(num_nodes: int, shards: int) -> tuple[int, ...]:
     near-equal blocks: ``starts[i]..starts[i+1]`` is shard ``i``'s range.
 
     Both degenerate directions raise: ``shards < 1`` is meaningless, and
-    ``shards > num_nodes`` would silently produce empty row blocks (and
-    empty ``.npy`` spills) that the caller almost certainly did not want
-    — the old behaviour of clamping to ``num_nodes`` hid exactly that
+    ``shards > num_nodes`` would silently produce empty row blocks that
+    the caller almost certainly did not want — the old behaviour of clamping to ``num_nodes`` hid exactly that
     misconfiguration.
     """
     num_nodes = int(num_nodes)
@@ -207,79 +207,35 @@ class RouteService:
         shards: int = 1,
         cache: "ArtifactCache | None" = None,
     ) -> "RouteService":
-        """Open (building on first use) the mmap-shared service for ``net``.
+        """Serve ``net``'s table from the artifact cache, in ``shards``
+        row blocks.
 
-        Requires an artifact cache and a registry-stamped ``cache_key`` on
-        the network to share tables; without either this degrades to the
-        network's in-memory :func:`~repro.routing.table.shared_table`
-        (documented fallback, ``source == "memory"``).
-        Each shard's row block of the table and of the distance matrix is
-        exported once — from the table the network already holds (see
-        :func:`~repro.routing.table.shared_table`) when it has distances,
-        else from one build or ``.npz`` reload — as an uncompressed spill
-        keyed by
-        ``cache_key("serve.shard", graph=<registry key>, ...)``; later
-        opens, in this process or any other on the same cache, map the
-        same files read-only.  A spill that cannot be read, or that holds
-        an array of another shape than its shard's block, counts
-        ``cache.error``, is removed (the next open writes it again) and
-        the service falls back to memory.
+        The table and its distances come from
+        :func:`~repro.cache.cached_next_hop_table`, which maps (writing
+        them first if needed) the cache's read-only ``.npy`` spills; every
+        block is a row slice of those maps, so every open in this process
+        or any other on the same cache reads the same pages.  Without a
+        cache or a registry-stamped ``cache_key`` on the network the
+        blocks slice the network's in-memory
+        :func:`~repro.routing.table.shared_table` instead (documented
+        fallback, ``source == "memory"``).
         """
-        from repro.cache import cache_key, cached_next_hop_table, get_cache
-        from repro.routing.table import _held_table, shared_table
+        from repro.cache import cached_next_hop_table
 
-        cache = cache if cache is not None else get_cache()
-        net_key = getattr(net, "cache_key", None)
+        table = cached_next_hop_table(net, with_distances=True, cache=cache)
+        assert table.dist is not None
+        row_starts = shard_row_starts(net.num_nodes, shards)
+        bounds = list(zip(row_starts, row_starts[1:]))
+        svc = cls(
+            net.name,
+            net.num_nodes,
+            [table.table[lo:hi] for lo, hi in bounds],
+            row_starts,
+            [table.dist[lo:hi] for lo, hi in bounds],
+        )
         reg = obs.registry()
-        if cache is None or net_key is None:
-            table = shared_table(net, with_distances=True)
-            reg.incr("serve.open.memory")
-            return cls.from_table(table)
-        n = net.num_nodes
-        row_starts = shard_row_starts(n, shards)
-        nblocks = len(row_starts) - 1
-        keys = [
-            cache_key("serve.shard", graph=net_key, shard=i, shards=nblocks)
-            for i in range(nblocks)
-        ]
-        names = ("table", "dist")
-        missing = [
-            i
-            for i, k in enumerate(keys)
-            if any(not cache.mmap_path(k, nm).exists() for nm in names)
-        ]
-        if missing:
-            # one table feeds every missing shard: the one the network
-            # holds (no second copy in memory), else one build or reload
-            table = _held_table(net, with_distances=True)
-            if table is None:
-                table = cached_next_hop_table(net, with_distances=True, cache=cache)
-            assert table.dist is not None
-            for i in missing:
-                lo, hi = row_starts[i], row_starts[i + 1]
-                cache.export_mmap(
-                    keys[i], {"table": table.table[lo:hi], "dist": table.dist[lo:hi]}
-                )
-        blocks: list = []
-        dist_blocks: list = []
-        for i, k in enumerate(keys):
-            want = (row_starts[i + 1] - row_starts[i], n)
-            for nm, out in zip(names, (blocks, dist_blocks)):
-                block = cache.load_mmap(k, nm)
-                if block is not None and (
-                    block.shape != want or not block.flags.c_contiguous
-                ):  # readable, but not this shard's block: as corrupt as garbage
-                    reg.incr("cache.error")
-                    cache.mmap_path(k, nm).unlink(missing_ok=True)
-                    block = None
-                out.append(block)
-        if any(b is None for b in blocks + dist_blocks):  # corrupt spill
-            table = cached_next_hop_table(net, with_distances=True, cache=cache)
-            reg.incr("serve.open.memory")
-            return cls.from_table(table)
-        svc = cls(net.name, n, blocks, row_starts, dist_blocks)
-        reg.incr("serve.open.mmap")
-        reg.gauge_max("serve.shards", nblocks)
+        reg.incr(f"serve.open.{svc.source}")
+        reg.gauge_max("serve.shards", svc.shards)
         return svc
 
     # -- query path -----------------------------------------------------

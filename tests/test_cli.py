@@ -158,3 +158,37 @@ class TestProfileFlags:
         assert main(["figure", "53", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "-- timers --" in out
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early (``... | head``) ends the CLI
+    quietly: exit status 1 and nothing on stderr, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["repro", "info", "hypercube", "--param", "n=4", "--profile"],
+            ["repro.check", "lint", "src/repro/cache/memory.py", "--profile"],
+        ],
+        ids=["repro", "repro.check"],
+    )
+    def test_exits_quietly(self, argv):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", *argv],
+            cwd=src.parent,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # before the child has printed anything
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+        assert err == ""

@@ -231,13 +231,17 @@ def test_next_hop_table_cache_round_trip(disk_cache, counters):
     g = networks.build("hypercube", n=4)
     t1 = cached_next_hop_table(g, with_distances=True)
     before = counters()
-    t2 = cached_next_hop_table(g, with_distances=True)
+    g2 = networks.build("hypercube", n=4)  # reloaded: holds no table
+    t2 = cached_next_hop_table(g2, with_distances=True)
     after = counters()
-    assert after.get("cache.hit", 0) == before.get("cache.hit", 0) + 1
+    # one hit per spill: the table and the distances
+    assert after.get("cache.hit", 0) == before.get("cache.hit", 0) + 1 + 2
+    assert after.get("routing.table.builds", 0) == before.get("routing.table.builds", 0)
     assert np.array_equal(t1.table, t2.table)
     assert np.array_equal(t1.dist, t2.dist)
-    # a different option set is a different artifact
-    t3 = cached_next_hop_table(g, with_distances=False)
+    # a table-only request maps the same table spill
+    t3 = cached_next_hop_table(networks.build("hypercube", n=4), with_distances=False)
+    assert t3.dist is None and t3.table.filename == t1.table.filename
     assert np.array_equal(t1.table, t3.table)
     ref = NextHopTable(g, with_distances=True)
     assert np.array_equal(ref.table, t2.table)
@@ -250,16 +254,18 @@ def test_next_hop_table_falls_back_without_cache_key(disk_cache):
     assert np.array_equal(t.table, NextHopTable(g).table)
 
 
-def test_atomic_store_arrays_round_trip(tmp_path):
+def test_atomic_spill_round_trip(tmp_path):
     store = ArtifactCache(tmp_path)
-    key = cache_key("test.arrays", x=1)
-    arrays = {"a": np.arange(5), "b": np.eye(3)}
-    assert store.store_arrays(key, arrays)
-    loaded = store.load_arrays(key)
-    assert set(loaded) == {"a", "b"}
-    assert np.array_equal(loaded["a"], arrays["a"])
-    assert np.array_equal(loaded["b"], arrays["b"])
-    assert store.load_arrays(cache_key("test.arrays", x=2)) is None
+    key = cache_key("test.spill", x=1)
+    a = np.arange(12, dtype=np.int32).reshape(3, 4)
+    mapped = store.export_mmap(key, a)
+    assert isinstance(mapped, np.memmap) and np.array_equal(mapped, a)
+    # published atomically: the spill and its manifest, no temp file left
+    assert sorted(p.name for p in tmp_path.glob("*/*")) == [f"{key}.json", f"{key}.npy"]
+    assert store.provenance(key)["kind"] == "test.spill"
+    loaded = store.load_mmap(key)
+    assert loaded.dtype == np.int32 and np.array_equal(loaded, a)
+    assert store.load_mmap(cache_key("test.spill", x=2)) is None
 
 
 def test_parallel_sweep_with_cache_enabled_matches_serial(disk_cache):
@@ -338,6 +344,34 @@ def test_cli_cache_info_and_clear(tmp_path, capsys):
         assert "entries:   1" in out
         assert main(["cache", "clear", "--cache-dir", d]) == 0
         assert "removed 1" in capsys.readouterr().out
+    finally:
+        cache.set_cache(None)
+
+
+def test_cache_accounting_covers_the_spills(tmp_path, capsys):
+    from repro.__main__ import main
+    from repro.serve import RouteService
+
+    d = tmp_path / "c"
+    store = cache.configure(d, min_nodes=1)
+    try:
+        RouteService.open(networks.build("hypercube", n=4), shards=2)
+        files = sorted(p for p in d.glob("*/*") if p.suffix != ".json")
+        assert [p.suffix for p in files].count(".npy") == 2
+        assert store.entries() == files and len(files) == 3
+        assert store.size_bytes() == sum(p.stat().st_size for p in files)
+        assert main(["cache", "info", "--cache-dir", str(d)]) == 0
+        out = capsys.readouterr().out
+        assert "entries:   3" in out
+        assert f"bytes:     {store.size_bytes()}" in out
+        rows = [line.split() for line in out.splitlines()[4:]]
+        assert sorted((r[1], r[2]) for r in rows) == [
+            ("npy", "routing.next_hop_table"),
+            ("npy", "routing.next_hop_table"),
+            ("npz", "registry.build"),
+        ]
+        assert store.clear() == 3
+        assert not list(d.glob("*/*"))
     finally:
         cache.set_cache(None)
 

@@ -138,6 +138,57 @@ def test_cached_table_miss_materializes_arrays_once(disk_cache, monkeypatch):
     assert len(calls) == 1
 
 
+def test_table_and_distance_requests_share_the_table_spill(disk_cache, counters):
+    net = networks.build("hypercube", n=4)
+    plain = cached_next_hop_table(net)
+    assert plain.dist is None
+    table_spill = _spill(disk_cache, net, "table")
+    inode = table_spill.stat().st_ino
+    full = cached_next_hop_table(net, with_distances=True)
+    # the table spill is mapped again, not rewritten; only dist is new
+    assert table_spill.stat().st_ino == inode
+    assert full.table.filename == plain.table.filename == table_spill.resolve()
+    assert full.dist.filename == _spill(disk_cache, net, "dist").resolve()
+    assert sorted(disk_cache.root.glob("*/*.npy")) == sorted(
+        [table_spill, _spill(disk_cache, net, "dist")]
+    )
+    assert counters()["cache.store"] == 3  # the network and two spills
+    again = cached_next_hop_table(networks.build("hypercube", n=4))
+    assert again.table.filename == table_spill.resolve()
+
+
+def test_an_int64_spill_is_rejected_not_cast(disk_cache, counters):
+    want = np.array(cached_next_hop_table(networks.build("hypercube", n=4)).table)
+    spill = _spill(disk_cache, networks.build("hypercube", n=4), "table")
+    np.save(spill, want.astype(np.int64))  # the right values, the wrong dtype
+    net = networks.build("hypercube", n=4)
+    got = cached_next_hop_table(net)
+    assert counters()["cache.error"] == 1
+    assert isinstance(got.table, np.memmap) and got.table.dtype == np.int32
+    assert np.load(spill).dtype == np.int32
+    np.testing.assert_array_equal(got.table, want)
+
+
+def test_a_hit_maps_the_spills_without_a_copy(disk_cache, monkeypatch):
+    net = networks.build("hypercube", n=4)
+    cached_next_hop_table(net, with_distances=True)  # the miss writes them
+    mapped = []
+    load = type(disk_cache).load_mmap
+
+    def spy(self, key):
+        mapped.append(load(self, key))
+        return mapped[-1]
+
+    monkeypatch.setattr(type(disk_cache), "load_mmap", spy)
+    hit = cached_next_hop_table(networks.build("hypercube", n=4), with_distances=True)
+    assert len(mapped) == 2
+    for arr, spill in zip((hit.table, hit.dist), mapped):
+        assert isinstance(arr, np.memmap) and np.shares_memory(arr, spill)
+        assert arr.flags.writeable is False
+    held_table, held_dist = hit.net._next_hops
+    assert held_table is hit.table and held_dist is hit.dist
+
+
 # ----------------------------------------------------------------------
 # RouteService: batched vs scalar bit-identity
 # ----------------------------------------------------------------------
@@ -340,42 +391,45 @@ def test_blocks_the_flat_gather_cannot_read_fail_fast():
         )
 
 
-def _shard_spill(store, net, shard: int, shards: int, name: str):
-    """Path of one shard's ``.npy`` spill written by ``RouteService.open``."""
-    key = cache.cache_key("serve.shard", graph=net.cache_key, shard=shard, shards=shards)
-    return store.mmap_path(key, name)
+def _spill(store, net, name: str):
+    """Path of the ``.npy`` spill of one table array (``"table"`` or
+    ``"dist"``) that ``cached_next_hop_table`` writes and maps."""
+    key = cache.cache_key("routing.next_hop_table", graph=net.cache_key, array=name)
+    return store.mmap_path(key)
 
 
 def test_open_rejects_a_spill_of_the_wrong_width(disk_cache, counters):
     # a readable spill of the wrong shape is treated like a corrupt one:
-    # counted, removed and answered from memory, then written again
-    net = networks.build("hypercube", n=4)
-    RouteService.open(net, shards=2)
-    bad = _shard_spill(disk_cache, net, 1, 2, "table")
-    np.save(bad, np.zeros((8, 15), dtype=np.int32))
+    # counted, removed and written again, with correct answers
+    RouteService.open(networks.build("hypercube", n=4), shards=2)
+    net = networks.build("hypercube", n=4)  # reloaded: holds no table
+    bad = _spill(disk_cache, net, "table")
+    np.save(bad, np.zeros((16, 15), dtype=np.int32))
     svc = RouteService.open(net, shards=2)
-    assert svc.source == "memory"
+    assert svc.source == "mmap"
     assert counters().get("cache.error", 0) == 1
-    assert counters().get("serve.open.memory", 0) == 1
-    assert not bad.exists()
+    assert counters().get("serve.open.memory", 0) == 0
+    assert np.load(bad).shape == (16, 16)
     ref = NextHopTable(net, with_distances=True)
     src, dst = seeded_queries(net.num_nodes, 200, seed=2)
     got = svc.resolve(src, dst)
     assert np.array_equal(got.next_hop, ref.table[dst, src])
     assert np.array_equal(got.distance, ref.dist[dst, src])
-    again = RouteService.open(net, shards=2)
-    assert again.source == "mmap" and np.load(bad).shape == (8, 16)
+    again = RouteService.open(networks.build("hypercube", n=4), shards=2)
+    assert again.source == "mmap" and counters()["cache.error"] == 1
     assert np.array_equal(again.resolve(src, dst).next_hop, ref.table[dst, src])
 
 
 def test_open_rebuilds_a_fortran_ordered_spill(disk_cache, counters):
+    RouteService.open(networks.build("hypercube", n=4), shards=2)
     net = networks.build("hypercube", n=4)
-    RouteService.open(net, shards=2)
-    spill = _shard_spill(disk_cache, net, 0, 2, "dist")
+    spill = _spill(disk_cache, net, "dist")
     np.save(spill, np.asfortranarray(np.load(spill)))
     svc = RouteService.open(net, shards=2)
-    assert svc.source == "memory" and counters().get("cache.error", 0) == 1
+    assert svc.source == "mmap" and counters().get("cache.error", 0) == 1
+    assert np.load(spill, mmap_mode="r").flags.c_contiguous
     assert RouteService.open(net, shards=2).source == "mmap"
+    assert counters()["cache.error"] == 1
 
 
 def test_resolve_batch_path_helpers():
@@ -479,9 +533,9 @@ def test_reopen_maps_the_same_spills(disk_cache):
     files = lambda s: [b.filename for b in s._blocks + s._dist_blocks]  # noqa: E731
     assert files(clone) == files(svc)
     assert files(svc) == [
-        _shard_spill(disk_cache, net, i, 2, name).resolve()
+        _spill(disk_cache, net, name).resolve()
         for name in ("table", "dist")
-        for i in range(2)
+        for _ in range(2)
     ]
     src, dst = seeded_queries(net.num_nodes, 200, seed=9)
     a, b = svc.resolve(src, dst), clone.resolve(src, dst)
@@ -500,7 +554,8 @@ def test_rebuilt_network_reopens_mmap_without_a_table_build(disk_cache, counters
     svc = RouteService.open(net, shards=2)
     assert svc.mmap_backed and svc.source == "mmap" and svc.shards == 2
     assert counters()["routing.table.builds"] == 1
-    assert net._next_hops is None  # served from the spills, no table held
+    # the network now holds the mapped spills, nothing built in memory
+    assert all(isinstance(a, np.memmap) for a in net._next_hops)
     src, dst = seeded_queries(net.num_nodes, 500, seed=4)
     want = NextHopTable(first, with_distances=True)
     got = svc.resolve(src, dst)
@@ -508,26 +563,40 @@ def test_rebuilt_network_reopens_mmap_without_a_table_build(disk_cache, counters
     assert np.array_equal(got.distance, want.dist[dst, src])
 
 
-def test_corrupt_spill_falls_back_to_memory(disk_cache, counters):
-    net = networks.build("hypercube", n=4)
-    RouteService.open(net)  # writes the spills
+def test_corrupt_spill_is_rewritten(disk_cache, counters):
+    RouteService.open(networks.build("hypercube", n=4))  # writes the spills
     for spill in disk_cache.root.glob("*/*.npy"):
         spill.write_bytes(b"garbage")
+    net = networks.build("hypercube", n=4)
     svc = RouteService.open(net)
-    assert svc.source == "memory"
-    assert counters().get("cache.error", 0) >= 1
+    assert svc.source == "mmap"
+    assert counters().get("cache.error", 0) == 2
     ref = NextHopTable(net, with_distances=True)
     src, dst = seeded_queries(net.num_nodes, 100, seed=0)
     want = np.array([ref.distance(int(s), int(d)) for s, d in zip(src, dst)])
     assert np.array_equal(svc.distances(src, dst), want)
+    for name, arr in (("table", ref.table), ("dist", ref.dist)):
+        assert np.array_equal(np.load(_spill(disk_cache, net, name)), arr)
+
+
+def test_open_blocks_share_memory_with_the_cached_table(disk_cache):
+    net = networks.build("hypercube", n=5)
+    table = cached_next_hop_table(net, with_distances=True)
+    svc = RouteService.open(net, shards=4)
+    assert svc.mmap_backed
+    for block in svc._blocks:
+        assert np.shares_memory(block, table.table)
+        assert block.flags.c_contiguous
+    for block in svc._dist_blocks:
+        assert np.shares_memory(block, table.dist)
 
 
 def test_load_mmap_arrays_are_read_only(disk_cache):
     from repro.cache import cache_key
 
-    key = cache_key("serve.shard.test", probe=1)
-    disk_cache.export_mmap(key, {"table": np.arange(12, dtype=np.int32)})
-    arr = disk_cache.load_mmap(key, "table")
+    key = cache_key("test.spill", probe=1)
+    disk_cache.export_mmap(key, np.arange(12, dtype=np.int32))
+    arr = disk_cache.load_mmap(key)
     assert isinstance(arr, np.memmap)
     assert arr.flags.writeable is False
     with pytest.raises(ValueError, match="read-only"):
